@@ -1,6 +1,7 @@
 // Fuzz target: the v4 image parse path — storage/image.hpp
 // ImageReader::Parse plus core/wavelet_trie.hpp WaveletTrie::LoadImage
-// borrowing a trie out of the blob.
+// borrowing a trie out of the blob. The image is the one persisted format:
+// engine segments and Sequence::Save files both parse through here.
 //
 // The interesting surface is VerifyMode::kNone: the engine's pager opens
 // mmapped segments that way (hash already checked at save time), relying

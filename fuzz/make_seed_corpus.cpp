@@ -5,8 +5,8 @@
 //   make_seed_corpus <repo-root>/fuzz/corpus
 //
 // Every format's seeds are produced by the REAL writers (ImageWriter,
-// WalWriter, VersionedEnvelope::Write, Sequence::Save), so a seed is
-// exactly what production code persists. Each family gets:
+// Sequence::Save, WalWriter, WriteManifest), so a seed is exactly what
+// production code persists. Each family gets:
 //   ok-*        valid files — the replay driver requires these accepted
 //               (a refactor that stops reading them broke the format);
 //   corrupt-*   the same bytes with one byte flipped inside the payload —
@@ -24,6 +24,7 @@
 #include "api/sequence.hpp"
 #include "core/codec.hpp"
 #include "core/wavelet_trie.hpp"
+#include "engine/manifest.hpp"
 #include "engine/wal.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
@@ -92,13 +93,36 @@ std::string WalSeed() {
   return bytes;
 }
 
-std::string EnvelopeSeed() {
-  // A real persisted Sequence stream: envelope + codec payload.
+// What Sequence::Save writes: the whole-sequence image.
+std::string SequenceSaveSeed() {
   wtrie::Sequence<wtrie::Static> seq(
       std::vector<std::string>{"get", "put", "delete", "scan"});
   std::ostringstream out;
   if (!seq.Save(out).ok()) std::exit(1);
   return std::move(out).str();
+}
+
+// A real MANIFEST (the envelope's remaining production user): two shards,
+// one listing a segment, written by the engine's own writer.
+std::string EnvelopeSeed() {
+  const fs::path dir = fs::temp_directory_path() / "wt_fuzz_seed_manifest";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  wtrie::engine::Manifest m;
+  m.num_shards = 2;
+  m.next_batch_id = 7;
+  m.shards.resize(2);
+  m.shards[0].wal_floor = 1;
+  m.shards[0].next_seg_seq = 2;
+  m.shards[0].frozen_through = 5;
+  m.shards[0].segments.push_back({/*seq=*/1, /*count=*/40});
+  m.shards[1].next_seg_seq = 1;
+  if (!wtrie::engine::WriteManifest(dir.string(), m).ok()) std::exit(1);
+  std::ifstream in(dir / "MANIFEST", std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  fs::remove_all(dir);
+  return bytes;
 }
 
 // A realistic client conversation: several request frames back to back,
@@ -194,8 +218,9 @@ std::string TraceSeed() {
 
 std::string TinyEnvelopeSeed() {
   std::ostringstream out;
-  wt::VersionedEnvelope::Write(out, /*magic=*/0x5754534551415031ull,
-                               /*version=*/3, /*tag=*/0x0102, "payload");
+  wt::VersionedEnvelope::Write(out, wtrie::engine::Manifest::kMagic,
+                               wtrie::engine::Manifest::kVersion,
+                               /*tag=*/0x0102, "payload");
   return std::move(out).str();
 }
 
@@ -220,6 +245,10 @@ int main(int argc, char** argv) {
             FlipByte(image, image.size() - 9));
   WriteFile(root / "image" / "raw-header-only.img",
             image.substr(0, sizeof(wt::storage::ImageHeader)));
+  const std::string saved = SequenceSaveSeed();
+  WriteFile(root / "image" / "ok-sequence-save.img", saved);
+  WriteFile(root / "image" / "corrupt-sequence-save-flip.img",
+            FlipByte(saved, saved.size() / 2));
 
   const std::string wal = WalSeed();
   WriteFile(root / "wal" / "ok-two-records.log", wal);
@@ -229,7 +258,7 @@ int main(int argc, char** argv) {
             wal.substr(0, wal.size() - 7));
 
   const std::string env = EnvelopeSeed();
-  WriteFile(root / "envelope" / "ok-sequence-save.env", env);
+  WriteFile(root / "envelope" / "ok-manifest.env", env);
   WriteFile(root / "envelope" / "corrupt-payloadflip.env",
             FlipByte(env, sizeof(wt::EnvelopeHeader) + 3));
   WriteFile(root / "envelope" / "ok-tiny.env", TinyEnvelopeSeed());

@@ -25,14 +25,16 @@
 //     policy, via enumerate-and-replay: the Section 5 sequential scan feeds
 //     AppendBatch, so extraction pays one Rank per trie node and replay is
 //     word-parallel end to end);
-//   * whole-structure persistence for ALL policies: Save/Load wrap a
-//     versioned, checksummed envelope (common/serialize.hpp). Mutable
+//   * whole-structure persistence for ALL policies in one format: Save/Load
+//     stream the hash-checked v4 image (storage/image.hpp). Mutable
 //     policies persist through their canonical static image and thaw on
 //     load, so a file written by any policy can be loaded into any other.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -58,7 +60,6 @@ namespace wtrie {
 /// O(|s| + h_s) queries, no updates.
 struct Static {
   using Trie = wt::WaveletTrie;
-  static constexpr uint8_t kPolicyId = 0;
   static constexpr bool kMutable = false;
   static constexpr bool kFullyDynamic = false;
   static constexpr const char* kName = "Static";
@@ -68,7 +69,6 @@ struct Static {
 /// Static plus the streaming ingest path (AppendBatch).
 struct AppendOnly {
   using Trie = wt::AppendOnlyWaveletTrie;
-  static constexpr uint8_t kPolicyId = 1;
   static constexpr bool kMutable = true;
   static constexpr bool kFullyDynamic = false;
   static constexpr const char* kName = "AppendOnly";
@@ -78,7 +78,6 @@ struct AppendOnly {
 /// positions in O(|s| + h_s log n).
 struct Dynamic {
   using Trie = wt::DynamicWaveletTrie;
-  static constexpr uint8_t kPolicyId = 2;
   static constexpr bool kMutable = true;
   static constexpr bool kFullyDynamic = true;
   static constexpr const char* kName = "Dynamic";
@@ -509,141 +508,92 @@ class Sequence {
   }
 
   // ------------------------------------------------------------ persistence
+  // One format (DESIGN.md #8): the v4 flat image. It persists ALL derived
+  // state at aligned, offset-addressed positions, so loading borrows
+  // straight into the blob with no per-element work — and the blob can be
+  // a mapped file, so the engine's restart is O(#segments), not O(data).
 
-  static constexpr uint64_t kMagic = 0x5754534551415031ull;  // "WTSEQAP1"
-  // v2: the embedded WaveletTrie image switched to the directory-free RRR
-  // payload (trie stream version 3); v1 files fail the envelope version
-  // check with a clean Load error instead of tripping the core loader's
-  // aborting assert. v3: the consumed encoded-bits budget is persisted in
-  // the payload, so static Load no longer reconstructs it with the
-  // O(alphabet) distinct walk — that walk survives only as the v2 compat
-  // path (kMinFormatVersion stays at 2; both payloads embed the same trie
-  // stream).
-  static constexpr uint32_t kFormatVersion = 3;
-  static constexpr uint32_t kMinFormatVersion = 2;
-
-  /// Serializes the whole structure: versioned, checksummed envelope around
-  /// [codec state][canonical static image]. Mutable policies are frozen into
-  /// the static image on the fly — every policy writes the same payload
-  /// format, so any policy can Load any file.
+  /// Writes SerializeImage() to `out`. Every policy writes the same image,
+  /// so a file saved under any policy loads under any other.
   Status Save(std::ostream& out) const {
-    // Known limitation: saving a mutable policy materializes the extracted
-    // strings and the static image in memory before the envelope is
-    // written (the checksum needs the whole payload). Shard very large
-    // sequences at the application level before saving.
-    std::ostringstream payload;
-    if constexpr (internal::kHasCodecState<Codec>) {
-      codec_.SaveState(payload);
-    }
-    wt::WritePod<uint64_t>(payload, encoded_bits_);  // v3 payload field
-    if constexpr (kMutable) {
-      wt::WaveletTrie::BulkBuild(ExtractEncoded()).Save(payload);
-    } else {
-      trie_.Save(payload);
-    }
-    wt::VersionedEnvelope::Write(out, kMagic, kFormatVersion, Tag(),
-                                 std::move(payload).str());
+    const std::string img = SerializeImage();
+    out.write(img.data(), static_cast<std::streamsize>(img.size()));
     if (!out.good()) {
       return Status::Error(ErrorCode::kIoError, "Save: stream write failed");
     }
     return Status::Ok();
   }
 
-  /// Deserializes a Sequence written by Save (under any policy). The codec
-  /// instantiation must match the one the file was written with. Corrupt,
-  /// truncated, or mismatched input yields an error instead of an abort:
-  /// the payload is checksum-verified before the aborting core loaders
-  /// parse it. Note the checksum is an *integrity* check (accidental
-  /// corruption), not authentication — a deliberately forged payload with
-  /// a matching checksum can still trip the core loaders' asserts.
+  /// Reads one image written by Save (under any policy) from `in`, leaving
+  /// the stream just past it, so images can be embedded in larger streams.
+  /// Corrupt, truncated, or mismatched input is an error, never an abort:
+  /// the bytes go through LoadImage with full hash verification. Static
+  /// sequences borrow the heap copy; mutable policies thaw out of it.
   static Result<Sequence> Load(std::istream& in) {
-    uint32_t tag = 0;
-    uint32_t version = 0;
-    std::string payload;
-    const Status env = StatusFromEnvelopeError(
-        wt::VersionedEnvelope::Read(in, kMagic, kFormatVersion, &tag, &payload,
-                                    /*min_version=*/kMinFormatVersion,
-                                    &version));
-    if (!env.ok()) return env;
-    // The saved codec id must match the loading instantiation's. Custom
-    // codecs without kCodecId all share id 0 — two *different* custom
-    // codecs are indistinguishable to this check (documented limitation),
-    // but any custom/built-in mix is rejected.
-    const uint8_t codec_id = static_cast<uint8_t>(tag & 0xFF);
-    if (codec_id != internal::CodecIdOf<Codec>()) {
-      return Status::Error(ErrorCode::kInvalidArgument,
-                           "Load: stream was saved with a different codec");
+    namespace stor = wt::storage;
+    // Magic first, so short input of another format reads as "not an
+    // image" rather than as a truncated one.
+    stor::ImageHeader h;
+    if (!wt::TryReadPod(in, &h.magic)) {
+      return Status::Error(ErrorCode::kTruncatedStream,
+                           "Load: stream ended inside the image header");
     }
-    std::istringstream body(payload);
-    Sequence out;
-    if constexpr (internal::kHasCodecState<Codec>) {
-      out.codec_.LoadState(body);
+    if (h.magic != stor::kImageMagic) {
+      return Status::Error(ErrorCode::kCorruptStream, "Load: not a v4 image");
     }
-    uint64_t saved_bits = 0;
-    bool have_saved_bits = false;
-    if (version >= 3) {
-      // v3 payloads persist the consumed budget outright.
-      if (!wt::TryReadPod(body, &saved_bits)) {
-        return Status::Error(ErrorCode::kTruncatedStream,
-                             "Load: payload ended before encoded-bits field");
-      }
-      have_saved_bits = true;
+    const size_t rest = sizeof(h) - sizeof(h.magic);
+    in.read(reinterpret_cast<char*>(&h) + sizeof(h.magic),
+            static_cast<std::streamsize>(rest));
+    if (in.gcount() != static_cast<std::streamsize>(rest)) {
+      return Status::Error(ErrorCode::kTruncatedStream,
+                           "Load: stream ended inside the image header");
     }
-    wt::WaveletTrie image;
-    image.Load(body);
+    if (h.total_bytes < sizeof(h)) {
+      return Status::Error(ErrorCode::kCorruptStream,
+                           "Load: image size below its header");
+    }
+    // total_bytes is untrusted until the hash checks out.
+    std::string bytes(reinterpret_cast<const char*>(&h), sizeof(h));
+    if (!wt::TryReadBytes(in, h.total_bytes - sizeof(h), &bytes)) {
+      return Status::Error(ErrorCode::kTruncatedStream,
+                           "Load: stream ended inside the image");
+    }
+    auto blob = std::make_shared<stor::HeapBlob>(bytes.size());
+    std::memcpy(blob->mutable_data(), bytes.data(), bytes.size());
+    Result<Sequence<Static, Codec>> image =
+        Sequence<Static, Codec>::LoadImage(std::move(blob), Codec());
+    if (!image.ok()) return image.status();
     if constexpr (kMutable) {
-      std::vector<wt::BitString> enc;
-      enc.reserve(image.size());
-      image.ForEachInRange(0, image.size(),
-                           [&](size_t, const wt::BitString& s) {
-                             enc.push_back(s);
-                           });
-      out.encoded_bits_ = TotalBits(enc);
-      out.trie_.AppendBatch(enc);
+      return image->template Thaw<Policy>();
     } else {
-      // Capacity accounting downstream (e.g. the engine's compaction
-      // guard) relies on EncodedBits() being faithful for loaded segments,
-      // not just freshly built ones. v2 compat path: reconstruct the sum
-      // with the O(alphabet) distinct walk the pre-v3 loader used.
-      if (!have_saved_bits) {
-        image.ForEachDistinct([&](const wt::BitString& s, size_t count) {
-          saved_bits += static_cast<uint64_t>(s.size()) * count;
-        });
-      }
-      out.encoded_bits_ = saved_bits;
-      out.trie_ = std::move(image);
+      return std::move(image).value();
     }
-    return out;
   }
 
-  // --------------------------------------------------- v4 flat image
-  // (DESIGN.md #8). Where Save/Load stream the minimal payload and rebuild
-  // directories on load, the image persists ALL derived state at aligned,
-  // offset-addressed positions: loading borrows straight into the blob —
-  // no per-element work — and the blob can be a mapped file, so the
-  // engine's restart is O(#segments), not O(data).
-
-  /// The image bytes of this static sequence (codec state + trie with all
-  /// directories + the encoded-bits budget). Write them to a file
+  /// The image bytes of this sequence (codec state + trie with all
+  /// directories + the encoded-bits budget). Mutable policies are frozen
+  /// into the canonical static image first. Write the bytes to a file
   /// verbatim; they load from any 8-aligned copy.
-  std::string SerializeImage() const
-    requires(!kMutable)
-  {
-    wt::storage::ImageWriter w;
-    if constexpr (internal::kHasCodecState<Codec>) {
-      std::ostringstream st;
-      codec_.SaveState(st);
-      const std::string bytes = std::move(st).str();
-      w.BeginSection(wt::storage::kSecCodecState);
-      w.Pod<uint64_t>(bytes.size());
-      w.Array(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-      w.EndSection();
+  std::string SerializeImage() const {
+    if constexpr (kMutable) {
+      return Freeze().SerializeImage();
+    } else {
+      wt::storage::ImageWriter w;
+      if constexpr (internal::kHasCodecState<Codec>) {
+        std::ostringstream st;
+        codec_.SaveState(st);
+        const std::string bytes = std::move(st).str();
+        w.BeginSection(wt::storage::kSecCodecState);
+        w.Pod<uint64_t>(bytes.size());
+        w.Array(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+        w.EndSection();
+      }
+      trie_.SaveImage(w);
+      return w.Finish(internal::CodecIdOf<Codec>(), size(), encoded_bits_);
     }
-    trie_.SaveImage(w);
-    return w.Finish(internal::CodecIdOf<Codec>(), size(), encoded_bits_);
   }
 
-  /// Borrows a static sequence out of a v4 image blob (mapped or heap) —
+  /// Borrows a static sequence out of an image blob (mapped or heap) —
   /// zero-copy, no rebuild; the sequence pins the blob for its lifetime.
   /// VerifyMode::kFull (default) hashes the whole image first, so corrupt
   /// or truncated blobs fail with a clean Status; kNone skips that pass
@@ -754,11 +704,6 @@ class Sequence {
  private:
   template <typename P2, typename C2>
   friend class Sequence;  // Freeze/Thaw build sibling instantiations
-
-  static constexpr uint32_t Tag() {
-    return (uint32_t(Policy::kPolicyId) << 8) |
-           uint32_t(internal::CodecIdOf<Codec>());
-  }
 
   Status CheckRange(size_t l, size_t r) const {
     if (l > r) {

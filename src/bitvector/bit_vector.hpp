@@ -112,16 +112,9 @@ class BitVector {
   size_t num_zeros() const { return bits_.size() - num_ones_; }
   const BitArray& bits() const { return bits_; }
 
-  void Save(std::ostream& out) const { bits_.Save(out); }
-  void Load(std::istream& in) {
-    bits_.Load(in);
-    super_.clear();
-    block_.clear();
-    Build();
-  }
-
   /// v4 flat image: persists the rank9 directory and the select samples
-  /// alongside the bits, so Load borrows everything and rebuilds nothing.
+  /// alongside the bits, so LoadImage borrows everything and rebuilds
+  /// nothing.
   /// Array lengths are a function of (size, num_ones) — the reader derives
   /// them rather than trusting length fields.
   void SaveImage(storage::ImageWriter& w) const {

@@ -14,7 +14,7 @@
 #include "bitvector/bit_vector.hpp"
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "common/serialize.hpp"
+#include "storage/image.hpp"
 
 namespace wt {
 
@@ -28,9 +28,9 @@ class EliasFano {
     n_ = values.size();
     universe_ = universe;
     // An empty sequence still builds its (empty) high bitvector, so a
-    // constructed EliasFano is indistinguishable from a reloaded one in
-    // every mode — the flat image format relies on the directory arrays
-    // always having their built-for-n shapes (DESIGN.md #8).
+    // constructed EliasFano is indistinguishable from a reloaded one — the
+    // flat image format relies on the directory arrays always having their
+    // built-for-n shapes (DESIGN.md #8).
     BitArray high;
     if (n_ > 0) {
       WT_ASSERT_MSG(values.back() <= universe, "EliasFano: universe too small");
@@ -69,21 +69,6 @@ class EliasFano {
 
   size_t size() const { return n_; }
   uint64_t universe() const { return universe_; }
-
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, n_);
-    WritePod<uint64_t>(out, universe_);
-    WritePod<uint32_t>(out, low_bits_);
-    high_.Save(out);
-    low_.Save(out);
-  }
-  void Load(std::istream& in) {
-    n_ = ReadPod<uint64_t>(in);
-    universe_ = ReadPod<uint64_t>(in);
-    low_bits_ = ReadPod<uint32_t>(in);
-    high_.Load(in);
-    low_.Load(in);
-  }
 
   /// v4 flat image (DESIGN.md #8): both component bitvectors persist their
   /// directories, so nothing is rebuilt on load.

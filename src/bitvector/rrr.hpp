@@ -36,7 +36,6 @@
 #include "common/assert.hpp"
 #include "common/bit_array.hpp"
 #include "common/bits.hpp"
-#include "common/serialize.hpp"
 #include "storage/image.hpp"
 #include "storage/vec.hpp"
 
@@ -334,25 +333,6 @@ class Rrr {
   size_t num_ones() const { return num_ones_; }
   size_t num_zeros() const { return n_ - num_ones_; }
 
-  /// Serializes the payload only (classes + offsets); the rank directory
-  /// and select samples are rebuilt on Load with one class-stream scan.
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, n_);
-    WritePod<uint64_t>(out, num_ones_);
-    WritePod<uint64_t>(out, num_blocks_);
-    classes_.Save(out);
-    offsets_.Save(out);
-  }
-  void Load(std::istream& in) {
-    n_ = ReadPod<uint64_t>(in);
-    num_ones_ = ReadPod<uint64_t>(in);
-    num_blocks_ = ReadPod<uint64_t>(in);
-    CheckCapacity(n_);
-    classes_.Load(in);
-    offsets_.Load(in);
-    RebuildDirectory();
-  }
-
   /// v4 flat image: the interleaved superblock directory and both select
   /// sample arrays are persisted with the payload, so LoadImage borrows
   /// everything — no class-stream scan, no sample rebuild. Array lengths
@@ -586,33 +566,6 @@ class Rrr {
       select0_samples_.push_back(static_cast<uint32_t>(sb));
     }
     if (select0_samples_.empty()) select0_samples_.push_back(0);
-  }
-
-  /// Rebuilds sb_ and the select samples from the class stream (used by
-  /// Load; the payload alone determines the directory).
-  void RebuildDirectory() {
-    using namespace rrr_internal;
-    sb_.clear();
-    sb_.reserve(num_blocks_ / kBlocksPerSuper + 2);
-    size_t ones = 0;
-    size_t off_bits = 0;
-    for (size_t b = 0; b < num_blocks_; ++b) {
-      if (b % kBlocksPerSuper == 0) {
-        sb_.push_back(static_cast<uint64_t>(ones) |
-                      (static_cast<uint64_t>(off_bits) << 32));
-      }
-      const unsigned cls = ClassOf(b);
-      ones += cls;
-      off_bits += kOffsetWidth.w[cls];
-    }
-    sb_.push_back(static_cast<uint64_t>(ones) |
-                  (static_cast<uint64_t>(off_bits) << 32));
-    WT_ASSERT_MSG(ones == num_ones_ && off_bits == offsets_.size(),
-                  "Rrr: corrupt stream (directory rebuild mismatch)");
-    BuildSelectSamples();
-    sb_.shrink_to_fit();
-    select1_samples_.shrink_to_fit();
-    select0_samples_.shrink_to_fit();
   }
 
   unsigned ClassOf(size_t b) const {

@@ -9,23 +9,19 @@
 //
 // Codes are canonicalized (within each length, codewords are assigned in
 // increasing symbol order), so the code is fully described by the sorted
-// symbol list plus one length per symbol — which is also what Save/Load
-// serialize. Construction is the standard two-queue O(sigma log sigma)
-// algorithm on sorted frequencies.
+// symbol list plus one length per symbol. Construction is the standard
+// two-queue O(sigma log sigma) algorithm on sorted frequencies.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/bit_string.hpp"
-#include "common/serialize.hpp"
 
 namespace wt {
 
@@ -117,20 +113,6 @@ class HuffmanCode {
   }
 
   size_t max_length() const { return max_length_; }
-
-  void Save(std::ostream& out) const {
-    WriteVec(out, symbols_);
-    std::vector<uint32_t> lens(lengths_.begin(), lengths_.end());
-    WriteVec(out, lens);
-  }
-
-  void Load(std::istream& in) {
-    symbols_ = ReadVec<uint64_t>(in);
-    const auto lens = ReadVec<uint32_t>(in);
-    WT_ASSERT_MSG(lens.size() == symbols_.size(), "HuffmanCode: corrupt stream");
-    lengths_.assign(lens.begin(), lens.end());
-    FinishFromLengths();
-  }
 
   size_t SizeInBits() const {
     return 64 * symbols_.capacity() + 8 * sizeof(size_t) * lengths_.capacity() +

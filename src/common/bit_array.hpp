@@ -13,7 +13,6 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "common/serialize.hpp"
 #include "storage/image.hpp"
 #include "storage/vec.hpp"
 
@@ -131,25 +130,6 @@ class BitArray {
 
   /// Releases slack capacity; call once a structure becomes static.
   void ShrinkToFit() { words_.shrink_to_fit(); }
-
-  /// v3 stream format (byte-identical to the pre-storage-layer WriteVec
-  /// layout: u64 bit size, u64 word count, raw words).
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, size_);
-    WritePod<uint64_t>(out, words_.size());
-    out.write(reinterpret_cast<const char*>(words_.data()),
-              static_cast<std::streamsize>(words_.size() * sizeof(uint64_t)));
-  }
-  void Load(std::istream& in) {
-    size_ = ReadPod<uint64_t>(in);
-    const uint64_t n = ReadPod<uint64_t>(in);
-    words_.clear();
-    words_.resize(n);
-    in.read(reinterpret_cast<char*>(words_.mutable_data()),
-            static_cast<std::streamsize>(n * sizeof(uint64_t)));
-    WT_ASSERT_MSG(in.good() || n == 0, "serialize: truncated stream");
-    WT_ASSERT_MSG(words_.size() == WordsFor(size_), "BitArray: corrupt stream");
-  }
 
   /// v4 flat image: the words are persisted verbatim and borrowed back on
   /// load — zero copies, no rebuild (DESIGN.md #8).

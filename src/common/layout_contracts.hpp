@@ -96,7 +96,7 @@ concept IdentifiedCodec = Codec<C> && requires {
 };
 
 /// A codec with persisted state (e.g. a width or a hash multiplier) that
-/// must round-trip through the envelope for decode to work after reload.
+/// must round-trip through the image for decode to work after reload.
 template <typename C>
 concept StatefulCodec =
     Codec<C> && requires(const C& c, C& m, std::ostream& o, std::istream& i) {
@@ -108,7 +108,6 @@ concept StatefulCodec =
 /// plus the capability flags the facade's compile-time gates read.
 template <typename P>
 concept SequencePolicy = requires { typename P::Trie; } && requires {
-  { P::kPolicyId } -> std::convertible_to<uint8_t>;
   { P::kMutable } -> std::convertible_to<bool>;
   { P::kFullyDynamic } -> std::convertible_to<bool>;
   { P::kName } -> std::convertible_to<const char*>;

@@ -1,20 +1,19 @@
-// Minimal binary serialization helpers for the static structures, plus the
-// versioned envelope used by the public API layer (src/api/sequence.hpp).
+// Minimal binary serialization helpers for small metadata files (codec
+// state, the engine manifest, the WAL, store tables), plus the versioned
+// envelope that frames the manifest and store tables. Static succinct
+// structures persist through the v4 image instead (storage/image.hpp).
 //
-// Format: little-endian PODs, vectors as u64 length + raw elements. The
-// static WaveletTrie adds a magic/version header (see wavelet_trie.hpp);
-// derived directories (rank counters, excess-search trees) are rebuilt on
-// load rather than versioned.
+// Format: little-endian PODs, vectors as u64 length + raw elements.
 //
 // Two layers of error handling coexist here:
 //   * WritePod/ReadPod/WriteVec/ReadVec abort on truncation (internal
-//     invariant style, used by the core structures);
+//     invariant style, for bytes already checksum-verified);
 //   * TryReadPod and the VersionedEnvelope never abort — they report
 //     failure to the caller, so the public API boundary can surface
 //     corrupt/truncated input as a recoverable error. The envelope
 //     carries a magic, a format version, and a checksummed payload:
-//     once the checksum matches, the aborting core loaders can safely
-//     parse the payload bytes.
+//     once the checksum matches, the aborting readers can safely parse
+//     the payload bytes.
 #pragma once
 
 #include <algorithm>
@@ -76,6 +75,23 @@ bool TryReadPod(std::istream& in, T* v) {
   return true;
 }
 
+/// Non-aborting read of `len` more bytes appended to *out. `len` may come
+/// from untrusted input, so it is never allocated up front: the bytes
+/// arrive in bounded chunks and a lying length surfaces as a short read
+/// (false) when the stream runs dry.
+inline bool TryReadBytes(std::istream& in, uint64_t len, std::string* out) {
+  constexpr uint64_t kChunk = 1 << 20;
+  while (len > 0) {
+    const size_t want = static_cast<size_t>(std::min(kChunk, len));
+    const size_t old_size = out->size();
+    out->resize(old_size + want);
+    in.read(out->data() + old_size, static_cast<std::streamsize>(want));
+    if (in.gcount() != static_cast<std::streamsize>(want)) return false;
+    len -= want;
+  }
+  return true;
+}
+
 /// FNV-1a over a byte range — the integrity check of the versioned envelope.
 inline uint64_t Fnv1a(const void* data, size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -106,10 +122,10 @@ static_assert(sizeof(EnvelopeHeader) == 32);
 ///   u64 magic | u32 format version | u32 tag | u64 payload bytes |
 ///   u64 FNV-1a(payload) | payload
 ///
-/// `tag` is caller-defined metadata (the API layer packs policy and codec
-/// ids into it). Reading never aborts: every failure mode (bad magic,
-/// unsupported version, truncation, checksum mismatch) is reported through
-/// the returned enum so callers can translate it into their error type.
+/// `tag` is caller-defined metadata. Reading never aborts: every failure
+/// mode (bad magic, unsupported version, truncation, checksum mismatch) is
+/// reported through the returned enum so callers can translate it into
+/// their error type.
 struct VersionedEnvelope {
   enum class ReadError {
     kOk,
@@ -132,45 +148,25 @@ struct VersionedEnvelope {
   }
 
   /// Reads and verifies one envelope. On kOk, `tag` and `payload` are set.
-  /// `max_version` rejects formats newer than the reader understands;
-  /// `min_version` rejects older formats whose payload the caller can no
-  /// longer parse (so a stale file is a clean error, not a downstream
-  /// parser abort). `version_out`, when given, receives the version read,
-  /// so callers that accept a version *range* can parse the payload
-  /// accordingly (the Sequence envelope does: v2 payloads lack the
-  /// persisted encoded-bits field v3 added).
-  static ReadError Read(std::istream& in, uint64_t magic, uint32_t max_version,
-                        uint32_t* tag, std::string* payload,
-                        uint32_t min_version = 1,
-                        uint32_t* version_out = nullptr) {
+  /// Any version other than `version` is kBadVersion: a reader parses
+  /// exactly one payload layout, so an older or newer file is a clean
+  /// error, not a downstream parser abort.
+  static ReadError Read(std::istream& in, uint64_t magic, uint32_t version,
+                        uint32_t* tag, std::string* payload) {
     uint64_t m = 0;
     if (!TryReadPod(in, &m)) return ReadError::kTruncated;
     if (m != magic) return ReadError::kBadMagic;
-    uint32_t version = 0;
-    if (!TryReadPod(in, &version)) return ReadError::kTruncated;
-    if (version == 0 || version < min_version || version > max_version) {
-      return ReadError::kBadVersion;
-    }
-    if (version_out != nullptr) *version_out = version;
+    uint32_t v = 0;
+    if (!TryReadPod(in, &v)) return ReadError::kTruncated;
+    if (v != version) return ReadError::kBadVersion;
     uint32_t t = 0;
     uint64_t len = 0, sum = 0;
     if (!TryReadPod(in, &t) || !TryReadPod(in, &len) || !TryReadPod(in, &sum)) {
       return ReadError::kTruncated;
     }
-    // The length field is untrusted (the checksum covers the payload only),
-    // so never allocate `len` bytes up front: read in bounded chunks and let
-    // a lying length surface as truncation when the stream runs dry.
-    constexpr uint64_t kChunk = 1 << 20;
+    // The length field is untrusted (the checksum covers the payload only).
     std::string body;
-    while (body.size() < len) {
-      const uint64_t want = std::min<uint64_t>(kChunk, len - body.size());
-      const size_t old_size = body.size();
-      body.resize(old_size + want);
-      in.read(body.data() + old_size, static_cast<std::streamsize>(want));
-      if (in.gcount() != static_cast<std::streamsize>(want)) {
-        return ReadError::kTruncated;
-      }
-    }
+    if (!TryReadBytes(in, len, &body)) return ReadError::kTruncated;
     if (Fnv1a(body.data(), body.size()) != sum) {
       return ReadError::kChecksumMismatch;
     }

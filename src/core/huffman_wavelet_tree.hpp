@@ -21,9 +21,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -101,30 +99,11 @@ class HuffmanWaveletTree {
   /// Height of the Huffman tree = longest codeword.
   size_t Height() const { return trie_.Height(); }
 
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, kMagic);
-    WritePod<uint64_t>(out, n_);
-    if (n_ == 0) return;
-    code_.Save(out);
-    trie_.Save(out);
-  }
-
-  void Load(std::istream& in) {
-    WT_ASSERT_MSG(ReadPod<uint64_t>(in) == kMagic,
-                  "HuffmanWaveletTree: not a huffman-wt stream");
-    n_ = ReadPod<uint64_t>(in);
-    if (n_ == 0) return;
-    code_.Load(in);
-    trie_.Load(in);
-  }
-
   size_t SizeInBits() const { return trie_.SizeInBits() + code_.SizeInBits(); }
 
   const WaveletTrie& trie() const { return trie_; }
 
  private:
-  static constexpr uint64_t kMagic = 0x48554657544C4931ull;  // "HUFWTLI1"
-
   size_t n_ = 0;
   HuffmanCode code_;
   WaveletTrie trie_;

@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <istream>
-#include <ostream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +20,6 @@
 
 #include "bitvector/bit_vector.hpp"
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 
 namespace wt {
 
@@ -169,23 +166,6 @@ class WaveletTree {
 
   size_t SizeInBits() const { return NodeBits(root_.get()); }
 
-  /// Serializes the tree: header, then nodes in preorder with presence
-  /// flags. Rank/select directories are rebuilt by BitVector::Load.
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, kMagic);
-    WritePod<uint64_t>(out, n_);
-    WritePod<uint64_t>(out, sigma_);
-    SaveNode(out, root_.get());
-  }
-
-  void Load(std::istream& in) {
-    WT_ASSERT_MSG(ReadPod<uint64_t>(in) == kMagic,
-                  "WaveletTree: not a wavelet-tree stream");
-    n_ = ReadPod<uint64_t>(in);
-    sigma_ = ReadPod<uint64_t>(in);
-    root_ = LoadNode(in);
-  }
-
   /// Preorder debug view for the Figure 1 reproduction: each internal node's
   /// value range and bitvector.
   struct NodeDebug {
@@ -199,8 +179,6 @@ class WaveletTree {
   }
 
  private:
-  static constexpr uint64_t kMagic = 0x57544C4556454C31ull;  // "WTLEVEL1"
-
   struct Node {
     BitVector bits;
     std::unique_ptr<Node> left, right;
@@ -273,23 +251,6 @@ class WaveletTree {
       if (!down) return std::nullopt;
     }
     return v->bits.Select(b, *down);
-  }
-
-  static void SaveNode(std::ostream& out, const Node* v) {
-    WritePod<uint8_t>(out, v != nullptr ? 1 : 0);
-    if (v == nullptr) return;
-    v->bits.Save(out);
-    SaveNode(out, v->left.get());
-    SaveNode(out, v->right.get());
-  }
-
-  static std::unique_ptr<Node> LoadNode(std::istream& in) {
-    if (ReadPod<uint8_t>(in) == 0) return nullptr;
-    auto node = std::make_unique<Node>();
-    node->bits.Load(in);
-    node->left = LoadNode(in);
-    node->right = LoadNode(in);
-    return node;
   }
 
   static size_t NodeBits(const Node* v) {

@@ -15,12 +15,12 @@
 //
 // Query fast path (DESIGN.md #6): a flat 16-byte-per-node header array —
 // label end, right-child id, beta start, ones-before-beta-start — is
-// precomputed at construction/load, so each traversal level is one header
-// load plus one fused RRR operation instead of recomputed Elias--Fano
-// selects, shape excess searches and paired ranks. The Elias--Fano
-// delimiters and shape directories remain the serialized source of truth
-// (headers are derived, never stored) and the fallback when a trie exceeds
-// the headers' 2^32-bit addressing. Batched AccessBatch/RankBatch/
+// precomputed at construction and persisted in the image, so each
+// traversal level is one header load plus one fused RRR operation instead
+// of recomputed Elias--Fano selects, shape excess searches and paired
+// ranks. The Elias--Fano delimiters and shape directories remain the
+// fallback when a trie exceeds the headers' 2^32-bit addressing. Batched
+// AccessBatch/RankBatch/
 // SelectBatch amortize one traversal per touched node per batch, mirroring
 // what AppendBatch did for ingestion.
 //
@@ -629,38 +629,6 @@ class WaveletTrie {
   template <typename DistinctFn>
   void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
 
-  /// Serializes the index. Format: magic, version, n, then components
-  /// (shape preorder bits, labels, Elias-Fano delimiters, global RRR);
-  /// rank/select/excess directories and the flat node headers are rebuilt
-  /// on Load.
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, kMagic);
-    WritePod<uint32_t>(out, kVersion);
-    WritePod<uint64_t>(out, n_);
-    if (n_ == 0) return;
-    shape_.Save(out);
-    labels_.Save(out);
-    label_ends_.Save(out);
-    beta_.Save(out);
-    beta_ends_.Save(out);
-  }
-
-  void Load(std::istream& in) {
-    WT_ASSERT_MSG(ReadPod<uint64_t>(in) == kMagic,
-                  "WaveletTrie: not a wavelet-trie stream");
-    WT_ASSERT_MSG(ReadPod<uint32_t>(in) == kVersion,
-                  "WaveletTrie: unsupported version");
-    n_ = ReadPod<uint64_t>(in);
-    headers_.clear();
-    if (n_ == 0) return;
-    shape_.Load(in);
-    labels_.Load(in);
-    label_ends_.Load(in);
-    beta_.Load(in);
-    beta_ends_.Load(in);
-    BuildHeaders();
-  }
-
   /// v4 flat image (DESIGN.md #8): one section per component, every
   /// derived directory *and the flat node headers* persisted, so LoadImage
   /// borrows the whole trie out of the blob with no rebuild pass — the
@@ -792,9 +760,6 @@ class WaveletTrie {
   };
 
  private:
-  static constexpr uint64_t kMagic = 0x57544C4945525431ull;  // "WTLIERT1"
-  static constexpr uint32_t kVersion = 3;  // v3: directory-free RRR payload
-
   /// Builds the flat header array. Skipped (leaving the Elias--Fano path in
   /// charge) only when a component exceeds the headers' 32-bit addressing.
   /// The global beta never can: a single Rrr is capped at 2^32-1 bits by
@@ -1270,7 +1235,7 @@ class WaveletTrie {
   EliasFano label_ends_;  // cumulative label lengths per node
   Rrr beta_;              // concatenated internal-node bitvectors, preorder
   EliasFano beta_ends_;   // cumulative beta lengths per internal node
-  // Derived query fast path: rebuilt on v3 Load, persisted+borrowed by v4.
+  // Derived query fast path: built at construction, persisted in the image.
   storage::Vec<NodeHeader> headers_;
 };
 

@@ -842,10 +842,9 @@ class Engine {
   /// before the bytes, leaving the manifest naming an empty or torn file.
   /// The image persists all derived state, so the next Open maps it and
   /// serves without any per-element deserialization (DESIGN.md #8). Known
-  /// limitation (shared with the v3 path's ostringstream payload): the
-  /// image is materialized in memory before the write — a transient of
-  /// roughly the segment's footprint, bounded by the 2^32-bit segment
-  /// cap that MergeTail already enforces.
+  /// limitation: the image is materialized in memory before the write — a
+  /// transient of roughly the segment's footprint, bounded by the
+  /// 2^32-bit segment cap that MergeTail already enforces.
   Status SaveSegment(size_t s, uint64_t seq, const Segment& seg) {
     const std::string final_path =
         PathOf(engine::SegmentFileName(s, seq)).string();
@@ -853,15 +852,11 @@ class Engine {
                                           final_path, seg.SerializeImage());
   }
 
-  /// Loads a segment file: v4 images are borrowed from a mapped (or heap)
-  /// blob, pre-storage-layer v3 streams take the deserializing compat
-  /// path. The file format is self-describing, so a directory may mix
-  /// both.
+  /// Loads a segment file: the v4 image is borrowed in place from a mapped
+  /// (or heap) blob. Anything that is not an image fails cleanly with
+  /// kCorruptStream.
   Result<Segment> LoadSegmentFile(const std::string& path) {
     namespace stor = wt::storage;
-    // Map (or read) the whole file once through the VFS-aware pager, then
-    // sniff the magic on the blob's bytes: a v4 image is borrowed in
-    // place, a v3 compat stream is deserialized from the same bytes.
     std::string err;
     std::shared_ptr<const stor::Blob> blob =
         opt_.map_segments
@@ -878,15 +873,10 @@ class Engine {
       return Status::Error(ErrorCode::kIoError,
                            "Engine: cannot map/read segment image");
     }
-    if (stor::LooksLikeImage(blob->data(), blob->size())) {
-      return Segment::LoadImage(std::move(blob), codec_,
-                                opt_.verify_segment_checksums
-                                    ? stor::VerifyMode::kFull
-                                    : stor::VerifyMode::kNone);
-    }
-    std::istringstream in(std::string(
-        reinterpret_cast<const char*>(blob->data()), blob->size()));
-    return Segment::Load(in);
+    return Segment::LoadImage(std::move(blob), codec_,
+                              opt_.verify_segment_checksums
+                                  ? stor::VerifyMode::kFull
+                                  : stor::VerifyMode::kNone);
   }
 
   /// After a successful SaveSegment: reopen the image mapped so serving is
@@ -1011,9 +1001,8 @@ class Engine {
         sh.wal_cleaned = sm.wal_floor;  // the scan below deletes the rest
         sh.next_seg_seq = sm.next_seg_seq;
         for (const engine::SegmentMeta& seg : sm.segments) {
-          // v4 images are mapped and borrowed (no per-element work: Open
-          // cost is O(#segments) plus the optional verification pass);
-          // v3 stream files take the deserializing compat path.
+          // Images are mapped and borrowed (no per-element work: Open
+          // cost is O(#segments) plus the optional verification pass).
           Result<Segment> loaded =
               LoadSegmentFile(PathOf(engine::SegmentFileName(s, seg.seq)).string());
           if (!loaded.ok()) return loaded.status();

@@ -42,15 +42,15 @@ struct ShardMeta {
   /// segment below, not in the WAL. Recovery uses it to accept batches
   /// whose records survive only on *other* shards — the routine state a
   /// crash between two shards' freezes leaves behind (see
-  /// engine/recovery_invariants.hpp). Version-1 manifests read as 0, which
-  /// disables the forgiveness and matches the old strict behavior.
+  /// engine/recovery_invariants.hpp).
   uint64_t frozen_through = 0;
   std::vector<SegmentMeta> segments;  // stack order: oldest first
 };
 
 struct Manifest {
   static constexpr uint64_t kMagic = 0x5754454E47494E31ull;  // "WTENGIN1"
-  static constexpr uint32_t kVersion = 2;  // v2 added ShardMeta::frozen_through
+  // v2 added ShardMeta::frozen_through; v1 manifests are rejected cleanly.
+  static constexpr uint32_t kVersion = 2;
 
   uint32_t num_shards = 0;
   uint64_t next_batch_id = 0;  // ids below this may have had their WAL deleted
@@ -140,11 +140,9 @@ inline Result<Manifest> ReadManifest(
   }
   std::istringstream in(*bytes);
   uint32_t tag = 0;
-  uint32_t version = 0;
   std::string payload;
-  const Status env = StatusFromEnvelopeError(
-      wt::VersionedEnvelope::Read(in, Manifest::kMagic, Manifest::kVersion,
-                                  &tag, &payload, /*min_version=*/1, &version));
+  const Status env = StatusFromEnvelopeError(wt::VersionedEnvelope::Read(
+      in, Manifest::kMagic, Manifest::kVersion, &tag, &payload));
   if (!env.ok()) return env;
 
   std::istringstream body(payload);
@@ -164,7 +162,7 @@ inline Result<Manifest> ReadManifest(
   for (ShardMeta& sh : m.shards) {
     if (!wt::TryReadPod(body, &sh.wal_floor) ||
         !wt::TryReadPod(body, &sh.next_seg_seq) ||
-        (version >= 2 && !wt::TryReadPod(body, &sh.frozen_through)) ||
+        !wt::TryReadPod(body, &sh.frozen_through) ||
         !wt::TryReadPod(body, &num_segments)) {
       return Status::Error(ErrorCode::kCorruptStream,
                            "manifest: truncated shard");

@@ -1,4 +1,6 @@
-// Flat image format v4 — the zero-copy persistence format (DESIGN.md #8).
+// Flat image format v4 — the library's one persistence format for static
+// structures (DESIGN.md #8): engine segments and Sequence::Save both write
+// it.
 //
 // A v4 image is ONE relocatable blob holding a frozen structure with *all*
 // derived state persisted — BitVector rank9 directories, RRR interleaved
@@ -20,17 +22,15 @@
 // open (VerifyMode::kFull, the default) — never an abort or an OOB read.
 // Section offsets/sizes are bounds-checked against the blob regardless of
 // verification mode, and every Pod/Array read is bounds-checked against its
-// section, so even a forged table cannot read out of bounds. As with the
-// checksummed v3 envelope, content *within* a verified image is trusted by
-// the query paths; VerifyMode::kNone (for datasets larger than RAM, where
-// the verification pass would fault every page) extends that trust to the
-// whole file and is only for storage you control.
+// section, so even a forged table cannot read out of bounds. Content
+// *within* a verified image is trusted by the query paths (the hash is an
+// integrity check, not authentication); VerifyMode::kNone (for datasets
+// larger than RAM, where the verification pass would fault every page)
+// extends that trust to the whole file and is only for storage you
+// control.
 //
-// Version policy: v3 is the streaming format (payload only, directories
-// rebuilt on load; common/serialize.hpp + each structure's Save/Load). v4
-// is this flat format. Readers keep v3 support as the compat path; writers
-// emit v4 (engine segments) or v3 (whole-Sequence envelopes, which favor
-// minimal bytes over instant open).
+// Version policy: v4 is the only version read or written; any other
+// version or format is a clean error.
 #pragma once
 
 #include <cstddef>
@@ -223,7 +223,7 @@ enum class VerifyMode {
 
 enum class ImageError {
   kOk,
-  kBadMagic,    // not a v4 image (e.g. a v3 stream — try the compat path)
+  kBadMagic,    // not a v4 image
   kBadVersion,  // v4 magic but a version this reader does not understand
   kTruncated,   // blob shorter than the header/table/total_bytes claim
   kBadLayout,   // section table inconsistent with the blob bounds
@@ -242,10 +242,15 @@ class ImageReader {
   static ImageError Parse(const uint8_t* base, size_t len, VerifyMode verify,
                           ImageReader* out) {
     WT_DASSERT(reinterpret_cast<uintptr_t>(base) % 8 == 0);
+    // Magic first, so a short file of another format reads as "not an
+    // image" rather than as a truncated one.
+    uint64_t magic = 0;
+    if (len < sizeof(magic)) return ImageError::kTruncated;
+    std::memcpy(&magic, base, sizeof(magic));
+    if (magic != kImageMagic) return ImageError::kBadMagic;
     if (len < sizeof(ImageHeader)) return ImageError::kTruncated;
     ImageHeader h;
     std::memcpy(&h, base, sizeof(h));
-    if (h.magic != kImageMagic) return ImageError::kBadMagic;
     if (h.version != kImageVersion) return ImageError::kBadVersion;
     if (h.total_bytes != len) return ImageError::kTruncated;
     if (h.section_count > kMaxSections) return ImageError::kBadLayout;
@@ -318,14 +323,5 @@ class ImageReader {
   size_t cursor_ = 0;
   size_t section_end_ = 0;
 };
-
-/// True when the bytes begin with the v4 image magic — the format dispatch
-/// used by segment loading (v4 image vs v3 stream) and wt_inspect.
-inline bool LooksLikeImage(const uint8_t* data, size_t len) {
-  if (len < sizeof(uint64_t)) return false;
-  uint64_t m;
-  std::memcpy(&m, data, sizeof(m));
-  return m == kImageMagic;
-}
 
 }  // namespace wt::storage

@@ -5,7 +5,7 @@
 // those arrays go through, and it has exactly two modes:
 //
 //   * owned    — a growable heap buffer (a minimal vector for trivial T),
-//                what every construction and the v3 stream loaders produce;
+//                what every construction produces;
 //   * borrowed — a (const T*, count) window over bytes somebody else keeps
 //                alive (a mapped v4 image or its heap-loaded twin). Zero
 //                copies, zero allocation; the structure is query-ready the
@@ -19,8 +19,7 @@
 // Vec would be a real space regression, not a bookkeeping one).
 //
 // Mutating a borrowed Vec is a programming error (asserted) except for
-// clear()/assign(), which detach back to an empty owned buffer — that is
-// what the v3 Load paths do before rebuilding.
+// clear()/assign(), which detach back to an empty owned buffer.
 //
 // Lifetime contract: a borrowed Vec never extends the life of the bytes it
 // points into. Owners of borrowed structures must pin the backing blob
@@ -94,8 +93,8 @@ class Vec {
   const T& back() const { return data_[size_ - 1]; }
   /// Heap-accounting convention: a borrowed view reports its size as its
   /// capacity, matching what an exactly-sized owned buffer reports — so
-  /// SizeInBits() is identical between a mapped structure and its
-  /// heap-rebuilt twin (asserted by the storage differential tests).
+  /// SizeInBits() is identical between a mapped structure and the one it
+  /// was saved from (asserted by the storage differential tests).
   size_t capacity() const { return borrowed() ? size_ : cap_; }
 
   friend bool operator==(const Vec& a, const Vec& b) {

@@ -144,7 +144,7 @@ class StringColumn {
     while (cur.Next()) fn(cur.position(), cur.value());
   }
 
-  /// Whole-column persistence through the facade's versioned envelope.
+  /// Whole-column persistence as the facade's image (Sequence::Save).
   wtrie::Status Save(std::ostream& out) const { return seq_.Save(out); }
   static wtrie::Result<StringColumn> Load(std::istream& in) {
     auto seq = Sequence::Load(in);

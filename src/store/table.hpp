@@ -195,12 +195,12 @@ class Table {
   // ------------------------------------------------------------ persistence
 
   static constexpr uint64_t kMagic = 0x575454424C453031ull;  // "WTTBLE01"
-  static constexpr uint32_t kFormatVersion = 1;
+  static constexpr uint32_t kFormatVersion = 2;  // v2: columns are images
 
   /// Whole-table persistence: schema, row count, then every column —
-  /// string columns through the facade's versioned envelope (canonical
-  /// static image), integer columns as their decoded value sequence — all
-  /// inside one checksummed outer envelope.
+  /// string columns as the facade's canonical static image, integer
+  /// columns as their decoded value sequence — all inside one checksummed
+  /// outer envelope.
   wtrie::Status Save(std::ostream& out) const {
     std::ostringstream payload;
     WritePod<uint64_t>(payload, schema_.size());

@@ -97,14 +97,6 @@ class BinaryTreeShape {
   /// Number of leaves before v in preorder.
   size_t LeafRank(size_t v) const { return bits_.Rank0(v); }
 
-  void Save(std::ostream& out) const { bits_.Save(out); }
-  void Load(std::istream& in) {
-    bits_.Load(in);
-    seg_tot_.clear();
-    seg_min_.clear();
-    BuildDirectory();
-  }
-
   /// v4 flat image: the preorder bitmap (with its rank directory) and the
   /// excess segment tree are persisted; load borrows both.
   void SaveImage(storage::ImageWriter& w) const {

@@ -20,14 +20,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string_view>
 #include <vector>
 
 #include "bitvector/bit_vector.hpp"
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 #include "core/huffman_wavelet_tree.hpp"
 #include "text/suffix_array.hpp"
 
@@ -152,30 +149,6 @@ class FmIndex {
     return out;
   }
 
-  void Save(std::ostream& out) const {
-    WritePod<uint64_t>(out, kMagic);
-    WritePod<uint64_t>(out, n_);
-    if (n_ == 0) return;
-    WriteVec(out, c_);
-    bwt_.Save(out);
-    sampled_.Save(out);
-    WriteVec(out, sa_samples_);
-    WriteVec(out, isa_samples_);
-    WritePod<uint64_t>(out, isa_last_);
-  }
-
-  void Load(std::istream& in) {
-    WT_ASSERT_MSG(ReadPod<uint64_t>(in) == kMagic, "FmIndex: bad magic");
-    n_ = ReadPod<uint64_t>(in);
-    if (n_ == 0) return;
-    c_ = ReadVec<uint64_t>(in);
-    bwt_.Load(in);
-    sampled_.Load(in);
-    sa_samples_ = ReadVec<uint32_t>(in);
-    isa_samples_ = ReadVec<uint32_t>(in);
-    isa_last_ = ReadPod<uint64_t>(in);
-  }
-
   size_t SizeInBits() const {
     return bwt_.SizeInBits() + sampled_.SizeInBits() + 64 * c_.capacity() +
            32 * (sa_samples_.capacity() + isa_samples_.capacity()) +
@@ -185,8 +158,6 @@ class FmIndex {
   const HuffmanWaveletTree& bwt() const { return bwt_; }
 
  private:
-  static constexpr uint64_t kMagic = 0x464D494E44455831ull;  // "FMINDEX1"
-
   static std::vector<uint32_t> MapBytes(std::string_view s) {
     std::vector<uint32_t> out;
     out.reserve(s.size());

@@ -9,6 +9,8 @@
 //   * cursors enumerate exactly what the core visitor callbacks produce.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <random>
 #include <sstream>
@@ -338,28 +340,27 @@ TEST(ApiPersistence, CorruptInputIsAnErrorNotAnAbort) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), wtrie::ErrorCode::kCorruptStream);
   }
-  {  // truncation at every layer: header, length field, payload
-    for (const size_t cut : {size_t(3), size_t(13), bytes.size() / 2,
-                             bytes.size() - 1}) {
+  {  // truncation at every layer: magic, header, section table, bodies
+    for (const size_t cut : {size_t(3), size_t(13), size_t(60),
+                             bytes.size() / 2, bytes.size() - 1}) {
       std::stringstream bad(bytes.substr(0, cut));
       auto r = wtrie::Sequence<wtrie::Static>::Load(bad);
       ASSERT_FALSE(r.ok()) << "cut at " << cut;
       EXPECT_EQ(r.code(), wtrie::ErrorCode::kTruncatedStream);
     }
   }
-  {  // lying payload-length field (not covered by the checksum): the huge
-     // claimed size must surface as truncation, not as a giant allocation
-    const std::string header = bytes.substr(0, 16);  // magic + version + tag
-    std::stringstream forged;
-    forged.write(header.data(), static_cast<std::streamsize>(header.size()));
-    WritePod<uint64_t>(forged, uint64_t(1) << 60);  // payload length
-    WritePod<uint64_t>(forged, 0);                  // checksum
-    forged << "only a few real bytes";
-    auto r = wtrie::Sequence<wtrie::Static>::Load(forged);
+  {  // lying image-size field (trusted only after the hash checks out): the
+     // huge claimed size must surface as truncation, not a giant allocation
+    std::string forged = bytes;
+    const uint64_t huge = uint64_t(1) << 60;
+    std::memcpy(forged.data() + offsetof(wt::storage::ImageHeader, total_bytes),
+                &huge, sizeof(huge));
+    std::stringstream bad(forged);
+    auto r = wtrie::Sequence<wtrie::Static>::Load(bad);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), wtrie::ErrorCode::kTruncatedStream);
   }
-  {  // bit flip inside the payload: caught by the checksum
+  {  // bit flip inside the image: caught by the hash
     std::string flipped = bytes;
     flipped[flipped.size() / 2] ^= 0x40;
     std::stringstream bad(flipped);

@@ -6,7 +6,7 @@
 //     must be *identical* (same trie shape, same beta contents, same counts),
 //     checked over >= 10k mixed Zipf/uniform strings;
 //   * WaveletTrie::BulkBuild vs the reference constructor — byte-identical
-//     serialization.
+//     images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "core/dynamic_wavelet_trie.hpp"
 #include "core/string_sequence.hpp"
 #include "core/wavelet_trie.hpp"
+#include "image_roundtrip.hpp"
 #include "util/workloads.hpp"
 
 namespace wt {
@@ -402,10 +403,7 @@ TEST(BulkBuild, ByteIdenticalToReferenceConstructor) {
   const auto seq = MixedWorkload(3000, 1500, 7);
   WaveletTrie reference(seq);
   WaveletTrie bulk = WaveletTrie::BulkBuild(seq);
-  std::ostringstream sa, sb;
-  reference.Save(sa);
-  bulk.Save(sb);
-  ASSERT_EQ(sa.str(), sb.str());
+  ASSERT_EQ(test_util::ImageBytes(reference), test_util::ImageBytes(bulk));
   ASSERT_EQ(bulk.size(), seq.size());
   for (size_t i = 0; i < seq.size(); i += 113) {
     ASSERT_EQ(bulk.Access(i), reference.Access(i));
@@ -413,10 +411,8 @@ TEST(BulkBuild, ByteIdenticalToReferenceConstructor) {
 }
 
 TEST(BulkBuild, EmptyAndSingleton) {
-  std::ostringstream sa, sb;
-  WaveletTrie(std::vector<BitString>{}).Save(sa);
-  WaveletTrie::BulkBuild({}).Save(sb);
-  ASSERT_EQ(sa.str(), sb.str());
+  ASSERT_EQ(test_util::ImageBytes(WaveletTrie(std::vector<BitString>{})),
+            test_util::ImageBytes(WaveletTrie::BulkBuild({})));
   std::vector<BitString> one{BitString::FromString("10101")};
   WaveletTrie ref(one);
   WaveletTrie bulk = WaveletTrie::BulkBuild(one);

@@ -8,7 +8,6 @@ namespace {
 
 struct FlaglessPolicy {
   using Trie = wt::WaveletTrie;
-  static constexpr uint8_t kPolicyId = 99;
   // no kMutable / kFullyDynamic / kName
 };
 

@@ -125,24 +125,6 @@ TEST(HuffmanCode, SparseAlphabetSupported) {
   EXPECT_EQ(code.Length(976), std::nullopt);
 }
 
-TEST(HuffmanCode, SaveLoadRoundTrip) {
-  std::mt19937_64 rng(17);
-  std::vector<std::pair<uint64_t, uint64_t>> freqs;
-  for (uint64_t s = 0; s < 30; ++s) freqs.push_back({rng() % 10000, 1 + rng() % 99});
-  std::sort(freqs.begin(), freqs.end());
-  freqs.erase(std::unique(freqs.begin(), freqs.end(),
-                          [](auto& a, auto& b) { return a.first == b.first; }),
-              freqs.end());
-  HuffmanCode code(freqs);
-  std::stringstream ss;
-  code.Save(ss);
-  HuffmanCode loaded;
-  loaded.Load(ss);
-  for (const auto& [sym, f] : freqs) {
-    EXPECT_EQ(loaded.Encode(sym).ToString(), code.Encode(sym).ToString());
-  }
-}
-
 // ------------------------------------------------------- HuffmanWaveletTree
 
 TEST(HuffmanWaveletTree, EmptySequence) {
@@ -285,18 +267,6 @@ TEST(HuffmanWaveletTree, HuffmanShapeBeatsBalancedOnSkew) {
   for (const auto& [sym, c] : counts) avg_len += double(c) * double(*hwt.code().Length(sym));
   avg_len /= double(n);
   EXPECT_LT(avg_len, 3.0);
-}
-
-TEST(HuffmanWaveletTree, SaveLoadRoundTrip) {
-  const auto seq = GenerateIntegers(800, 33, IntDistribution::kZipf, 12);
-  HuffmanWaveletTree hwt(seq);
-  std::stringstream ss;
-  hwt.Save(ss);
-  HuffmanWaveletTree loaded;
-  loaded.Load(ss);
-  ASSERT_EQ(loaded.size(), seq.size());
-  for (size_t i = 0; i < seq.size(); i += 7) EXPECT_EQ(loaded.Access(i), seq[i]);
-  EXPECT_EQ(loaded.Rank(seq[0], seq.size()), hwt.Rank(seq[0], seq.size()));
 }
 
 }  // namespace

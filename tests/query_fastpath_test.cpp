@@ -19,6 +19,7 @@
 #include "common/bits.hpp"
 #include "core/codec.hpp"
 #include "core/wavelet_trie.hpp"
+#include "image_roundtrip.hpp"
 #include "util/workloads.hpp"
 
 namespace {
@@ -234,13 +235,12 @@ TEST(QueryFastPath, RrrSelectCursorAnyOrder) {
   }
 }
 
-TEST(QueryFastPath, RrrSaveLoadRebuildsDirectory) {
+TEST(QueryFastPath, RrrImageRoundTripKeepsDirectory) {
   BitArray bits = MakePattern("dense", 20000, 37);
   Rrr v(bits);
-  std::stringstream ss;
-  v.Save(ss);
+  const auto blob = test_util::BlobOf(test_util::ImageBytes(v));
   Rrr w;
-  w.Load(ss);
+  ASSERT_TRUE(test_util::LoadFromImage(*blob, &w));
   CheckAgainstOracle(w, bits);
 }
 
@@ -322,14 +322,13 @@ TEST(QueryFastPath, TrieBatchEmptyAndSingleton) {
   EXPECT_EQ(empty.SelectBatch(qs, zero)[0], std::nullopt);
 }
 
-TEST(QueryFastPath, TrieQueriesSurviveSaveLoad) {
+TEST(QueryFastPath, TrieQueriesSurviveImageRoundTrip) {
   const size_t n = 4000;
   const auto seq = TestStrings(n, 53);
   const WaveletTrie trie = WaveletTrie::BulkBuild(seq);
-  std::stringstream ss;
-  trie.Save(ss);
+  const auto blob = test_util::BlobOf(test_util::ImageBytes(trie));
   WaveletTrie loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(test_util::LoadFromImage(*blob, &loaded));
   std::mt19937_64 rng(59);
   for (int i = 0; i < 500; ++i) {
     const size_t p = rng() % n;
@@ -393,14 +392,13 @@ void CheckSequenceBatches() {
 }
 
 TEST(QueryFastPath, StaleFormatVersionIsCleanLoadError) {
-  // The v1 payload (pre-fast-path RRR stream) can no longer be parsed, so
-  // Load must reject the envelope's old version cleanly — never reach the
-  // aborting core loader.
+  // An image stamped with an older version must be rejected cleanly —
+  // never reach a structure loader.
   wtrie::Sequence<wtrie::Static> seq(std::vector<std::string>{"a", "b", "a"});
   std::stringstream buf;
   ASSERT_TRUE(seq.Save(buf).ok());
   std::string bytes = buf.str();
-  // Envelope layout: u64 magic | u32 version | ... (version not checksummed).
+  // Image layout: u64 magic | u32 version | ...
   const uint32_t old_version = 1;
   std::memcpy(bytes.data() + sizeof(uint64_t), &old_version, sizeof(uint32_t));
   std::istringstream stale(bytes);

@@ -1,10 +1,11 @@
-// Round-trip tests for the binary serialization of the static structures:
-// every query result must be identical after Save + Load, directories are
-// rebuilt on load, and corrupt streams are rejected.
+// Round-trip tests for the persisted form of the static structures (the v4
+// image, storage/image.hpp): every query result must be identical after
+// SaveImage + LoadImage, and malformed images are refused with a clean
+// false — never an abort.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,10 +14,15 @@
 #include "bitvector/rrr.hpp"
 #include "core/codec.hpp"
 #include "core/wavelet_trie.hpp"
+#include "image_roundtrip.hpp"
 #include "util/workloads.hpp"
 
 namespace wt {
 namespace {
+
+using test_util::BlobOf;
+using test_util::ImageBytes;
+using test_util::LoadFromImage;
 
 BitArray RandomBits(size_t n, double density, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -28,26 +34,28 @@ BitArray RandomBits(size_t n, double density, uint64_t seed) {
 
 TEST(Serialize, BitVectorRoundTrip) {
   BitVector orig(RandomBits(50000, 0.37, 1));
-  std::stringstream ss;
-  orig.Save(ss);
+  const auto blob = BlobOf(ImageBytes(orig));
   BitVector loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
   ASSERT_EQ(loaded.size(), orig.size());
   ASSERT_EQ(loaded.num_ones(), orig.num_ones());
+  ASSERT_EQ(loaded.SizeInBits(), orig.SizeInBits());
   for (size_t pos = 0; pos <= orig.size(); pos += 997) {
     ASSERT_EQ(loaded.Rank1(pos), orig.Rank1(pos));
   }
   for (size_t k = 0; k < orig.num_ones(); k += 991) {
     ASSERT_EQ(loaded.Select1(k), orig.Select1(k));
   }
+  for (size_t k = 0; k < orig.num_zeros(); k += 997) {
+    ASSERT_EQ(loaded.Select0(k), orig.Select0(k));
+  }
 }
 
 TEST(Serialize, RrrRoundTrip) {
   Rrr orig(RandomBits(80000, 0.08, 2));
-  std::stringstream ss;
-  orig.Save(ss);
+  const auto blob = BlobOf(ImageBytes(orig));
   Rrr loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
   ASSERT_EQ(loaded.size(), orig.size());
   ASSERT_EQ(loaded.num_ones(), orig.num_ones());
   for (size_t pos = 0; pos <= orig.size(); pos += 1009) {
@@ -73,10 +81,9 @@ TEST(Serialize, EliasFanoRoundTrip) {
     vals.push_back(cur);
   }
   EliasFano orig(vals, vals.back());
-  std::stringstream ss;
-  orig.Save(ss);
+  const auto blob = BlobOf(ImageBytes(orig));
   EliasFano loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
   ASSERT_EQ(loaded.size(), orig.size());
   for (size_t i = 0; i < vals.size(); ++i) ASSERT_EQ(loaded.Access(i), vals[i]);
 }
@@ -92,10 +99,9 @@ TEST(Serialize, WaveletTrieRoundTripFullQuerySurface) {
   for (const auto& u : urls) seq.push_back(ByteCodec::Encode(u));
   WaveletTrie orig(seq);
 
-  std::stringstream ss;
-  orig.Save(ss);
+  const auto blob = BlobOf(ImageBytes(orig));
   WaveletTrie loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
 
   ASSERT_EQ(loaded.size(), orig.size());
   ASSERT_EQ(loaded.NumDistinct(), orig.NumDistinct());
@@ -121,33 +127,27 @@ TEST(Serialize, WaveletTrieRoundTripFullQuerySurface) {
 
 TEST(Serialize, EmptyTrieRoundTrip) {
   WaveletTrie orig{std::vector<BitString>{}};
-  std::stringstream ss;
-  orig.Save(ss);
+  const auto blob = BlobOf(ImageBytes(orig));
   WaveletTrie loaded;
-  loaded.Load(ss);
+  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.Rank(BitString::FromString("01"), 0), 0u);
 }
 
-TEST(SerializeDeath, RejectsGarbageMagic) {
-  std::stringstream ss;
-  WritePod<uint64_t>(ss, 0xDEADBEEFull);  // wrong magic
-  WritePod<uint32_t>(ss, 1);
-  WritePod<uint64_t>(ss, 0);
-  WaveletTrie t;
-  EXPECT_DEATH(t.Load(ss), "not a wavelet-trie stream");
-}
-
-TEST(SerializeDeath, RejectsTruncatedStream) {
-  // A valid header followed by nothing.
+TEST(Serialize, MalformedImagesAreRefusedNotAborted) {
   WaveletTrie orig(std::vector<BitString>{BitString::FromString("01"),
                                           BitString::FromString("10")});
-  std::stringstream full;
-  orig.Save(full);
-  const std::string bytes = full.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
+  const std::string bytes = ImageBytes(orig);
   WaveletTrie t;
-  EXPECT_DEATH(t.Load(truncated), "truncated|corrupt");
+  // Garbage magic, and a valid image cut in half.
+  EXPECT_FALSE(LoadFromImage(*BlobOf(std::string(bytes.size(), 'x')), &t));
+  EXPECT_FALSE(LoadFromImage(*BlobOf(bytes.substr(0, bytes.size() / 2)), &t));
+  // A well-formed image holding some other component has no trie sections.
+  EXPECT_FALSE(LoadFromImage(*BlobOf(ImageBytes(BitVector(RandomBits(100, 0.5, 6)))),
+                             &t));
+  const auto blob = BlobOf(bytes);
+  ASSERT_TRUE(LoadFromImage(*blob, &t));
+  EXPECT_EQ(t.Access(1), orig.Access(1));
 }
 
 }  // namespace

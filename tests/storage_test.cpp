@@ -4,17 +4,18 @@
 //     sweep over a saved v4 image, asserting every mutation yields a clean
 //     Status (never an abort or an out-of-bounds read — CI runs this file
 //     under ASan/UBSan), mirroring the WAL robustness suite;
-//   * the mapped-vs-heap-vs-v3 differential: Access/Rank/Select, prefix
-//     ops, Section 5 analytics, batch forms, EncodedBits and SizeInBits
-//     byte-identical across a mmap-loaded image, the same image
-//     heap-loaded, the v3 stream loader, and the originally built
-//     sequence;
+//   * the mapped-vs-heap-vs-stream differential: Access/Rank/Select,
+//     prefix ops, Section 5 analytics, batch forms, EncodedBits and
+//     SizeInBits byte-identical across a mmap-loaded image, the same image
+//     heap-loaded, the image read back through Sequence::Load, and the
+//     originally built sequence;
 //   * pager lifetime: one shared mapping per file, snapshots pinning a
 //     compacted-away segment's mapping past its file deletion;
-//   * engine integration: v4 restart round-trip, v3 segment files loading
-//     through the compat path, corrupt segment files failing Open cleanly;
-//   * the envelope v3 satellite: persisted encoded-bits round-trip plus a
-//     hand-built v2 envelope exercising the distinct-walk compat path.
+//   * engine integration: restart round-trip, segment files that are not
+//     images (e.g. the retired stream format) and corrupt segment files
+//     failing Open cleanly, and a manifest of another version refused;
+//   * Sequence::Save writes exactly the image, for every policy, and
+//     Sequence::Load reads one image out of a longer stream.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,6 +28,7 @@
 
 #include "api/sequence.hpp"
 #include "engine/engine.hpp"
+#include "image_roundtrip.hpp"
 #include "storage/image.hpp"
 #include "storage/pager.hpp"
 #include "storage/vec.hpp"
@@ -70,11 +72,15 @@ void WriteFile(const fs::path& p, const std::string& bytes) {
   ASSERT_TRUE(out.good());
 }
 
-/// An 8-aligned heap blob over a byte string (the in-memory loading path).
-std::shared_ptr<const stor::Blob> BlobOf(const std::string& bytes) {
-  auto blob = std::make_shared<stor::HeapBlob>(bytes.size());
-  std::memcpy(blob->mutable_data(), bytes.data(), bytes.size());
-  return blob;
+using wt::test_util::BlobOf;  // the in-memory loading path
+
+/// The opening bytes of a file in the retired stream format: a checksummed
+/// envelope under the old Sequence magic ("WTSEQAP1"), version 3.
+std::string RetiredStreamFile() {
+  std::ostringstream os;
+  wt::VersionedEnvelope::Write(os, 0x5754534551415031ull, /*version=*/3,
+                               /*tag=*/0, "payload");
+  return os.str();
 }
 
 // ----------------------------------------------------------------- Vec
@@ -204,12 +210,15 @@ TEST(StorageCorruption, WrongCodecAndWrongFormatAreCleanErrors) {
   Result<RawSequence> wrong = RawSequence::LoadImage(BlobOf(img));
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.code(), ErrorCode::kInvalidArgument);
-  // A v3 stream is not an image.
-  std::ostringstream v3;
-  ASSERT_TRUE(seq.Save(v3).ok());
-  Result<StrSequence> not_image = StrSequence::LoadImage(BlobOf(v3.str()));
+  // A file in the retired stream format is not an image, on either path.
+  Result<StrSequence> not_image =
+      StrSequence::LoadImage(BlobOf(RetiredStreamFile()));
   ASSERT_FALSE(not_image.ok());
   EXPECT_EQ(not_image.code(), ErrorCode::kCorruptStream);
+  std::istringstream retired(RetiredStreamFile());
+  Result<StrSequence> not_loaded = StrSequence::Load(retired);
+  ASSERT_FALSE(not_loaded.ok());
+  EXPECT_EQ(not_loaded.code(), ErrorCode::kCorruptStream);
   // A future image version is a clean version error.
   std::string future = img;
   const uint32_t v = stor::kImageVersion + 1;
@@ -220,25 +229,25 @@ TEST(StorageCorruption, WrongCodecAndWrongFormatAreCleanErrors) {
   EXPECT_EQ(newer.code(), ErrorCode::kVersionMismatch);
 }
 
-// ------------------------------------------- mapped / heap / v3 equivalence
+// ----------------------------------------- mapped / heap / stream equivalence
 
-struct LoadedTriple {
+struct LoadedAllWays {
   StrSequence built;
-  StrSequence v3;
+  StrSequence stream;
   StrSequence heap;
   StrSequence mapped;
 };
 
-LoadedTriple LoadAllWays(const std::vector<std::string>& values,
-                         const TempDir& dir) {
+LoadedAllWays LoadAllWays(const std::vector<std::string>& values,
+                          const TempDir& dir) {
   StrSequence built(values);
-  // v3 stream round trip.
+  // Save/Load through a stream.
   std::ostringstream os;
   EXPECT_TRUE(built.Save(os).ok());
   std::istringstream is(os.str());
-  Result<StrSequence> v3 = StrSequence::Load(is);
-  EXPECT_TRUE(v3.ok());
-  // v4 image, heap-loaded and mmap-loaded.
+  Result<StrSequence> stream = StrSequence::Load(is);
+  EXPECT_TRUE(stream.ok());
+  // The image, heap-loaded and mmap-loaded.
   const std::string img = built.SerializeImage();
   Result<StrSequence> heap = StrSequence::LoadImage(BlobOf(img));
   EXPECT_TRUE(heap.ok());
@@ -251,7 +260,7 @@ LoadedTriple LoadAllWays(const std::vector<std::string>& values,
   Result<StrSequence> mapped = StrSequence::LoadImage(blob);
   EXPECT_TRUE(mapped.ok());
   EXPECT_TRUE(mapped->storage() != nullptr);
-  return {std::move(built), std::move(v3).value(), std::move(heap).value(),
+  return {std::move(built), std::move(stream).value(), std::move(heap).value(),
           std::move(mapped).value()};
 }
 
@@ -326,11 +335,11 @@ void ExpectAllAnswersIdentical(const StrSequence& a, const StrSequence& b,
   }
 }
 
-TEST(StorageEquivalence, MappedHeapAndV3AnswerByteIdentical) {
+TEST(StorageEquivalence, MappedHeapAndStreamAnswerByteIdentical) {
   TempDir dir("equiv");
   const auto values = UrlWorkload(6000, 17);
-  LoadedTriple t = LoadAllWays(values, dir);
-  ExpectAllAnswersIdentical(t.built, t.v3, values, 101);
+  LoadedAllWays t = LoadAllWays(values, dir);
+  ExpectAllAnswersIdentical(t.built, t.stream, values, 101);
   ExpectAllAnswersIdentical(t.built, t.heap, values, 102);
   ExpectAllAnswersIdentical(t.built, t.mapped, values, 103);
 }
@@ -339,9 +348,9 @@ TEST(StorageEquivalence, SingleDistinctAndEmptyEdgeCases) {
   TempDir dir("edge");
   // Single distinct string: zero internal nodes, empty beta delimiters.
   const std::vector<std::string> same(100, "only.example/path");
-  LoadedTriple t = LoadAllWays(same, dir);
+  LoadedAllWays t = LoadAllWays(same, dir);
   ExpectAllAnswersIdentical(t.built, t.mapped, same, 104);
-  ExpectAllAnswersIdentical(t.built, t.v3, same, 105);
+  ExpectAllAnswersIdentical(t.built, t.stream, same, 105);
   // Empty sequence.
   const StrSequence empty{};
   const std::string img = empty.SerializeImage();
@@ -354,7 +363,7 @@ TEST(StorageEquivalence, SingleDistinctAndEmptyEdgeCases) {
 TEST(StorageEquivalence, FreezeOfMappedSequenceKeepsBlobAlive) {
   TempDir dir("freeze");
   const auto values = UrlWorkload(500, 23);
-  LoadedTriple t = LoadAllWays(values, dir);
+  LoadedAllWays t = LoadAllWays(values, dir);
   StrSequence frozen = t.mapped.Freeze();  // static->static copies the borrow
   EXPECT_EQ(frozen.storage(), t.mapped.storage());
   EXPECT_EQ(frozen.Access(7).value(), t.built.Access(7).value());
@@ -447,7 +456,11 @@ TEST(StorageEngine, RestartServesMappedSegmentsIdentically) {
     std::string err;
     auto blob = stor::ReadFileBlob(e.path().string(), &err);
     ASSERT_NE(blob, nullptr);
-    EXPECT_TRUE(stor::LooksLikeImage(blob->data(), blob->size())) << name;
+    stor::ImageReader r;
+    EXPECT_EQ(stor::ImageReader::Parse(blob->data(), blob->size(),
+                                       stor::VerifyMode::kFull, &r),
+              stor::ImageError::kOk)
+        << name;
   }
   ASSERT_GT(seg_files, 0u);
   // Reopen: segments are mapped (no deserialization) and answer the same.
@@ -470,40 +483,68 @@ TEST(StorageEngine, RestartServesMappedSegmentsIdentically) {
   }
 }
 
-TEST(StorageEngine, V3SegmentFilesLoadViaCompatPath) {
-  TempDir dir("v3compat");
-  const auto values = UrlWorkload(4000, 43);
+TEST(StorageEngine, NonImageSegmentFileFailsOpenCleanly) {
+  TempDir dir("notimage");
   StrEngine::Options opt;
   opt.num_shards = 2;
   opt.memtable_limit = 1 << 30;
   opt.dir = dir.path.string();
   {
     auto eng = StrEngine::Open(opt).value();
-    ASSERT_TRUE(eng->AppendBatch(values).ok());
+    ASSERT_TRUE(eng->AppendBatch(UrlWorkload(4000, 43)).ok());
     ASSERT_TRUE(eng->Flush().ok());
   }
-  // Rewrite every segment file as a v3 envelope stream of the same
-  // sequence (what a pre-storage-layer engine would have left behind).
+  // Replace every segment file with the retired stream format (what a
+  // store written before the image format would hold). The engine reads
+  // images only: Open must refuse cleanly, under both load paths.
+  size_t replaced = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
-    const std::string name = e.path().filename().string();
-    if (name.rfind("seg-", 0) != 0) continue;
-    std::string err;
-    auto blob = stor::MapFileBlob(e.path().string(), true, stor::Advise::kNormal,
-                                  &err);
-    ASSERT_NE(blob, nullptr);
-    Result<StrSequence> seg = StrSequence::LoadImage(blob);
-    ASSERT_TRUE(seg.ok());
-    std::ostringstream os;
-    ASSERT_TRUE(seg->Save(os).ok());
-    blob.reset();  // release the mapping before overwriting the file
-    WriteFile(e.path(), os.str());
+    if (e.path().filename().string().rfind("seg-", 0) != 0) continue;
+    WriteFile(e.path(), RetiredStreamFile());
+    ++replaced;
   }
-  auto eng = StrEngine::Open(opt).value();
-  EXPECT_EQ(eng->size(), values.size());
-  auto snap = eng->GetSnapshot();
-  for (size_t i = 0; i < values.size(); i += 113) {
-    EXPECT_EQ(snap.Access(i).value(), values[i]);
+  ASSERT_GT(replaced, 0u);
+  for (const bool mapped : {true, false}) {
+    auto o = opt;
+    o.map_segments = mapped;
+    auto opened = StrEngine::Open(o);
+    ASSERT_FALSE(opened.ok()) << "mapped=" << mapped;
+    EXPECT_EQ(opened.status().code(), ErrorCode::kCorruptStream);
   }
+}
+
+TEST(StorageEngine, ManifestRoundTripsAndRejectsOtherVersions) {
+  TempDir dir("manifest");
+  engine::Manifest m;
+  m.num_shards = 2;
+  m.next_batch_id = 9;
+  m.shards.resize(2);
+  m.shards[1].frozen_through = 4;
+  m.shards[1].segments.push_back({/*seq=*/3, /*count=*/77});
+  ASSERT_TRUE(engine::WriteManifest(dir.path.string(), m).ok());
+  Result<engine::Manifest> back = engine::ReadManifest(dir.path.string());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->next_batch_id, 9u);
+  EXPECT_EQ(back->shards[1].frozen_through, 4u);
+  ASSERT_EQ(back->shards[1].segments.size(), 1u);
+  EXPECT_EQ(back->shards[1].segments[0].count, 77u);
+  // Stamp the file as version 1 (the pre-watermark layout): the reader
+  // parses one layout only, so it must refuse rather than misparse.
+  const fs::path file = dir.path / "MANIFEST";
+  std::string bytes;
+  {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    bytes = ss.str();
+  }
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + offsetof(wt::EnvelopeHeader, version), &v1,
+              sizeof(v1));
+  WriteFile(file, bytes);
+  Result<engine::Manifest> stale = engine::ReadManifest(dir.path.string());
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), ErrorCode::kVersionMismatch);
 }
 
 TEST(StorageEngine, CorruptSegmentFailsOpenCleanly) {
@@ -592,40 +633,44 @@ TEST(StorageEngine, BuildDemoStoreForInspect) {
   ASSERT_TRUE(eng->Flush().ok());
 }
 
-// ------------------------------------------------- envelope v3 satellite
+// ------------------------------------------------------ Sequence::Save
 
-TEST(EnvelopeV3, EncodedBitsPersistAcrossSaveLoad) {
+TEST(SequenceSave, WritesTheImageForEveryPolicy) {
   const auto values = UrlWorkload(1500, 59);
   const StrSequence seq(values);
   ASSERT_GT(seq.EncodedBits(), 0u);
   std::ostringstream os;
   ASSERT_TRUE(seq.Save(os).ok());
+  EXPECT_EQ(os.str(), seq.SerializeImage());
+  // A mutable policy saves the canonical static image of its contents.
+  const Sequence<AppendOnly, wt::ByteCodec> stream(values);
+  std::ostringstream os2;
+  ASSERT_TRUE(stream.Save(os2).ok());
+  EXPECT_EQ(os2.str(), os.str());
+  // The header carries the budget, so nothing is recomputed on load.
   std::istringstream is(os.str());
   Result<StrSequence> loaded = StrSequence::Load(is);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->EncodedBits(), seq.EncodedBits());
+  EXPECT_NE(loaded->storage(), nullptr);  // borrowed from the read buffer
 }
 
-TEST(EnvelopeV3, V2FilesStillLoadViaDistinctWalkCompat) {
-  const auto values = UrlWorkload(1200, 61);
-  const StrSequence seq(values);
-  // Hand-build a v2 envelope: same tag, payload without the encoded-bits
-  // field (exactly what the previous release wrote).
-  std::ostringstream payload;
-  seq.trie().Save(payload);
-  std::ostringstream file;
-  const uint32_t tag = (uint32_t(Static::kPolicyId) << 8) | wt::ByteCodec::kCodecId;
-  wt::VersionedEnvelope::Write(file, StrSequence::kMagic, /*version=*/2, tag,
-                               std::move(payload).str());
-  std::istringstream is(file.str());
-  Result<StrSequence> loaded = StrSequence::Load(is);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), seq.size());
-  // The compat path reconstructs the budget with the distinct walk.
-  EXPECT_EQ(loaded->EncodedBits(), seq.EncodedBits());
-  for (size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(loaded->Access(i).value(), values[i]);
-  }
+TEST(SequenceSave, LoadReadsOneImageOutOfALongerStream) {
+  const StrSequence a(UrlWorkload(300, 61));
+  const StrSequence b(std::vector<std::string>{"x", "y", "x"});
+  std::stringstream file;
+  ASSERT_TRUE(a.Save(file).ok());
+  ASSERT_TRUE(b.Save(file).ok());
+  file << "tail";
+  Result<StrSequence> la = StrSequence::Load(file);
+  Result<StrSequence> lb = StrSequence::Load(file);
+  ASSERT_TRUE(la.ok());
+  ASSERT_TRUE(lb.ok());
+  EXPECT_EQ(la->size(), a.size());
+  EXPECT_EQ(lb->Access(2).value(), "x");
+  std::string rest;
+  file >> rest;
+  EXPECT_EQ(rest, "tail");
 }
 
 }  // namespace

@@ -223,19 +223,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<size_t, unsigned, uint64_t>{2000, 26, 5},
                       std::tuple<size_t, unsigned, uint64_t>{1500, 2, 6}));
 
-TEST(FmIndex, SaveLoadRoundTrip) {
-  const std::string text = "compressed indexed sequences of strings";
-  const auto fm = FmIndex::FromString(text);
-  std::stringstream ss;
-  fm.Save(ss);
-  FmIndex loaded;
-  loaded.Load(ss);
-  EXPECT_EQ(loaded.size(), text.size());
-  EXPECT_EQ(loaded.CountString("se"), fm.CountString("se"));
-  EXPECT_EQ(loaded.LocateString("es"), fm.LocateString("es"));
-  EXPECT_EQ(loaded.ExtractString(11, 7), "indexed");
-}
-
 TEST(FmIndex, EmptyText) {
   FmIndex fm(std::vector<uint32_t>{});
   EXPECT_EQ(fm.size(), 0u);

@@ -11,9 +11,8 @@
 //
 // For a v4 image it prints the header (strings, encoded bits, codec id,
 // checksum state) and the per-section table: tag, offset, size — the
-// offset-addressed layout a mapped open borrows from. v3 stream files are
-// identified and sized but not parsed (they have no section table; the
-// payload is one opaque checksummed blob).
+// offset-addressed layout a mapped open borrows from. Any other file is
+// reported as not an image.
 //
 // --fsck cross-checks manifest <-> segments <-> WAL without opening an
 // engine, running the same decision logic recovery runs
@@ -64,11 +63,6 @@ int InspectFile(const fs::path& path, const char* indent) {
                 err.c_str());
     return 1;
   }
-  if (!stor::LooksLikeImage(blob->data(), blob->size())) {
-    std::printf("%s%s: v3 stream, %zu bytes (no section table)\n", indent,
-                path.filename().c_str(), blob->size());
-    return 0;
-  }
   stor::ImageReader r;
   stor::ImageError verified =
       stor::ImageReader::Parse(blob->data(), blob->size(),
@@ -81,7 +75,7 @@ int InspectFile(const fs::path& path, const char* indent) {
                                         stor::VerifyMode::kNone, &r);
   }
   if (verified != stor::ImageError::kOk) {
-    std::printf("%s%s: v4 image, %zu bytes — malformed (error %d)\n", indent,
+    std::printf("%s%s: %zu bytes — not a valid v4 image (error %d)\n", indent,
                 path.filename().c_str(), blob->size(),
                 static_cast<int>(verified));
     return 1;
@@ -143,11 +137,9 @@ int InspectDir(const fs::path& dir) {
 
 // ------------------------------------------------------------------- fsck
 
-// Verifies one manifest-referenced segment file: it must exist, and a v4
-// image must parse, hash-verify, and hold exactly the string count the
-// manifest records. v3 stream files have no cheap count field; their count
-// is noted as unverified (the engine re-checks it at open). Returns true
-// when the segment would load.
+// Verifies one manifest-referenced segment file: it must exist, parse as a
+// v4 image, hash-verify, and hold exactly the string count the manifest
+// records. Returns true when the segment would load.
 bool FsckSegment(const fs::path& path, uint64_t expected_count) {
   std::string err;
   auto blob = stor::ReadFileBlob(path.string(), &err);
@@ -155,11 +147,6 @@ bool FsckSegment(const fs::path& path, uint64_t expected_count) {
     std::printf("BROKEN: %s unreadable (%s)\n", path.filename().c_str(),
                 err.c_str());
     return false;
-  }
-  if (!stor::LooksLikeImage(blob->data(), blob->size())) {
-    std::printf("  %s: v3 stream, %zu bytes (count not verified offline)\n",
-                path.filename().c_str(), blob->size());
-    return true;
   }
   stor::ImageReader r;
   const stor::ImageError verified = stor::ImageReader::Parse(

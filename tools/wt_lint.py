@@ -196,9 +196,9 @@ PARSE_FUNCTIONS = [
     ("src/storage/image.hpp", "OpenSection"),
     ("src/storage/image.hpp", "Pod"),
     ("src/storage/image.hpp", "Array"),
-    ("src/storage/image.hpp", "LooksLikeImage"),
     ("src/engine/wal.hpp", "ParseWalBytes"),
     ("src/common/serialize.hpp", "TryReadPod"),
+    ("src/common/serialize.hpp", "TryReadBytes"),
     ("src/common/serialize.hpp", "Read"),  # VersionedEnvelope::Read
     ("src/engine/manifest.hpp", "ReadManifest"),
     ("src/engine/manifest.hpp", "ParseEngineFileName"),
