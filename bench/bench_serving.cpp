@@ -54,6 +54,7 @@ int main() {
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -222,9 +223,13 @@ struct ArmResult {
   uint64_t ok = 0;
   uint64_t shed = 0;
   uint64_t other = 0;
-  StrServer::Stats stats;
   wt::obs::MetricsSnapshot metrics;  // the arm's own registry, post-run
   bool accounting_ok = false;
+
+  uint64_t Count(std::string_view name) const {
+    const uint64_t* v = metrics.FindCounter(name);
+    return v != nullptr ? *v : 0;
+  }
 };
 
 // Starts a server over `engine` with the given dispatch batch, runs
@@ -274,11 +279,12 @@ bool RunArm(StrEngine* engine, size_t store_n, size_t dispatch_batch,
     out->p50_us = lat[lat.size() / 2];
     out->p99_us = lat[lat.size() * 99 / 100];
   }
-  out->stats = (*server)->stats();
   out->metrics = registry->Snapshot();
-  const auto& a = out->stats.admission;
-  out->accounting_ok = a.admitted == a.completed + a.expired_at_dequeue +
-                                        a.expired_before_reply;
+  out->accounting_ok =
+      out->Count("wt_admission_admitted_total") ==
+      out->Count("wt_admission_completed_total") +
+          out->Count("wt_admission_expired_at_dequeue_total") +
+          out->Count("wt_admission_expired_before_reply_total");
   return out->accounting_ok;
 }
 
@@ -462,18 +468,23 @@ bool RunAll() {
                  "\"other\": %llu},\n",
                  (unsigned long long)a.ok, (unsigned long long)a.shed,
                  (unsigned long long)a.other);
-    const auto& s = a.stats.admission;
-    std::fprintf(f,
-                 "    \"admission\": {\"offered\": %llu, \"admitted\": %llu, "
-                 "\"shed\": %llu, \"completed\": %llu, \"expired\": %llu},\n",
-                 (unsigned long long)s.offered, (unsigned long long)s.admitted,
-                 (unsigned long long)s.shed, (unsigned long long)s.completed,
-                 (unsigned long long)(s.expired_at_dequeue +
-                                      s.expired_before_reply));
+    std::fprintf(
+        f,
+        "    \"admission\": {\"offered\": %llu, \"admitted\": %llu, "
+        "\"shed\": %llu, \"completed\": %llu, \"expired\": %llu},\n",
+        (unsigned long long)a.Count("wt_admission_offered_total"),
+        (unsigned long long)a.Count("wt_admission_admitted_total"),
+        (unsigned long long)a.Count("wt_admission_shed_total"),
+        (unsigned long long)a.Count("wt_admission_completed_total"),
+        (unsigned long long)(
+            a.Count("wt_admission_expired_at_dequeue_total") +
+            a.Count("wt_admission_expired_before_reply_total")));
     std::fprintf(f, "    \"coalesced_dup_hits\": %llu,\n",
-                 (unsigned long long)a.stats.coalesced_dup_hits);
+                 (unsigned long long)a.Count(
+                     "wt_serving_coalesced_dup_hits_total"));
     std::fprintf(f, "    \"access_cache_hits\": %llu,\n",
-                 (unsigned long long)a.stats.access_cache_hits);
+                 (unsigned long long)a.Count(
+                     "wt_serving_access_memo_hits_total"));
     if (wt::obs::kObsEnabled) {
       // The server's own lifecycle tracing for this arm, per stage.
       std::fprintf(f, "    \"stages\": {\n");

@@ -258,8 +258,10 @@ bool RunGate(GateResult* out, size_t n, size_t q) {
       out->engine_open_mapped_ms =
           std::min(out->engine_open_mapped_ms, Seconds(t0, clock_type::now()) * 1e3);
       if ((*eng)->size() != n) return false;
-      out->engine_segments = 0;
-      for (const auto& st : (*eng)->Stats()) out->engine_segments += st.num_segments;
+      (*eng)->RefreshMetrics();
+      const int64_t* segs =
+          (*eng)->metrics()->Snapshot().FindGauge("wt_engine_segments");
+      out->engine_segments = segs != nullptr ? static_cast<size_t>(*segs) : 0;
     }
     {
       auto heap_opt = eopt;

@@ -39,6 +39,7 @@ int main() {
 
 #include "engine/engine.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "util/workloads.hpp"
 
 namespace {
@@ -185,16 +186,20 @@ int main(int argc, char** argv) {
                  st.message());
     return 1;
   }
-  const auto stats = (*server)->stats();
+  // The same registry counters kMetrics serves, read in process.
+  const wt::obs::MetricsSnapshot snap = (*server)->metrics()->Snapshot();
+  auto count = [&snap](const char* name) -> unsigned long long {
+    const uint64_t* v = snap.FindCounter(name);
+    return v != nullptr ? *v : 0;
+  };
   std::fprintf(stderr,
                "serving_daemon: done. admitted=%llu completed=%llu shed=%llu "
                "expired=%llu\n",
-               static_cast<unsigned long long>(stats.admission.admitted),
-               static_cast<unsigned long long>(stats.admission.completed),
-               static_cast<unsigned long long>(stats.admission.shed),
-               static_cast<unsigned long long>(
-                   stats.admission.expired_at_dequeue +
-                   stats.admission.expired_before_reply));
+               count("wt_admission_admitted_total"),
+               count("wt_admission_completed_total"),
+               count("wt_admission_shed_total"),
+               count("wt_admission_expired_at_dequeue_total") +
+                   count("wt_admission_expired_before_reply_total"));
   return 0;
 }
 

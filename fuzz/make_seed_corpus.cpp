@@ -72,7 +72,10 @@ std::string WalSeed() {
   fs::remove(tmp);
   {
     wtrie::engine::WalWriter w;
-    if (!w.Open(tmp.string(), /*sync=*/false).ok()) std::exit(1);
+    if (!w.Open(wt::io::RealVfs::Instance(), tmp.string(), /*sync=*/false)
+             .ok()) {
+      std::exit(1);
+    }
     std::vector<wt::BitString> owned;
     for (const char* s : {"alpha", "beta", "gamma"}) {
       owned.push_back(wt::ByteCodec::Encode(s));

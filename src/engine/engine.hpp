@@ -130,15 +130,6 @@ class Engine {
     std::shared_ptr<wt::obs::MetricsRegistry> metrics;
   };
 
-  /// Thin per-shard view over the registry gauges (plus the published
-  /// view), kept for source compat — the registry is the one place these
-  /// numbers are maintained.
-  struct ShardStats {
-    uint64_t memtable_count = 0;
-    uint64_t frozen_count = 0;
-    size_t num_segments = 0;
-  };
-
   /// Creates or reopens an engine. With a durable directory, loads the
   /// manifest's segments and replays the WAL tail (complete batches only)
   /// into fresh memtables before returning.
@@ -391,41 +382,9 @@ class Engine {
     return bg_error_;
   }
 
-  /// Snapshots per-shard stats into *out (cleared and resized), reusing
-  /// the caller's buffer across polls. No engine-wide lock and no
-  /// allocation in steady state: frozen counts come from the published
-  /// views (one micro critical section per shard) and memtable counts
-  /// from the registry gauges the ingest path maintains — the old
-  /// full-ingest-lock hold is gone.
-  void Stats(std::vector<ShardStats>* out) const {
-    out->clear();
-    out->resize(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      auto view = shards_[s].view.Load();
-      (*out)[s].frozen_count = view->total();
-      (*out)[s].num_segments = view->segments.size();
-#if defined(WT_OBS_OFF)
-      // No gauges to read in the OFF build; fall back to the ingest lock
-      // (one hold per shard, not per call) so the numbers stay right.
-      {
-        wt::MutexLock lk(ingest_mu_);
-        (*out)[s].memtable_count = shards_[s].memtable.size();
-      }
-#else
-      (*out)[s].memtable_count =
-          static_cast<uint64_t>(g_mem_strings_[s]->Value());
-#endif
-    }
-  }
-
-  /// Allocating compat shim over the buffer-reusing overload.
-  std::vector<ShardStats> Stats() const {
-    std::vector<ShardStats> out;
-    Stats(&out);
-    return out;
-  }
-
-  /// The registry every engine/WAL/pager instrument lives in.
+  /// The registry every engine/WAL/pager instrument lives in: the one
+  /// read path for the engine's own numbers (RefreshMetrics() first for
+  /// the derived gauges).
   const std::shared_ptr<wt::obs::MetricsRegistry>& metrics() const {
     return metrics_;
   }

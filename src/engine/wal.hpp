@@ -108,11 +108,6 @@ class WalWriter {
     return Status::Ok();
   }
 
-  /// Back-compat convenience: the real filesystem.
-  Status Open(const std::string& path, bool sync) {
-    return Open(wt::io::RealVfs::Instance(), path, sync);
-  }
-
   bool is_open() const { return file_ != nullptr; }
 
   /// Fsyncs the current generation — even when the writer runs with
@@ -260,11 +255,6 @@ inline std::vector<WalRecord> ReadWalFile(wt::io::Vfs& vfs,
   wtrie::Result<std::string> file = vfs.ReadFile(path);
   if (!file.ok()) return {};
   return ParseWalBytes(file->data(), file->size());
-}
-
-/// Back-compat convenience: the real filesystem.
-inline std::vector<WalRecord> ReadWalFile(const std::string& path) {
-  return ReadWalFile(wt::io::RealVfs::Instance(), path);
 }
 
 }  // namespace wtrie::engine

@@ -45,22 +45,7 @@ struct PendingRequest {
   RequestBody body;
   uint64_t deadline_ns = 0;  // absolute monotonic ns; 0 = no deadline
   uint64_t enqueued_ns = 0;
-  uint64_t dequeued_ns = 0;  // stamped by PopBatch/TryPopBatch
   size_t cost_bytes = 0;
-};
-
-/// Thin view over the registry counters, mirrored into kStats replies and
-/// the bench gate's accounting identity (admitted == completed + expired;
-/// nothing vanishes). The registry is the single place these are
-/// maintained (DESIGN.md #12); this struct is read-side compat only.
-struct AdmissionStats {
-  uint64_t offered = 0;
-  uint64_t admitted = 0;
-  uint64_t shed = 0;             // refused kOverloaded at the door
-  uint64_t refused_closed = 0;   // refused kShuttingDown during drain
-  uint64_t expired_at_dequeue = 0;
-  uint64_t expired_before_reply = 0;
-  uint64_t completed = 0;
 };
 
 class AdmissionQueue {
@@ -73,8 +58,8 @@ class AdmissionQueue {
   };
 
   /// `metrics` is where the queue's counters/gauges and the admit-wait
-  /// histogram live; null creates a private registry (tests constructing
-  /// a bare queue). The server passes its own, so one snapshot covers
+  /// histogram live, and where they are read back from; null creates a
+  /// private registry. The server passes its own, so one snapshot covers
   /// admission, serving stages and the engine alike.
   AdmissionQueue(Limits limits, MonotonicClock* clock,
                  std::shared_ptr<wt::obs::MetricsRegistry> metrics = nullptr)
@@ -209,7 +194,6 @@ class AdmissionQueue {
           PendingRequest req = std::move(queue_.front());
           queue_.pop_front();
           queued_bytes_ -= req.cost_bytes;
-          req.dequeued_ns = now;
           pending_waits_.Add((now - req.enqueued_ns) / 1000);
           popped++;
           if (req.deadline_ns != 0 && now >= req.deadline_ns) {
@@ -257,7 +241,6 @@ class AdmissionQueue {
           PendingRequest req = std::move(queue_.front());
           queue_.pop_front();
           queued_bytes_ -= req.cost_bytes;
-          req.dequeued_ns = now;
           pending_waits_.Add((now - req.enqueued_ns) / 1000);
           popped++;
           if (req.deadline_ns != 0 && now >= req.deadline_ns) {
@@ -334,21 +317,6 @@ class AdmissionQueue {
     return queue_.size();
   }
 
-  /// Lock-free view over the registry counters. Not a linearizable
-  /// snapshot while traffic is in flight; exact once the queue is
-  /// quiescent (which is when the bench checks its accounting identity).
-  AdmissionStats stats() const {
-    AdmissionStats s;
-    s.offered = c_offered_->Value();
-    s.admitted = c_admitted_->Value();
-    s.shed = c_shed_->Value();
-    s.refused_closed = c_refused_closed_->Value();
-    s.expired_at_dequeue = c_expired_dequeue_->Value();
-    s.expired_before_reply = c_expired_reply_->Value();
-    s.completed = c_completed_->Value();
-    return s;
-  }
-
  private:
   /// Mirrors queue depth/bytes into the exposition gauges. Telemetry
   /// only — admission decisions read the guarded fields directly, so a
@@ -382,7 +350,7 @@ class AdmissionQueue {
   const Limits limits_;
   MonotonicClock* const clock_;
   // Instrument home (shared so the server can unify all surfaces into one
-  // snapshot) plus cached pointers — the counters ARE the stats.
+  // snapshot) plus cached pointers.
   const std::shared_ptr<wt::obs::MetricsRegistry> metrics_;
   wt::obs::Counter* c_offered_ = nullptr;
   wt::obs::Counter* c_admitted_ = nullptr;

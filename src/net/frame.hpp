@@ -49,6 +49,9 @@ inline constexpr uint32_t kDefaultMaxResponsePayload = 64u << 20;
 
 /// Request opcodes. A response echoes the request's type with kResponseBit
 /// set, so a pipelined client can match replies by (type, request_id).
+/// Opcode 8 is retired and parses as unknown (kBadType); it is never
+/// reused, so a request from an older client fails typed instead of
+/// meaning something else.
 enum class MsgType : uint8_t {
   kPing = 1,         // liveness; served inline on the I/O thread
   kAccess = 2,       // positions -> values
@@ -57,7 +60,6 @@ enum class MsgType : uint8_t {
   kCountPrefix = 5,  // prefixes -> match counts
   kFrequent = 6,     // (range, threshold) -> heavy hitters
   kAppend = 7,       // strings -> durable ingest ack
-  kStats = 8,        // server counters; served inline on the I/O thread
   kMetrics = 9,      // serialized metrics snapshot (obs/snapshot.hpp);
                      // served inline on the I/O thread
   kTrace = 10,       // serialized span-trace snapshot (obs/trace.hpp);
@@ -67,7 +69,7 @@ inline constexpr uint8_t kResponseBit = 0x80;
 
 inline bool IsKnownRequestType(uint8_t t) {
   return t >= static_cast<uint8_t>(MsgType::kPing) &&
-         t <= static_cast<uint8_t>(MsgType::kTrace);
+         t <= static_cast<uint8_t>(MsgType::kTrace) && t != 8;
 }
 
 /// First byte of every response payload. The wire status is deliberately
@@ -292,7 +294,6 @@ inline bool DecodeRequest(MsgType type, const std::string& payload,
   };
   switch (type) {
     case MsgType::kPing:
-    case MsgType::kStats:
     case MsgType::kMetrics:
     case MsgType::kTrace:
       return r.AtEnd();

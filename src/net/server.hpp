@@ -4,11 +4,11 @@
 // Two threads per server:
 //
 //   * the I/O thread owns epoll, every connection's Session, and all
-//     socket reads/writes. It extracts frames, answers Ping/Stats inline,
-//     and offers engine requests to the AdmissionQueue — synchronously, so
-//     shedding decisions are deterministic and a full queue answers
-//     kOverloaded (with an honest retry-after) the moment the frame
-//     arrives instead of stalling the client blind;
+//     socket reads/writes. It extracts frames, answers Ping, Metrics and
+//     Trace inline, and offers engine requests to the AdmissionQueue —
+//     synchronously, so shedding decisions are deterministic and a full
+//     queue answers kOverloaded (with an honest retry-after) the moment
+//     the frame arrives instead of stalling the client blind;
 //   * the dispatcher thread pops admitted requests in batches and
 //     coalesces them per snapshot epoch into the engine's *Batch APIs: all
 //     Access positions across the popped requests become ONE AccessBatch,
@@ -64,7 +64,6 @@
 #include "net/session.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slow_ring.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 
@@ -102,27 +101,6 @@ class Server {
     /// serving histograms and engine internals alike. The bench overrides
     /// it to isolate per-arm counters.
     std::shared_ptr<wt::obs::MetricsRegistry> metrics;
-    /// Ring of the last N requests slower end-to-end than the threshold
-    /// (DESIGN.md #12). The default threshold (1ms) keeps steady-state
-    /// point queries out of the ring's mutex entirely.
-    size_t slow_ring_capacity = 64;
-    uint64_t slow_request_threshold_ns = 1000000;
-  };
-
-  /// Thin view over the registry counters (DESIGN.md #12) — kept for
-  /// source compat and the kStats wire reply; nothing is maintained twice.
-  struct Stats {
-    AdmissionStats admission;
-    uint64_t accepted_conns = 0;
-    uint64_t closed_conns = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t slow_client_disconnects = 0;
-    // Access positions answered from another request in the same coalesced
-    // batch instead of their own engine walk (singleflight-per-dispatch).
-    uint64_t coalesced_dup_hits = 0;
-    // Access positions answered from the per-epoch memo (a previous batch
-    // against the same pinned snapshot already computed the value).
-    uint64_t access_cache_hits = 0;
   };
 
   /// Binds, starts the threads, returns a serving server.
@@ -139,28 +117,14 @@ class Server {
 
   uint16_t port() const { return port_; }
 
-  Stats stats() const {
-    Stats out;
-    out.admission = admission_.stats();
-    out.accepted_conns = c_conns_accepted_->Value();
-    out.closed_conns = c_conns_closed_->Value();
-    out.protocol_errors = c_protocol_errors_->Value();
-    out.slow_client_disconnects = c_slow_client_disconnects_->Value();
-    out.coalesced_dup_hits = c_dup_hits_->Value();
-    out.access_cache_hits = c_memo_hits_->Value();
-    return out;
-  }
-
   size_t queue_depth() const { return admission_.depth(); }
 
   /// The registry every serving-side instrument lives in (the engine's by
-  /// default; see Options::metrics).
+  /// default; see Options::metrics). The only read path for the server's
+  /// own numbers, in process or over kMetrics.
   const std::shared_ptr<wt::obs::MetricsRegistry>& metrics() const {
     return metrics_;
   }
-
-  /// Last-N-slowest-requests ring (tests and wt_top's future friends).
-  const wt::obs::SlowRequestRing& slow_ring() const { return slow_ring_; }
 
   /// Graceful shutdown: refuse new work, finish admitted work, flush
   /// replies (bounded by drain_timeout_ms for stalled clients), then
@@ -236,8 +200,7 @@ class Server {
         opt_(std::move(opt)),
         clock_(opt_.clock != nullptr ? opt_.clock : RealClock::Instance()),
         metrics_(opt_.metrics != nullptr ? opt_.metrics : engine->metrics()),
-        admission_(opt_.admission, clock_, metrics_),
-        slow_ring_(opt_.slow_ring_capacity, opt_.slow_request_threshold_ns) {
+        admission_(opt_.admission, clock_, metrics_) {
     wt::obs::MetricsRegistry& reg = *metrics_;
     c_conns_accepted_ = reg.GetCounter("wt_serving_conns_accepted_total");
     c_conns_closed_ = reg.GetCounter("wt_serving_conns_closed_total");
@@ -290,14 +253,15 @@ class Server {
 
   void IoLoop() {
     std::vector<Readiness> events;
-    bool listener_live = true;
     uint64_t drain_start_ns = 0;
     for (;;) {
       const bool draining = draining_.load(std::memory_order_acquire);
       if (draining) {
-        if (listener_live) {
+        if (listener_.valid()) {
+          // Close, not just unregister: a connection still in the accept
+          // backlog is reset instead of waiting on a socket nobody reads.
           poller_.Remove(listener_.get());
-          listener_live = false;
+          listener_.Reset();
         }
         if (drain_start_ns == 0) drain_start_ns = clock_->NowNanos();
         DrainCompletions();
@@ -315,7 +279,7 @@ class Server {
       }
       for (const Readiness& ev : events) {
         if (ev.token == kListenerToken) {
-          if (listener_live) HandleAccept();
+          if (listener_.valid()) HandleAccept();
         } else if (ev.token == kWakeupToken) {
           wakeup_.Drain();
         } else {
@@ -419,22 +383,6 @@ class Server {
         ReplyInline(c, f.header, WireStatus::kOk, nullptr);
         continue;
       }
-      if (type == MsgType::kStats) {
-        PayloadWriter body;
-        const Stats s = stats();
-        body.Pod<uint64_t>(s.admission.offered);
-        body.Pod<uint64_t>(s.admission.admitted);
-        body.Pod<uint64_t>(s.admission.shed);
-        body.Pod<uint64_t>(s.admission.refused_closed);
-        body.Pod<uint64_t>(s.admission.expired_at_dequeue);
-        body.Pod<uint64_t>(s.admission.expired_before_reply);
-        body.Pod<uint64_t>(s.admission.completed);
-        body.Pod<uint64_t>(s.accepted_conns);
-        body.Pod<uint64_t>(s.protocol_errors);
-        body.Pod<uint64_t>(engine_->size());
-        ReplyInline(c, f.header, WireStatus::kOk, &body);
-        continue;
-      }
       if (type == MsgType::kMetrics) {
         // One merged snapshot for the whole process: the serving-side
         // registry plus the engine's when they differ (they are usually
@@ -452,7 +400,7 @@ class Server {
       if (type == MsgType::kTrace) {
         // The process-wide span timeline: engine background jobs, pager
         // activity and dispatcher batches all land in one snapshot, so
-        // the ids cross-link (slow_ring.trace_id -> engine-batch span).
+        // parent ids cross-link threads.
         PayloadWriter body;
         body.Str(wt::obs::SerializeTraceSnapshot(
             wt::obs::Tracer::Get().Snapshot()));
@@ -674,9 +622,7 @@ class Server {
       const uint64_t t0 = clock_->NowNanos();
       // One span per coalesced batch (arg = batch size). Engine work the
       // batch triggers synchronously (WAL append/fsync on the dispatcher
-      // thread) nests under it via the thread-local span stack; the id
-      // lands in every slow_ring record this batch produced, which is
-      // the slow-request -> trace timeline join wt_top renders.
+      // thread) nests under it via the thread-local span stack.
       uint64_t batch_span = 0;
       if constexpr (wt::obs::kObsEnabled) {
         batch_span = wt::obs::Tracer::Get().SpanBegin(
@@ -694,18 +640,9 @@ class Server {
       uint64_t serviced = 0;
       for (size_t i = 0; i < batch.size(); ++i) {
         const PendingRequest& req = batch[i];
-        // End-to-end latency + the slow ring see every admitted request
-        // that reached execution, replied or expired alike.
+        // End-to-end latency sees every admitted request that reached
+        // execution, replied or expired alike.
         acc_total_us_.Add((t1 - req.enqueued_ns) / 1000);
-        if constexpr (wt::obs::kObsEnabled) {
-          // Threshold check before building the record: fast requests pay
-          // one compare here, not a 7-field struct fill per request.
-          if (t1 - req.enqueued_ns >= slow_ring_.threshold_ns()) {
-            slow_ring_.MaybeRecord({req.conn_id, req.request_id, req.type,
-                                    req.enqueued_ns, req.dequeued_ns, t1,
-                                    t1 - req.enqueued_ns, batch_span});
-          }
-        }
         if (req.deadline_ns != 0 && t1 >= req.deadline_ns) {
           // Expired during execution: discard the result, never serve
           // stale-late.
@@ -883,8 +820,8 @@ class Server {
           break;
         }
         case MsgType::kPing:
-        case MsgType::kStats:
         case MsgType::kMetrics:
+        case MsgType::kTrace:
           // Served inline on the I/O thread; reaching here is a bug kept
           // non-fatal on the serving path.
           reply[i].assign(1, static_cast<char>(WireStatus::kBadRequest));
@@ -1029,9 +966,8 @@ class Server {
   // shared so a bench/test holder can outlive the server.
   const std::shared_ptr<wt::obs::MetricsRegistry> metrics_;
   AdmissionQueue admission_;
-  wt::obs::SlowRequestRing slow_ring_;
-  // Cached instrument pointers (deque-stable in the registry); the
-  // counters ARE the server stats — stats() is a view.
+  // Cached instrument pointers (deque-stable in the registry); read back
+  // through metrics()->Snapshot() or kMetrics, never a second ledger.
   wt::obs::Counter* c_conns_accepted_ = nullptr;
   wt::obs::Counter* c_conns_closed_ = nullptr;
   wt::obs::Counter* c_protocol_errors_ = nullptr;

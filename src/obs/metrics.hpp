@@ -216,15 +216,18 @@ struct HistogramSnapshot {
     return kHistogramBuckets - 1;
   }
 
-  /// Reported quantile value: exact for unit buckets, the bucket's upper
-  /// bound otherwise (a <= 25% over-estimate), and the recorded max when
-  /// the rank lands in the unbounded overflow bucket. 0 when empty.
+  /// Reported quantile value: exact for unit buckets, otherwise the
+  /// bucket's upper bound (a <= 25% over-estimate) clamped to the recorded
+  /// max, so no quantile exceeds a value that was actually seen. The
+  /// result never drops below the bucket's lower bound: a live snapshot
+  /// can count a new top sample before it sees the max that sample
+  /// raised. 0 when empty.
   uint64_t Quantile(double q) const {
     const size_t b = QuantileBucket(q);
     if (b >= kHistogramBuckets) return 0;
     if (b < 16) return static_cast<uint64_t>(b);
-    if (b == kHistogramBuckets - 1) return max;
-    return HistogramBucketUpperBound(b);
+    return std::max(HistogramBucketLowerBound(b),
+                    std::min(HistogramBucketUpperBound(b), max));
   }
 
   uint64_t Mean() const { return count == 0 ? 0 : sum / count; }

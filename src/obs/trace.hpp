@@ -231,8 +231,8 @@ class Tracer {
 #endif
   }
 
-  /// The calling thread's innermost open span id, 0 when none. What the
-  /// server stores into slow_ring records.
+  /// The calling thread's innermost open span id, 0 when none. The engine
+  /// parents work it hands to its thread pool on it.
   uint64_t CurrentSpan() {
 #if !defined(WT_OBS_OFF)
     ThreadRing* r = MaybeRing();

@@ -8,7 +8,8 @@
 //     buffer compaction;
 //   * admission queue with a ManualClock: shed-at-the-door on both bounds
 //     with honest retry-after, deadline-at-dequeue, drain-mode refusal,
-//     the admitted == completed + expired accounting identity;
+//     the admitted == completed + expired accounting identity — every
+//     count read back from the metrics registry, the one stats path;
 //   * server loopback fault tests (Linux): differential round trips vs a
 //     pinned snapshot oracle, per-request errors that keep the connection,
 //     stream errors that end it, shed-under-burst with manual dispatch,
@@ -23,12 +24,14 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/admission.hpp"
 #include "net/clock.hpp"
 #include "net/frame.hpp"
 #include "net/session.hpp"
+#include "obs/metrics.hpp"
 
 #if defined(__linux__)
 #include <chrono>
@@ -37,7 +40,6 @@
 #include "engine/engine.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "util/workloads.hpp"
 #endif
@@ -102,9 +104,14 @@ TEST(Frame, ErrorTaxonomy) {
   bad[4] ^= 0x5A;  // version
   EXPECT_EQ(parse(bad, kDefaultMaxPayload), FrameParse::kBadVersion);
 
-  bad = ok;
-  bad[6] = 0x55;  // unknown opcode
-  EXPECT_EQ(parse(bad, kDefaultMaxPayload), FrameParse::kBadType);
+  // Unknown opcodes: below the range, the retired opcode 8 inside it,
+  // above it, and far outside it.
+  for (const uint8_t op : {0, 8, 11, 0x55}) {
+    bad = ok;
+    bad[6] = static_cast<char>(op);
+    EXPECT_EQ(parse(bad, kDefaultMaxPayload), FrameParse::kBadType)
+        << int(op);
+  }
 
   bad = ok;
   bad[7] = 1;  // reserved flags must be zero
@@ -232,6 +239,24 @@ TEST(Session, BackpressureLadder) {
 
 // --------------------------------------------------------------- admission
 
+/// Reads one counter back from the registry; a missing counter fails the
+/// test.
+uint64_t Count(const wt::obs::MetricsRegistry& reg, std::string_view name) {
+  const wt::obs::MetricsSnapshot snap = reg.Snapshot();
+  const uint64_t* v = snap.FindCounter(name);
+  EXPECT_NE(v, nullptr) << name;
+  return v != nullptr ? *v : 0;
+}
+
+/// The accounting identity "nothing vanishes" rests on: every admitted
+/// request was completed or expired (waiting in queue or before reply).
+void ExpectAdmittedAllAnswered(const wt::obs::MetricsRegistry& reg) {
+  EXPECT_EQ(Count(reg, "wt_admission_admitted_total"),
+            Count(reg, "wt_admission_completed_total") +
+                Count(reg, "wt_admission_expired_at_dequeue_total") +
+                Count(reg, "wt_admission_expired_before_reply_total"));
+}
+
 PendingRequest Req(uint64_t id, uint64_t deadline_ns, size_t cost = 100) {
   PendingRequest r;
   r.conn_id = 1;
@@ -244,7 +269,8 @@ PendingRequest Req(uint64_t id, uint64_t deadline_ns, size_t cost = 100) {
 
 TEST(AdmissionQueue, ShedsAtCountBoundWithRetryHint) {
   ManualClock clock;
-  AdmissionQueue q({.max_requests = 2, .max_bytes = 1u << 20}, &clock);
+  auto reg = std::make_shared<wt::obs::MetricsRegistry>();
+  AdmissionQueue q({.max_requests = 2, .max_bytes = 1u << 20}, &clock, reg);
   uint32_t retry = 0;
   EXPECT_EQ(q.TryOffer(Req(1, 0), &retry), AdmissionQueue::Offer::kAdmitted);
   EXPECT_EQ(q.TryOffer(Req(2, 0), &retry), AdmissionQueue::Offer::kAdmitted);
@@ -258,10 +284,9 @@ TEST(AdmissionQueue, ShedsAtCountBoundWithRetryHint) {
   EXPECT_EQ(q.TryOffer(Req(4, 0), &slow_retry), AdmissionQueue::Offer::kShed);
   EXPECT_GT(slow_retry, retry);
 
-  const AdmissionStats st = q.stats();
-  EXPECT_EQ(st.offered, 4u);
-  EXPECT_EQ(st.admitted, 2u);
-  EXPECT_EQ(st.shed, 2u);
+  EXPECT_EQ(Count(*reg, "wt_admission_offered_total"), 4u);
+  EXPECT_EQ(Count(*reg, "wt_admission_admitted_total"), 2u);
+  EXPECT_EQ(Count(*reg, "wt_admission_shed_total"), 2u);
 }
 
 TEST(AdmissionQueue, ShedsAtByteBound) {
@@ -281,7 +306,8 @@ TEST(AdmissionQueue, ShedsAtByteBound) {
 
 TEST(AdmissionQueue, DeadlineEnforcedAtDequeue) {
   ManualClock clock;
-  AdmissionQueue q({}, &clock);
+  auto reg = std::make_shared<wt::obs::MetricsRegistry>();
+  AdmissionQueue q({}, &clock, reg);
   uint32_t retry = 0;
   const uint64_t now = clock.NowNanos();
   // One request expiring at +10ms, one at +100ms, one without a deadline.
@@ -299,12 +325,13 @@ TEST(AdmissionQueue, DeadlineEnforcedAtDequeue) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].request_id, 2u);
   EXPECT_EQ(batch[1].request_id, 3u);
-  EXPECT_EQ(q.stats().expired_at_dequeue, 1u);
+  EXPECT_EQ(Count(*reg, "wt_admission_expired_at_dequeue_total"), 1u);
 }
 
 TEST(AdmissionQueue, CloseRefusesNewAndDrainsAdmitted) {
   ManualClock clock;
-  AdmissionQueue q({}, &clock);
+  auto reg = std::make_shared<wt::obs::MetricsRegistry>();
+  AdmissionQueue q({}, &clock, reg);
   uint32_t retry = 0;
   ASSERT_EQ(q.TryOffer(Req(1, 0), &retry), AdmissionQueue::Offer::kAdmitted);
   q.Close();
@@ -317,11 +344,8 @@ TEST(AdmissionQueue, CloseRefusesNewAndDrainsAdmitted) {
   q.NoteServiced(1000);
   EXPECT_FALSE(q.PopBatch(16, &batch, &expired));
 
-  const AdmissionStats st = q.stats();
-  EXPECT_EQ(st.refused_closed, 1u);
-  // The accounting identity that "nothing vanishes" rests on.
-  EXPECT_EQ(st.admitted, st.completed + st.expired_at_dequeue +
-                             st.expired_before_reply);
+  EXPECT_EQ(Count(*reg, "wt_admission_refused_closed_total"), 1u);
+  ExpectAdmittedAllAnswered(*reg);
 }
 
 // ------------------------------------------------------- server (loopback)
@@ -366,6 +390,26 @@ WireStatus StatusOf(const Frame& f, PayloadReader* r) {
   WireStatus st = WireStatus::kError;
   EXPECT_TRUE(Client::DecodeStatus(f, &st, r));
   return st;
+}
+
+/// One kMetrics round trip, parsed into *out.
+::testing::AssertionResult FetchMetrics(Client& c, uint64_t request_id,
+                                        wt::obs::MetricsSnapshot* out) {
+  auto resp = c.Call(MsgType::kMetrics, request_id, 0, "");
+  if (!resp.ok()) return ::testing::AssertionFailure() << "call failed";
+  if (resp->header.type != ReplyType(MsgType::kMetrics)) {
+    return ::testing::AssertionFailure() << "reply type " << +resp->header.type;
+  }
+  PayloadReader r(nullptr, 0);
+  std::string bytes;
+  if (StatusOf(*resp, &r) != WireStatus::kOk || !r.Str(&bytes) ||
+      !r.AtEnd()) {
+    return ::testing::AssertionFailure() << "malformed kMetrics reply";
+  }
+  if (!wt::obs::ParseMetricsSnapshot(bytes.data(), bytes.size(), out)) {
+    return ::testing::AssertionFailure() << "snapshot does not parse";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(ServerTest, DifferentialRoundTrip) {
@@ -504,20 +548,20 @@ TEST(ServerTest, DifferentialRoundTrip) {
     EXPECT_EQ(*rank, 1u);
   }
 
-  // Stats reports the admission counters.
+  // kMetrics reports the admission counters.
   {
-    auto resp = client->Call(MsgType::kStats, 8, 0, "");
-    ASSERT_TRUE(resp.ok());
-    PayloadReader r(nullptr, 0);
-    ASSERT_EQ(StatusOf(*resp, &r), WireStatus::kOk);
-    uint64_t offered = 0, admitted = 0, shed = 0;
-    ASSERT_TRUE(r.Pod(&offered));
-    ASSERT_TRUE(r.Pod(&admitted));
-    ASSERT_TRUE(r.Pod(&shed));
-    EXPECT_GE(offered, 6u);  // access, rank, select, countprefix, frequent,
-                             // append (ping/stats are served inline)
-    EXPECT_EQ(offered, admitted);
-    EXPECT_EQ(shed, 0u);
+    wt::obs::MetricsSnapshot m;
+    ASSERT_TRUE(FetchMetrics(*client, 8, &m));
+    const uint64_t* offered = m.FindCounter("wt_admission_offered_total");
+    const uint64_t* admitted = m.FindCounter("wt_admission_admitted_total");
+    const uint64_t* shed = m.FindCounter("wt_admission_shed_total");
+    ASSERT_NE(offered, nullptr);
+    ASSERT_NE(admitted, nullptr);
+    ASSERT_NE(shed, nullptr);
+    EXPECT_GE(*offered, 6u);  // access, rank, select, countprefix, frequent,
+                              // append (ping/metrics are served inline)
+    EXPECT_EQ(*offered, *admitted);
+    EXPECT_EQ(*shed, 0u);
   }
 
   ASSERT_TRUE((*server)->Stop().ok());
@@ -590,7 +634,8 @@ TEST(ServerTest, StreamErrorsEndTheConnection) {
     EXPECT_FALSE(client->Recv().ok());
   }
 
-  EXPECT_GE((*server)->stats().protocol_errors, 2u);
+  EXPECT_GE(Count(*(*server)->metrics(), "wt_serving_protocol_errors_total"),
+            2u);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 
@@ -637,11 +682,11 @@ TEST(ServerTest, ShedUnderBurstIsExactWithManualDispatch) {
     EXPECT_EQ(StatusOf(*resp, &r), WireStatus::kOk);
   }
 
-  const auto stats = (*server)->stats();
-  EXPECT_EQ(stats.admission.offered, uint64_t(kBurst));
-  EXPECT_EQ(stats.admission.admitted, 16u);
-  EXPECT_EQ(stats.admission.shed, uint64_t(kBurst - 16));
-  EXPECT_EQ(stats.admission.completed, 16u);
+  const wt::obs::MetricsRegistry& reg = *(*server)->metrics();
+  EXPECT_EQ(Count(reg, "wt_admission_offered_total"), uint64_t(kBurst));
+  EXPECT_EQ(Count(reg, "wt_admission_admitted_total"), 16u);
+  EXPECT_EQ(Count(reg, "wt_admission_shed_total"), uint64_t(kBurst - 16));
+  EXPECT_EQ(Count(reg, "wt_admission_completed_total"), 16u);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 
@@ -681,12 +726,10 @@ TEST(ServerTest, DeadlineExpiresMidQueue) {
   EXPECT_EQ(StatusOf(expired, &r), WireStatus::kDeadlineExceeded);
   EXPECT_EQ(StatusOf(served, &r), WireStatus::kOk);
 
-  const auto stats = (*server)->stats();
-  EXPECT_EQ(stats.admission.expired_at_dequeue, 1u);
-  EXPECT_EQ(stats.admission.completed, 1u);
-  EXPECT_EQ(stats.admission.admitted,
-            stats.admission.completed + stats.admission.expired_at_dequeue +
-                stats.admission.expired_before_reply);
+  const wt::obs::MetricsRegistry& reg = *(*server)->metrics();
+  EXPECT_EQ(Count(reg, "wt_admission_expired_at_dequeue_total"), 1u);
+  EXPECT_EQ(Count(reg, "wt_admission_completed_total"), 1u);
+  ExpectAdmittedAllAnswered(reg);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 
@@ -718,11 +761,12 @@ TEST(ServerTest, SlowClientIsDisconnectedAtTheHardCap) {
     }
   }
   // The server must disconnect us rather than buffer unboundedly.
+  const wt::obs::MetricsRegistry& reg = *(*server)->metrics();
   for (int spin = 0; spin < 10000; ++spin) {
-    if ((*server)->stats().slow_client_disconnects > 0) break;
+    if (Count(reg, "wt_serving_slow_client_disconnects_total") > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE((*server)->stats().slow_client_disconnects, 1u);
+  EXPECT_GE(Count(reg, "wt_serving_slow_client_disconnects_total"), 1u);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 
@@ -758,9 +802,9 @@ TEST(ServerTest, GracefulShutdownAnswersEverythingAdmitted) {
   EXPECT_FALSE(client->Recv().ok());  // then the server goes away
   stopper.join();
 
-  const auto stats = (*server)->stats();
-  EXPECT_EQ(stats.admission.admitted, uint64_t(kInFlight));
-  EXPECT_EQ(stats.admission.completed, uint64_t(kInFlight));
+  const wt::obs::MetricsRegistry& reg = *(*server)->metrics();
+  EXPECT_EQ(Count(reg, "wt_admission_admitted_total"), uint64_t(kInFlight));
+  EXPECT_EQ(Count(reg, "wt_admission_completed_total"), uint64_t(kInFlight));
 }
 
 TEST(ServerTest, RequestsAfterCloseAnswerShuttingDown) {
@@ -790,10 +834,19 @@ TEST(ServerTest, RequestsAfterCloseAnswerShuttingDown) {
     EXPECT_TRUE(st == WireStatus::kShuttingDown || st == WireStatus::kOk);
   }
   stopper.join();
-  const auto stats = (*server)->stats();
-  EXPECT_EQ(stats.admission.admitted,
-            stats.admission.completed + stats.admission.expired_at_dequeue +
-                stats.admission.expired_before_reply);
+  ExpectAdmittedAllAnswered(*(*server)->metrics());
+}
+
+// The listener closes when the drain starts, so nothing can connect to a
+// stopped server and then wait forever on a socket nobody accepts — the
+// fate of a connection that was still in the accept backlog at Stop().
+TEST(ServerTest, StopClosesTheListener) {
+  ServedStore store(UrlWorkload(64, 31));
+  auto server = StrServer::Start(store.engine.get(), {});
+  ASSERT_TRUE(server.ok());
+  const uint16_t port = (*server)->port();
+  ASSERT_TRUE((*server)->Stop().ok());
+  EXPECT_FALSE(Client::Connect(port).ok());
 }
 
 TEST(ServerTest, CoalescesAcrossConnectionsAndEpochsTrackPublishes) {
@@ -929,8 +982,9 @@ TEST(ServerTest, CoalescedBatchDedupsRepeatedAccessPositions) {
   expect_access(*c1, 2, {(*want)[0]});
   expect_access(*c2, 3, {(*want)[0]});
   expect_access(*c2, 4, {(*want)[0], (*want)[1]});
-  EXPECT_EQ((*server)->stats().coalesced_dup_hits, 3u);
-  EXPECT_EQ((*server)->stats().access_cache_hits, 0u);
+  const wt::obs::MetricsRegistry& reg = *(*server)->metrics();
+  EXPECT_EQ(Count(reg, "wt_serving_coalesced_dup_hits_total"), 3u);
+  EXPECT_EQ(Count(reg, "wt_serving_access_memo_hits_total"), 0u);
 
   // A LATER batch against the same epoch answers position 7 from the
   // per-epoch memo instead of a fresh engine walk.
@@ -939,7 +993,7 @@ TEST(ServerTest, CoalescedBatchDedupsRepeatedAccessPositions) {
   while ((*server)->queue_depth() < 1) std::this_thread::yield();
   ASSERT_TRUE((*server)->DispatchOnce());
   expect_access(*c1, 5, {(*want)[0]});
-  EXPECT_EQ((*server)->stats().access_cache_hits, 1u);
+  EXPECT_EQ(Count(reg, "wt_serving_access_memo_hits_total"), 1u);
 
   // A publish bumps the epoch and invalidates the memo: the next request
   // walks the engine again (no new cache hit) and still answers right.
@@ -950,7 +1004,7 @@ TEST(ServerTest, CoalescedBatchDedupsRepeatedAccessPositions) {
   while ((*server)->queue_depth() < 1) std::this_thread::yield();
   ASSERT_TRUE((*server)->DispatchOnce());
   expect_access(*c1, 6, {(*want)[0]});
-  EXPECT_EQ((*server)->stats().access_cache_hits, 1u);
+  EXPECT_EQ(Count(reg, "wt_serving_access_memo_hits_total"), 1u);
 
   ASSERT_TRUE((*server)->Stop().ok());
 }
@@ -1010,17 +1064,13 @@ TEST(ServerTest, ZeroItemRequestsGetFreshEmptyRepliesNotStaleScratch) {
 
 // The kMetrics endpoint: a live server answers with a parseable registry
 // snapshot whose per-stage tracing histograms are non-zero after real
-// traffic, the admission counters agree with the stats() view (satellite:
-// no counter is maintained twice), the engine's instruments ride along in
-// the same snapshot, the slow-request ring holds ordered stamps — and the
-// kStats reply stays exactly ten u64s, so pre-metrics monitors keep
-// working.
+// traffic, the admission counters agree with an in-process registry read
+// (one ledger, two read paths), and the engine's instruments ride along
+// in the same snapshot.
 TEST(ServerTest, MetricsEndpointExposesRequestLifecycle) {
   ServedStore store(UrlWorkload(1024, 9));
 
-  StrServer::Options opt;
-  opt.slow_request_threshold_ns = 0;  // ring records every request
-  auto server = StrServer::Start(store.engine.get(), opt);
+  auto server = StrServer::Start(store.engine.get(), {});
   ASSERT_TRUE(server.ok());
   auto client = Client::Connect((*server)->port());
   ASSERT_TRUE(client.ok());
@@ -1033,18 +1083,8 @@ TEST(ServerTest, MetricsEndpointExposesRequestLifecycle) {
     ASSERT_EQ(StatusOf(*resp, &r), WireStatus::kOk);
   }
 
-  auto resp = client->Call(MsgType::kMetrics, 100, 0, "");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->header.type, ReplyType(MsgType::kMetrics));
-  PayloadReader r(nullptr, 0);
-  ASSERT_EQ(StatusOf(*resp, &r), WireStatus::kOk);
-  std::string bytes;
-  ASSERT_TRUE(r.Str(&bytes));
-  EXPECT_TRUE(r.AtEnd());
-
   wt::obs::MetricsSnapshot snap;
-  ASSERT_TRUE(
-      wt::obs::ParseMetricsSnapshot(bytes.data(), bytes.size(), &snap));
+  ASSERT_TRUE(FetchMetrics(*client, 100, &snap));
 
   // Every lifecycle stage saw the access round trips. reply_flush is
   // recorded by the I/O thread AFTER flushing each completion, but that
@@ -1059,39 +1099,19 @@ TEST(ServerTest, MetricsEndpointExposesRequestLifecycle) {
     EXPECT_GT(h->count, 0u) << stage;
   }
 
-  // The registry counters ARE the admission stats; the view read now can
-  // only have grown past what the earlier snapshot carried.
+  // The wire snapshot and an in-process read see the same counter; the
+  // later read can only have grown past what the wire carried.
   const uint64_t* admitted = snap.FindCounter("wt_admission_admitted_total");
   ASSERT_NE(admitted, nullptr);
   EXPECT_GE(*admitted, 8u);
-  EXPECT_GE((*server)->stats().admission.admitted, *admitted);
+  EXPECT_GE(Count(*(*server)->metrics(), "wt_admission_admitted_total"),
+            *admitted);
 
   // Engine instruments share the snapshot (one registry end to end).
   const int64_t* segs = snap.FindGauge("wt_engine_segments");
   ASSERT_NE(segs, nullptr);
   EXPECT_GE(*segs, 1);
   EXPECT_NE(snap.FindCounter("wt_engine_appends_total"), nullptr);
-
-  // Threshold 0: every dispatched request landed in the ring with ordered
-  // stamps.
-  const auto slow = (*server)->slow_ring().Snapshot();
-  ASSERT_FALSE(slow.empty());
-  for (const wt::obs::SlowRequestRecord& rec : slow) {
-    EXPECT_LE(rec.enqueued_ns, rec.dequeued_ns);
-    EXPECT_LE(rec.dequeued_ns, rec.done_ns);
-    EXPECT_EQ(rec.total_ns, rec.done_ns - rec.enqueued_ns);
-  }
-
-  // kStats wire compat: exactly ten u64s, nothing more.
-  auto sresp = client->Call(MsgType::kStats, 101, 0, "");
-  ASSERT_TRUE(sresp.ok());
-  PayloadReader sr(nullptr, 0);
-  ASSERT_EQ(StatusOf(*sresp, &sr), WireStatus::kOk);
-  for (int i = 0; i < 10; ++i) {
-    uint64_t v = 0;
-    ASSERT_TRUE(sr.Pod(&v)) << i;
-  }
-  EXPECT_TRUE(sr.AtEnd());
 
   ASSERT_TRUE((*server)->Stop().ok());
 }

@@ -2,14 +2,15 @@
 //   * bucket map: monotone, bounds self-consistent, <=25% relative error;
 //   * histogram quantiles differentially against a sorted-vector oracle —
 //     the selected bucket must be EXACTLY the bucket holding the oracle's
-//     rank element, including the empty / single-sample / overflow edges;
+//     rank element, including the empty / single-sample / overflow
+//     edges — and every reported quantile is monotone in q, never above
+//     the recorded max, and never below its bucket when max lags it;
 //   * counters and the registry under concurrency (runs under TSan in
 //     CI): values exact after join, monotone across live snapshots;
 //   * snapshot wire format: round trip, then an exhaustive one-byte
 //     corruption sweep — every flip must be rejected (checksum or header
 //     validation), and truncations never over-read;
-//   * text exposition name splicing (suffix + label merge);
-//   * slow-request ring: threshold gating and oldest-first eviction.
+//   * text exposition name splicing (suffix + label merge).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/slow_ring.hpp"
 #include "obs/snapshot.hpp"
 
 namespace wt::obs {
@@ -57,36 +57,49 @@ TEST(HistogramBuckets, BoundsAreConsistentAndMonotone) {
 // must select exactly the bucket the sorted vector's rank-ceil(q*n)
 // element was recorded into. Bucketing is monotone in the value, so this
 // is achievable — and any off-by-one in the cumulative walk breaks it.
+// The reported value must also lie in [oracle, max] and be monotone in q.
+// Small multisets drawn from one range put the max inside a bounded
+// bucket, where an unclamped upper bound would overshoot it.
 TEST(Histogram, QuantilesMatchSortedOracle) {
   std::mt19937_64 rng(12345);
-  std::vector<uint64_t> vals;
-  for (int i = 0; i < 5000; ++i) {
-    switch (rng() % 4) {
-      case 0: vals.push_back(rng() % 16); break;          // unit buckets
-      case 1: vals.push_back(rng() % 1024); break;        // low octaves
-      case 2: vals.push_back(rng() % 300000); break;      // spans overflow
-      default: vals.push_back(rng() % (uint64_t{1} << 40)); break;
+  const uint64_t kRanges[] = {16, 1024, 300000, uint64_t{1} << 40};
+  for (int trial = 0; trial < 200; ++trial) {
+    // Trial 0: 5000 samples mixing every range; later trials: 1..64
+    // samples from one range.
+    const size_t n = trial == 0 ? 5000 : 1 + rng() % 64;
+    const uint64_t one_range = kRanges[rng() % 4];
+    std::vector<uint64_t> vals;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t range = trial == 0 ? kRanges[rng() % 4] : one_range;
+      vals.push_back(rng() % range);
     }
-  }
-  Histogram h;
-  for (uint64_t v : vals) h.Record(v);
-  const HistogramSnapshot s = h.Snap();
-  ASSERT_EQ(s.count, vals.size());
+    Histogram h;
+    for (uint64_t v : vals) h.Record(v);
+    const HistogramSnapshot s = h.Snap();
+    ASSERT_EQ(s.count, vals.size());
 
-  std::vector<uint64_t> sorted = vals;
-  std::sort(sorted.begin(), sorted.end());
-  for (double q : {0.001, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    uint64_t rank = static_cast<uint64_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    rank = std::min<uint64_t>(std::max<uint64_t>(rank, 1), sorted.size());
-    const uint64_t oracle = sorted[rank - 1];
-    const size_t b = s.QuantileBucket(q);
-    ASSERT_EQ(b, HistogramBucketOf(oracle)) << "q=" << q;
-    // And the reported value brackets the oracle within the bucket's
-    // advertised error.
-    EXPECT_GE(oracle, HistogramBucketLowerBound(b)) << "q=" << q;
-    EXPECT_LE(oracle, HistogramBucketUpperBound(b)) << "q=" << q;
-    if (b < 16) EXPECT_EQ(s.Quantile(q), oracle);  // unit buckets are exact
+    std::vector<uint64_t> sorted = vals;
+    std::sort(sorted.begin(), sorted.end());
+    uint64_t prev = 0;
+    for (double q : {0.001, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      uint64_t rank = static_cast<uint64_t>(
+          std::ceil(q * static_cast<double>(sorted.size())));
+      rank = std::min<uint64_t>(std::max<uint64_t>(rank, 1), sorted.size());
+      const uint64_t oracle = sorted[rank - 1];
+      const size_t b = s.QuantileBucket(q);
+      ASSERT_EQ(b, HistogramBucketOf(oracle)) << "trial=" << trial
+                                              << " q=" << q;
+      // And the reported value brackets the oracle within the bucket's
+      // advertised error.
+      EXPECT_GE(oracle, HistogramBucketLowerBound(b)) << "q=" << q;
+      EXPECT_LE(oracle, HistogramBucketUpperBound(b)) << "q=" << q;
+      const uint64_t got = s.Quantile(q);
+      if (b < 16) EXPECT_EQ(got, oracle);  // unit buckets are exact
+      EXPECT_GE(got, oracle) << "trial=" << trial << " q=" << q;
+      EXPECT_LE(got, s.max) << "trial=" << trial << " q=" << q;
+      EXPECT_GE(got, prev) << "trial=" << trial << " q=" << q;  // monotone
+      prev = got;
+    }
   }
 }
 
@@ -107,6 +120,14 @@ TEST(Histogram, EmptySingleAndOverflowEdges) {
   EXPECT_EQ(one.max, 7u);
   EXPECT_EQ(one.Mean(), 7u);
 
+  // A single sample in a bounded bucket: 512 lands in [512, 639], and the
+  // reported quantile is clamped to the recorded max, not the bucket's
+  // upper bound (a value never seen).
+  Histogram b;
+  b.Record(512);
+  const HistogramSnapshot bs = b.Snap();
+  for (double q : {0.5, 0.99, 1.0}) EXPECT_EQ(bs.Quantile(q), 512u) << q;
+
   // Overflow bucket: every sample >= 57344 shares bucket 63, and the
   // reported quantile there is the recorded max (the honest upper bound).
   Histogram of;
@@ -116,6 +137,23 @@ TEST(Histogram, EmptySingleAndOverflowEdges) {
   EXPECT_EQ(o.QuantileBucket(0.5), kHistogramBuckets - 1);
   EXPECT_EQ(o.Quantile(0.5), 2000000u);
   EXPECT_EQ(o.Quantile(1.0), 2000000u);
+
+  // Stale max: Snap() reads max before the buckets and Record() bumps the
+  // bucket before raising max, so a live snapshot can hold a top sample
+  // whose max it has not seen yet. The clamp must not pull the answer
+  // below the bucket that sample landed in.
+  HistogramSnapshot s;
+  s.count = 2;
+  s.buckets[HistogramBucketOf(20)] = 1;
+  s.buckets[HistogramBucketOf(600)] = 1;  // [512, 639]
+  s.max = 20;                             // before the 600 raised it
+  EXPECT_EQ(s.Quantile(0.5), 20u);
+  EXPECT_EQ(s.Quantile(0.99), 512u);
+
+  s.buckets[HistogramBucketOf(600)] = 0;
+  s.buckets[kHistogramBuckets - 1] = 1;  // an overflow sample, same race
+  EXPECT_EQ(s.Quantile(0.99),
+            HistogramBucketLowerBound(kHistogramBuckets - 1));
 }
 
 TEST(Histogram, MergeEqualsRecordingTheUnion) {
@@ -273,37 +311,6 @@ TEST(SnapshotText, NameSplicingAndRendering) {
   EXPECT_NE(text.find("wt_shard_lat_us_count{shard=\"1\"} 1\n"),
             std::string::npos)
       << "labeled histogram names must splice suffixes before the brace";
-}
-
-TEST(SlowRing, ThresholdGatesAndEvictsOldestFirst) {
-  SlowRequestRing ring(/*capacity=*/3, /*threshold_ns=*/100);
-  SlowRequestRecord r;
-  r.total_ns = 99;
-  r.request_id = 1;
-  ring.MaybeRecord(r);  // below threshold: dropped
-  EXPECT_TRUE(ring.Snapshot().empty());
-  for (uint64_t id = 2; id <= 6; ++id) {
-    r.request_id = id;
-    r.total_ns = 100 + id;
-    ring.MaybeRecord(r);
-  }
-  const std::vector<SlowRequestRecord> got = ring.Snapshot();
-  ASSERT_EQ(got.size(), 3u);  // capacity bound
-  // Last three survive, oldest first.
-  EXPECT_EQ(got[0].request_id, 4u);
-  EXPECT_EQ(got[1].request_id, 5u);
-  EXPECT_EQ(got[2].request_id, 6u);
-
-  // A zero capacity is coerced to one slot, not a divide-by-zero.
-  SlowRequestRing tiny(/*capacity=*/0, /*threshold_ns=*/0);
-  for (uint64_t id = 1; id <= 3; ++id) {
-    r.request_id = id;
-    r.total_ns = id;
-    tiny.MaybeRecord(r);
-  }
-  const std::vector<SlowRequestRecord> last = tiny.Snapshot();
-  ASSERT_EQ(last.size(), 1u);
-  EXPECT_EQ(last[0].request_id, 3u);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 // This is an end-to-end test of the real binary (fork/exec, --port-file
 // handshake), not an in-process simulation: the kill arrives at a random
 // moment relative to socket writes, WAL appends, and background freezes.
-// It needs the daemon binary; CI exports WT_DAEMON_BIN. Without it the
-// test SKIPs (tier-1 stays hermetic). WT_INSPECT_BIN additionally runs
-// the offline wt_inspect --fsck audit over the survivor directory.
+// It needs the daemon binary: CMake sets WT_DAEMON_BIN in this test's
+// ctest environment whenever the examples are built, so tier-1 runs it.
+// Run by hand without the variable, the test SKIPs. WT_INSPECT_BIN
+// additionally runs the offline wt_inspect --fsck audit over the
+// survivor directory.
 #include <gtest/gtest.h>
 
 #if !defined(__linux__)

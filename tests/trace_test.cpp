@@ -13,8 +13,6 @@
 //   * logger: structured lines through the Vfs seam, per-site rate
 //     limiting with carried suppressed counts, queue-overflow drops,
 //     write-error counting under FaultVfs;
-//   * slow_ring: the trace id joins a slow request to its engine-batch
-//     span and survives eviction;
 //   * integration: a durable engine's background work lands freeze /
 //     compaction / WAL-fsync / manifest spans on the process timeline
 //     with the nesting the validator demands.
@@ -31,7 +29,6 @@
 #include "engine/thread_pool.hpp"
 #include "io/vfs.hpp"
 #include "obs/log.hpp"
-#include "obs/slow_ring.hpp"
 #include "obs/trace.hpp"
 
 namespace wt::obs {
@@ -335,26 +332,6 @@ TEST(TraceConcurrency, ConcurrentSpansAndSnapshotsStayWhole) {
   const std::string bytes = SerializeTraceSnapshot(snap);
   TraceSnapshot back;
   EXPECT_TRUE(ParseTraceSnapshot(bytes.data(), bytes.size(), &back));
-}
-
-// ------------------------------------------------------------- slow ring
-
-TEST(SlowRing, TraceIdSurvivesEviction) {
-  SlowRequestRing ring(/*capacity=*/2, /*threshold_ns=*/0);
-  for (uint64_t i = 1; i <= 3; ++i) {
-    SlowRequestRecord rec;
-    rec.request_id = i;
-    rec.total_ns = 100 * i;
-    rec.trace_id = 1000 + i;  // the engine-batch span that executed it
-    ring.MaybeRecord(rec);
-  }
-  const std::vector<SlowRequestRecord> snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  // Oldest evicted; the survivors keep their span linkage intact.
-  EXPECT_EQ(snap[0].request_id, 2u);
-  EXPECT_EQ(snap[0].trace_id, 1002u);
-  EXPECT_EQ(snap[1].request_id, 3u);
-  EXPECT_EQ(snap[1].trace_id, 1003u);
 }
 
 // ---------------------------------------------------------------- logger
