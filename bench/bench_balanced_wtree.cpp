@@ -11,8 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <vector>
 
-#include "core/balanced_wavelet_tree.hpp"
+#include "api/sequence.hpp"
 #include "core/codec.hpp"
 #include "core/dynamic_wavelet_trie.hpp"
 #include "util/workloads.hpp"
@@ -21,17 +22,21 @@ namespace {
 
 using namespace wt;
 
+// Section 6's balanced Wavelet Tree: the fully-dynamic trie over the hashed
+// integer codes.
+using BalancedWaveletTree = wtrie::Sequence<wtrie::Dynamic, HashedIntCodec>;
+
 void BM_HashedInsert(benchmark::State& state) {
   const size_t sigma = size_t(1) << state.range(0);
   const auto vals = GenerateIntegers(1 << 14, sigma, IntDistribution::kUniform, 9);
-  BalancedWaveletTree tree(64, 42);
-  for (uint64_t v : vals) tree.Append(v);
+  BalancedWaveletTree tree(vals, HashedIntCodec(64, 42));
   std::mt19937_64 rng(1);
   size_t i = 0;
   for (auto _ : state) {
-    tree.Insert(vals[i++ % vals.size()], rng() % (tree.size() + 1));
+    benchmark::DoNotOptimize(
+        tree.Insert(vals[i++ % vals.size()], rng() % (tree.size() + 1)));
   }
-  state.counters["height"] = static_cast<double>(tree.Height());
+  state.counters["height"] = static_cast<double>(tree.trie().Height());
   state.counters["log2_sigma"] = static_cast<double>(state.range(0));
   state.SetLabel("height tracks log|Sigma|, u=2^64 (Thm 6.2)");
 }
@@ -40,22 +45,20 @@ BENCHMARK(BM_HashedInsert)->DenseRange(4, 14, 2);
 void BM_HashedRank(benchmark::State& state) {
   const size_t sigma = size_t(1) << state.range(0);
   const auto vals = GenerateIntegers(1 << 15, sigma, IntDistribution::kUniform, 10);
-  BalancedWaveletTree tree(64, 43);
-  for (uint64_t v : vals) tree.Append(v);
+  const BalancedWaveletTree tree(vals, HashedIntCodec(64, 43));
   std::mt19937_64 rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         tree.Rank(vals[rng() % vals.size()], rng() % (tree.size() + 1)));
   }
-  state.counters["height"] = static_cast<double>(tree.Height());
+  state.counters["height"] = static_cast<double>(tree.trie().Height());
 }
 BENCHMARK(BM_HashedRank)->DenseRange(4, 14, 2);
 
 void BM_HashedAccess(benchmark::State& state) {
   const size_t sigma = size_t(1) << state.range(0);
   const auto vals = GenerateIntegers(1 << 15, sigma, IntDistribution::kUniform, 11);
-  BalancedWaveletTree tree(64, 44);
-  for (uint64_t v : vals) tree.Append(v);
+  const BalancedWaveletTree tree(vals, HashedIntCodec(64, 44));
   std::mt19937_64 rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.Access(rng() % tree.size()));
@@ -88,16 +91,17 @@ void BM_HashedAdversarial(benchmark::State& state) {
   // Same chain alphabet through the Section 6 hash: height collapses to
   // O(log sigma).
   const size_t sigma = 48;
-  BalancedWaveletTree tree(64, 45);
   std::mt19937_64 rng(5);
+  std::vector<uint64_t> vals;
   for (int i = 0; i < 1 << 14; ++i) {
-    tree.Append((uint64_t(1) << (rng() % sigma)) - 1);
+    vals.push_back((uint64_t(1) << (rng() % sigma)) - 1);
   }
+  const BalancedWaveletTree tree(vals, HashedIntCodec(64, 45));
   for (auto _ : state) {
     const uint64_t v = (uint64_t(1) << (rng() % sigma)) - 1;
     benchmark::DoNotOptimize(tree.Rank(v, rng() % tree.size()));
   }
-  state.counters["height"] = static_cast<double>(tree.Height());
+  state.counters["height"] = static_cast<double>(tree.trie().Height());
   state.SetLabel("with hashing: height ~ log|Sigma| on the same alphabet");
 }
 BENCHMARK(BM_HashedAdversarial);

@@ -18,7 +18,6 @@
 
 #include "core/codec.hpp"
 #include "core/huffman_wavelet_tree.hpp"
-#include "core/string_sequence.hpp"
 #include "core/wavelet_tree.hpp"
 #include "core/wavelet_trie.hpp"
 #include "util/workloads.hpp"

@@ -70,8 +70,8 @@ class [[nodiscard]] Status {
   const char* message_ = "";
 };
 
-/// The one translation from envelope read failures to API errors, shared by
-/// every Load at the public boundary (Sequence, Table).
+/// The one translation from envelope read failures to API errors (the
+/// engine manifest is the envelope's reader).
 inline Status StatusFromEnvelopeError(wt::VersionedEnvelope::ReadError err) {
   using RE = wt::VersionedEnvelope::ReadError;
   switch (err) {

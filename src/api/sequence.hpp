@@ -90,7 +90,7 @@ constexpr uint8_t CodecIdOf() {
   if constexpr (requires { C::kCodecId; }) {
     return C::kCodecId;
   } else {
-    return 0;  // custom codec: id not checked on load
+    return 0;  // custom codec: id 0, which a load still checks
   }
 }
 
@@ -643,7 +643,10 @@ class Sequence {
       }
       std::istringstream ss(
           std::string(reinterpret_cast<const char*>(bytes), len));
-      out.codec_.LoadState(ss);
+      if (!out.codec_.LoadState(ss)) {
+        return Status::Error(ErrorCode::kCorruptStream,
+                             "LoadImage: corrupt codec state");
+      }
     }
     if (!out.trie_.LoadImage(r) || out.trie_.size() != r.header().n) {
       return Status::Error(ErrorCode::kCorruptStream,

@@ -89,7 +89,7 @@ concept PrefixCodec =
     };
 
 /// A codec with a stable persisted id, so loading a file into the wrong
-/// instantiation fails cleanly (codecs without one load unchecked).
+/// instantiation fails cleanly (codecs without one share id 0).
 template <typename C>
 concept IdentifiedCodec = Codec<C> && requires {
   { C::kCodecId } -> std::convertible_to<uint8_t>;
@@ -97,11 +97,12 @@ concept IdentifiedCodec = Codec<C> && requires {
 
 /// A codec with persisted state (e.g. a width or a hash multiplier) that
 /// must round-trip through the image for decode to work after reload.
+/// LoadState reports corrupt state as false instead of aborting.
 template <typename C>
 concept StatefulCodec =
     Codec<C> && requires(const C& c, C& m, std::ostream& o, std::istream& i) {
       c.SaveState(o);
-      m.LoadState(i);
+      { m.LoadState(i) } -> std::same_as<bool>;
     };
 
 /// What Sequence<P, Codec> requires of a policy: the trie it instantiates

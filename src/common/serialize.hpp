@@ -1,31 +1,23 @@
 // Minimal binary serialization helpers for small metadata files (codec
-// state, the engine manifest, the WAL, store tables), plus the versioned
-// envelope that frames the manifest and store tables. Static succinct
-// structures persist through the v4 image instead (storage/image.hpp).
+// state, the engine manifest, the WAL), plus the versioned envelope that
+// frames the manifest. Static succinct structures persist through the v4
+// image instead (storage/image.hpp).
 //
-// Format: little-endian PODs, vectors as u64 length + raw elements.
+// Format: little-endian PODs.
 //
-// Two layers of error handling coexist here:
-//   * WritePod/ReadPod/WriteVec/ReadVec abort on truncation (internal
-//     invariant style, for bytes already checksum-verified);
-//   * TryReadPod and the VersionedEnvelope never abort — they report
-//     failure to the caller, so the public API boundary can surface
-//     corrupt/truncated input as a recoverable error. The envelope
-//     carries a magic, a format version, and a checksummed payload:
-//     once the checksum matches, the aborting readers can safely parse
-//     the payload bytes.
+// Every reader here parses untrusted bytes and never aborts: TryReadPod,
+// TryReadBytes and VersionedEnvelope::Read report a short read, a bad
+// magic or version, or a checksum mismatch to the caller, so the public
+// API boundary can surface corrupt or truncated input as a recoverable
+// error.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <type_traits>
-#include <vector>
-
-#include "common/assert.hpp"
 
 namespace wt {
 
@@ -33,34 +25,6 @@ template <typename T>
 void WritePod(std::ostream& out, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T ReadPod(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  WT_ASSERT_MSG(in.good(), "serialize: truncated stream");
-  return v;
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WritePod<uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T> ReadVec(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const uint64_t n = ReadPod<uint64_t>(in);
-  std::vector<T> v(n);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  WT_ASSERT_MSG(in.good() || n == 0, "serialize: truncated stream");
-  return v;
 }
 
 /// Non-aborting POD read: returns false on a short or failed read instead of

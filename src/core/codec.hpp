@@ -35,10 +35,12 @@
 
 namespace wt {
 
-// Each codec carries a stable one-byte id, recorded in the serialization
-// envelope of api/sequence.hpp so a Load into the wrong instantiation fails
-// cleanly instead of decoding garbage. Stateful codecs additionally expose
-// SaveState/LoadState; stateless ones have nothing to persist.
+// Each codec carries a stable one-byte id, recorded in the image header by
+// api/sequence.hpp so a Load into the wrong instantiation fails cleanly
+// instead of decoding garbage. Stateful codecs additionally expose
+// SaveState/LoadState; stateless ones have nothing to persist. LoadState
+// parses untrusted bytes: it returns false on a short read or an invalid
+// state and leaves the codec unchanged.
 
 class ByteCodec {
  public:
@@ -154,9 +156,11 @@ class FixedIntCodec {
   }
 
   void SaveState(std::ostream& out) const { WritePod<uint32_t>(out, width_); }
-  void LoadState(std::istream& in) {
-    width_ = ReadPod<uint32_t>(in);
-    WT_ASSERT_MSG(width_ >= 1 && width_ <= 64, "FixedIntCodec: corrupt width");
+  bool LoadState(std::istream& in) {
+    uint32_t width = 0;
+    if (!TryReadPod(in, &width) || width < 1 || width > 64) return false;
+    width_ = width;
+    return true;
   }
 
   BitString Encode(uint64_t x) const {
@@ -180,14 +184,14 @@ class FixedIntCodec {
 /// Section 6 randomized codec: h_a(x) = a*x mod 2^width with a random odd
 /// multiplier a, written *MSB-first*.
 ///
-/// Reproduction note (documented in EXPERIMENTS.md): the paper writes the
-/// hash "LSB-to-MSB", but for any odd a the low bits of a multiplicative
-/// hash are deterministic — a(x-y) = 0 mod 2^l iff x = y mod 2^l — so an
-/// LSB-first trie cannot be balanced by the choice of a (an alphabet
-/// {2^k - 1} stays a chain; bench_balanced_wtree demonstrates it). The
-/// Dietzfelbinger et al. lemma the paper cites is about the *high* bits of
-/// ax (multiply-shift universality), which is what MSB-first order uses;
-/// with it the trie height is O(log |Sigma|) w.h.p. as Theorem 6.2 claims.
+/// Reproduction note: the paper writes the hash "LSB-to-MSB", but for any
+/// odd a the low bits of a multiplicative hash are deterministic —
+/// a(x-y) = 0 mod 2^l iff x = y mod 2^l — so an LSB-first trie cannot be
+/// balanced by the choice of a (an alphabet {2^k - 1} stays a chain;
+/// bench_balanced_wtree demonstrates it). The Dietzfelbinger et al. lemma
+/// the paper cites is about the *high* bits of ax (multiply-shift
+/// universality), which is what MSB-first order uses; with it the trie
+/// height is O(log |Sigma|) w.h.p. as Theorem 6.2 claims.
 class HashedIntCodec {
  public:
   using Value = uint64_t;
@@ -207,12 +211,17 @@ class HashedIntCodec {
     WritePod<uint32_t>(out, width_);
     WritePod<uint64_t>(out, a_);
   }
-  void LoadState(std::istream& in) {
-    width_ = ReadPod<uint32_t>(in);
-    WT_ASSERT_MSG(width_ >= 1 && width_ <= 64, "HashedIntCodec: corrupt width");
-    a_ = ReadPod<uint64_t>(in);
-    WT_ASSERT_MSG(a_ & 1, "HashedIntCodec: corrupt multiplier");
+  bool LoadState(std::istream& in) {
+    uint32_t width = 0;
+    uint64_t a = 0;
+    if (!TryReadPod(in, &width) || width < 1 || width > 64 ||
+        !TryReadPod(in, &a) || (a & 1) == 0) {
+      return false;
+    }
+    width_ = width;
+    a_ = a;
     a_inv_ = InverseOdd(a_);
+    return true;
   }
 
   BitString Encode(uint64_t x) const {

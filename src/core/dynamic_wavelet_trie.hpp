@@ -409,10 +409,6 @@ class DynamicWaveletTrieT {
   size_t Count(BitSpan s) const { return Rank(s, n_); }
   size_t CountPrefix(BitSpan p) const { return RankPrefix(p, n_); }
 
-  size_t RangeCount(BitSpan s, size_t l, size_t r) const {
-    WT_DASSERT(l <= r);
-    return Rank(s, r) - Rank(s, l);
-  }
   size_t RangeCountPrefix(BitSpan p, size_t l, size_t r) const {
     WT_DASSERT(l <= r);
     return RankPrefix(p, r) - RankPrefix(p, l);

@@ -483,12 +483,6 @@ class WaveletTrie {
     return out;
   }
 
-  /// Occurrences of s in [l, r).
-  size_t RangeCount(BitSpan s, size_t l, size_t r) const {
-    WT_DASSERT(l <= r);
-    return Rank(s, r) - Rank(s, l);
-  }
-
   /// Strings with prefix p in [l, r).
   size_t RangeCountPrefix(BitSpan p, size_t l, size_t r) const {
     WT_DASSERT(l <= r);

@@ -1,6 +1,6 @@
 // Information-theoretic quantities from the paper's Section 2/3, used by
-// the space experiments (EXPERIMENTS.md) to compare measured footprints
-// against the lower bound LB(S) = LT(Sset) + n*H0(S):
+// the space benchmarks (bench_table1_space, wtbench's api layer) to compare
+// measured footprints against the lower bound LB(S) = LT(Sset) + n*H0(S):
 //
 //   * n*H0(S)     — zero-order entropy of the sequence (Shannon);
 //   * LT(Sset)    — Theorem 3.6 lower bound for the string set:

@@ -4,9 +4,10 @@
 //   * lifecycle round trips: Thaw(Freeze(s)) and Load(Save(s)) are
 //     query-identical (and, through the canonical static image,
 //     byte-identical on re-save);
-//   * corrupt / truncated / mismatched input is a recoverable error at the
-//     API boundary — never an abort;
-//   * cursors enumerate exactly what the core visitor callbacks produce.
+//   * corrupt / truncated / mismatched input, codec state included, is a
+//     recoverable error at the API boundary — never an abort;
+//   * cursors enumerate exactly what the core visitor callbacks produce;
+//   * the RawByteCodec and FixedIntCodec instantiations answer queries.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,6 +20,7 @@
 
 #include "api/sequence.hpp"
 #include "core/naive.hpp"
+#include "image_roundtrip.hpp"
 #include "util/workloads.hpp"
 
 namespace wt {
@@ -103,6 +105,15 @@ void CheckAgainstNaive(const Seq& seq, const NaiveIndexedSequence& naive,
     size_t l = rng() % (naive.size() + 1);
     size_t r = rng() % (naive.size() + 1);
     if (l > r) std::swap(l, r);
+
+    const std::string& probe = probes[q];
+    const BitString enc = ByteCodec::Encode(probe);
+    ASSERT_EQ(seq.RangeCount(probe, l, r).value(),
+              naive.Rank(enc, r) - naive.Rank(enc, l));
+    const std::string prefix = probe.substr(0, probe.size() / 2);
+    const BitString penc = ByteCodec::EncodePrefix(prefix);
+    ASSERT_EQ(seq.RangeCountPrefix(prefix, l, r).value(),
+              naive.RankPrefix(penc, r) - naive.RankPrefix(penc, l));
 
     std::map<std::string, size_t> got;
     auto cur = seq.Distinct(l, r).value();
@@ -327,6 +338,27 @@ TEST(ApiPersistence, EmptySequenceRoundTrip) {
   EXPECT_EQ(loaded->Rank("anything", 0).value(), 0u);
 }
 
+// Offset of the codec-state section body in a v4 image: a u64 length,
+// then the codec's SaveState bytes.
+size_t CodecStateOffset(const std::string& img) {
+  storage::ImageHeader h;
+  std::memcpy(&h, img.data(), sizeof(h));
+  for (uint32_t i = 0; i < h.section_count; ++i) {
+    storage::SectionEntry e;
+    std::memcpy(&e, img.data() + sizeof(h) + i * sizeof(e), sizeof(e));
+    if (e.tag == storage::kSecCodecState) return e.offset;
+  }
+  ADD_FAILURE() << "image has no codec-state section";
+  return 0;
+}
+
+template <typename Codec>
+wtrie::ErrorCode LoadUnverified(const std::string& img) {
+  return wtrie::Sequence<wtrie::Static, Codec>::LoadImage(
+             test_util::BlobOf(img), Codec(), storage::VerifyMode::kNone)
+      .code();
+}
+
 TEST(ApiPersistence, CorruptInputIsAnErrorNotAnAbort) {
   const auto values = MixedWorkload(500, 20);
   const wtrie::Sequence<wtrie::Static> seq(values);
@@ -382,9 +414,71 @@ TEST(ApiPersistence, CorruptInputIsAnErrorNotAnAbort) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), wtrie::ErrorCode::kInvalidArgument);
   }
+  {  // corrupt codec state under VerifyMode::kNone (how the engine opens
+     // segments): no hash check runs first, so the codec must reject it
+    const std::vector<uint64_t> ints{7, 1, 7, 9};
+    const std::string fixed =
+        wtrie::Sequence<wtrie::Static, FixedIntCodec>(ints, FixedIntCodec(16))
+            .SerializeImage();
+    const size_t state = CodecStateOffset(fixed);
+    ASSERT_EQ(LoadUnverified<FixedIntCodec>(fixed), wtrie::ErrorCode::kOk);
+    for (const uint32_t width : {0u, 65u}) {
+      std::string bad = fixed;
+      std::memcpy(bad.data() + state + 8, &width, sizeof(width));
+      EXPECT_EQ(LoadUnverified<FixedIntCodec>(bad),
+                wtrie::ErrorCode::kCorruptStream)
+          << "width " << width;
+    }
+    std::string truncated = fixed;  // length field: 2 of the 4 width bytes
+    const uint64_t len = 2;
+    std::memcpy(truncated.data() + state, &len, sizeof(len));
+    EXPECT_EQ(LoadUnverified<FixedIntCodec>(truncated),
+              wtrie::ErrorCode::kCorruptStream);
+
+    std::string hashed = wtrie::Sequence<wtrie::Static, HashedIntCodec>(
+                             ints, HashedIntCodec(64, 77))
+                             .SerializeImage();
+    const size_t hstate = CodecStateOffset(hashed) + 8 + sizeof(uint32_t);
+    uint64_t a = 0;  // the multiplier follows the u32 width
+    std::memcpy(&a, hashed.data() + hstate, sizeof(a));
+    a &= ~uint64_t(1);
+    std::memcpy(hashed.data() + hstate, &a, sizeof(a));
+    EXPECT_EQ(LoadUnverified<HashedIntCodec>(hashed),
+              wtrie::ErrorCode::kCorruptStream);
+
+    FixedIntCodec c(16);  // a rejected state leaves the codec unchanged
+    std::istringstream zero(std::string(sizeof(uint32_t), '\0'));
+    EXPECT_FALSE(c.LoadState(zero));
+    EXPECT_EQ(c.width(), 16u);
+  }
   // The original stream still loads fine after all that.
   std::stringstream good(bytes);
   ASSERT_TRUE(wtrie::Sequence<wtrie::Static>::Load(good).ok());
+}
+
+TEST(ApiCodecs, RawByteCodecVariant) {
+  wtrie::Sequence<wtrie::AppendOnly, RawByteCodec> seq;
+  for (const char* s : {"aaa", "aab", "aaa", "b"}) {
+    ASSERT_TRUE(seq.Append(std::string(s)).ok());
+  }
+  EXPECT_EQ(seq.Count("aaa"), 2u);
+  EXPECT_EQ(seq.CountPrefix("aa"), 3u);
+  EXPECT_EQ(seq.Access(3).value(), "b");
+}
+
+TEST(ApiCodecs, IntegerCodecStatic) {
+  using IntSequence = wtrie::Sequence<wtrie::Static, FixedIntCodec>;
+  const std::vector<uint64_t> data = {7, 1, 7, 9, 7, 7, 500};
+  const IntSequence seq(data, FixedIntCodec(16));
+  EXPECT_EQ(seq.size(), 7u);
+  EXPECT_EQ(seq.Access(3).value(), 9u);
+  EXPECT_EQ(seq.Rank(7, 7).value(), 4u);
+  EXPECT_EQ(seq.Select(1, 0).value(), 1u);
+  const auto m = seq.Majority(0, 6);  // 7 occurs 4 of 6: strict majority
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m->first, 7u);
+  // Prefix methods do not exist for integer codecs (compile-time property).
+  static_assert(!IntSequence::kHasPrefixCodec);
 }
 
 TEST(ApiCursor, DistinctCursorMatchesCallbacksAndHandlesEmptyRange) {

@@ -4,7 +4,8 @@
 //     (the paper's observation that every Wavelet Tree is a Wavelet Trie);
 //   * DynamicWaveletTreeFixed (known-alphabet dynamic baseline);
 //   * InvertedIndexBaseline;
-//   * BalancedWaveletTree (Theorem 6.2): correctness and height bound;
+//   * BalancedWaveletTree (Theorem 6.2) = Sequence<Dynamic, HashedIntCodec>:
+//     correctness and height bound;
 //   * codec round-trips.
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/balanced_wavelet_tree.hpp"
+#include "api/sequence.hpp"
 #include "core/codec.hpp"
 #include "core/dynamic_wavelet_tree_fixed.hpp"
 #include "core/inverted_index.hpp"
@@ -269,8 +270,12 @@ TEST(InvertedIndexBaseline, MatchesScan) {
 
 // ------------------------------------------------- Section 6 (Thm 6.2)
 
+// Section 6's balanced Wavelet Tree is the fully-dynamic trie over the
+// hashed integer codes.
+using BalancedWaveletTree = wtrie::Sequence<wtrie::Dynamic, HashedIntCodec>;
+
 TEST(BalancedWaveletTree, CorrectnessAgainstReference) {
-  BalancedWaveletTree tree(64, /*seed=*/777);
+  BalancedWaveletTree tree(HashedIntCodec(64, /*seed=*/777));
   std::mt19937_64 rng(37);
   // Working alphabet: 100 arbitrary 64-bit values (universe 2^64).
   std::vector<uint64_t> alphabet;
@@ -281,33 +286,35 @@ TEST(BalancedWaveletTree, CorrectnessAgainstReference) {
     if (op < 6 || ref.empty()) {
       const uint64_t v = alphabet[rng() % alphabet.size()];
       const size_t pos = rng() % (ref.size() + 1);
-      tree.Insert(v, pos);
+      ASSERT_TRUE(tree.Insert(v, pos).ok());
       ref.insert(ref.begin() + static_cast<ptrdiff_t>(pos), v);
     } else if (op < 8) {
       const size_t pos = rng() % ref.size();
-      tree.Delete(pos);
+      ASSERT_TRUE(tree.Delete(pos).ok());
       ref.erase(ref.begin() + static_cast<ptrdiff_t>(pos));
     } else if (!ref.empty()) {
       const size_t pos = rng() % ref.size();
-      ASSERT_EQ(tree.Access(pos), ref[pos]);
+      ASSERT_EQ(tree.Access(pos).value(), ref[pos]);
       const uint64_t v = alphabet[rng() % alphabet.size()];
       size_t expect = 0;
       for (size_t i = 0; i < pos; ++i) expect += (ref[i] == v);
-      ASSERT_EQ(tree.Rank(v, pos), expect);
+      ASSERT_EQ(tree.Rank(v, pos).value(), expect);
     }
   }
-  for (size_t i = 0; i < ref.size(); i += 3) ASSERT_EQ(tree.Access(i), ref[i]);
+  for (size_t i = 0; i < ref.size(); i += 3) {
+    ASSERT_EQ(tree.Access(i).value(), ref[i]);
+  }
   for (const uint64_t v : alphabet) {
     size_t count = 0;
     for (size_t i = 0; i < ref.size(); ++i) {
       if (ref[i] == v) {
         if (count % 2 == 0) {
-          ASSERT_EQ(tree.Select(v, count), i);
+          ASSERT_EQ(tree.Select(v, count).value(), i);
         }
         ++count;
       }
     }
-    ASSERT_EQ(tree.Rank(v, ref.size()), count);
+    ASSERT_EQ(tree.Rank(v, ref.size()).value(), count);
   }
 }
 
@@ -317,13 +324,14 @@ TEST(BalancedWaveletTree, HeightIsLogSigmaNotLogUniverse) {
   // several seeds; allow the probabilistic bound generous slack.
   std::mt19937_64 rng(41);
   for (uint64_t seed : {1ull, 99ull, 31337ull}) {
-    BalancedWaveletTree tree(64, seed);
+    BalancedWaveletTree tree{HashedIntCodec(64, seed)};
     for (int i = 0; i < 4096; ++i) {
-      tree.Append(rng() % 256 + (uint64_t(1) << 60));  // 256 distinct, huge values
+      // 256 distinct, huge values
+      ASSERT_TRUE(tree.Append(rng() % 256 + (uint64_t(1) << 60)).ok());
     }
     EXPECT_EQ(tree.NumDistinct(), 256u);
-    EXPECT_LE(tree.Height(), 4 * 8u) << "seed " << seed;  // 4 log2(256)
-    EXPECT_LT(tree.Height(), 64u);
+    EXPECT_LE(tree.trie().Height(), 4 * 8u) << "seed " << seed;  // 4 log2(256)
+    EXPECT_LT(tree.trie().Height(), 64u);
   }
 }
 
@@ -345,23 +353,23 @@ TEST(BalancedWaveletTree, BalancesAdversarialChainAlphabet) {
   }
   // Hashed: height ~ c log sigma across seeds.
   for (uint64_t seed : {7ull, 1234ull, 987654321ull}) {
-    BalancedWaveletTree tree(64, seed);
+    BalancedWaveletTree tree{HashedIntCodec(64, seed)};
     for (int i = 0; i < 2000; ++i) {
-      tree.Append((uint64_t(1) << (rng() % sigma)) - 1);
+      ASSERT_TRUE(tree.Append((uint64_t(1) << (rng() % sigma)) - 1).ok());
     }
-    EXPECT_LE(tree.Height(), 30u) << "seed " << seed;  // ~5 log2(48)
+    EXPECT_LE(tree.trie().Height(), 30u) << "seed " << seed;  // ~5 log2(48)
   }
 }
 
 TEST(BalancedWaveletTree, SameSeedReproducesStructure) {
-  BalancedWaveletTree a(32, 5), b(32, 5);
+  BalancedWaveletTree a{HashedIntCodec(32, 5)}, b{HashedIntCodec(32, 5)};
   for (uint64_t v : {7u, 9u, 7u, 1u}) {
-    a.Append(v);
-    b.Append(v);
+    ASSERT_TRUE(a.Append(v).ok());
+    ASSERT_TRUE(b.Append(v).ok());
   }
-  EXPECT_EQ(a.Height(), b.Height());
+  EXPECT_EQ(a.trie().Height(), b.trie().Height());
   EXPECT_EQ(a.SizeInBits(), b.SizeInBits());
-  EXPECT_EQ(a.Access(2), 7u);
+  EXPECT_EQ(a.Access(2).value(), 7u);
 }
 
 }  // namespace

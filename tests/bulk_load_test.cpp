@@ -16,12 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "api/sequence.hpp"
 #include "bitvector/append_only.hpp"
 #include "bitvector/append_only_deamortized.hpp"
 #include "bitvector/dynamic_bit_vector.hpp"
 #include "core/codec.hpp"
 #include "core/dynamic_wavelet_trie.hpp"
-#include "core/string_sequence.hpp"
 #include "core/wavelet_trie.hpp"
 #include "image_roundtrip.hpp"
 #include "util/workloads.hpp"
@@ -420,25 +420,25 @@ TEST(BulkBuild, EmptyAndSingleton) {
   ASSERT_EQ(bulk.Access(0), ref.Access(0));
 }
 
-TEST(StringSequenceBatch, AppendBatchMatchesAppendAndFreeze) {
+TEST(SequenceBatch, AppendBatchMatchesAppendAndFreeze) {
   UrlLogGenerator gen;
   const auto urls = gen.Take(4000);
-  StringSequence<AppendOnlyWaveletTrie> batched;
-  batched.AppendBatch(urls);
-  StringSequence<AppendOnlyWaveletTrie> incremental;
-  for (const auto& u : urls) incremental.Append(u);
+  wtrie::Sequence<wtrie::AppendOnly> batched;
+  ASSERT_TRUE(batched.AppendBatch(urls).ok());
+  wtrie::Sequence<wtrie::AppendOnly> incremental;
+  for (const auto& u : urls) ASSERT_TRUE(incremental.Append(u).ok());
   ASSERT_EQ(batched.size(), incremental.size());
   ASSERT_EQ(batched.NumDistinct(), incremental.NumDistinct());
   for (size_t i = 0; i < urls.size(); i += 61) {
-    ASSERT_EQ(batched.Access(i), urls[i]);
-    ASSERT_EQ(batched.Rank(urls[i], urls.size()),
-              incremental.Rank(urls[i], urls.size()));
+    ASSERT_EQ(batched.Access(i).value(), urls[i]);
+    ASSERT_EQ(batched.Rank(urls[i], urls.size()).value(),
+              incremental.Rank(urls[i], urls.size()).value());
   }
   // Freeze goes through BulkBuild; the snapshot must agree everywhere.
   auto frozen = batched.Freeze();
   ASSERT_EQ(frozen.size(), urls.size());
   for (size_t i = 0; i < urls.size(); i += 61) {
-    ASSERT_EQ(frozen.Access(i), urls[i]);
+    ASSERT_EQ(frozen.Access(i).value(), urls[i]);
   }
 }
 

@@ -1,8 +1,9 @@
 // Cross-representation integration tests: every indexed-sequence
-// representation in the library — the three Wavelet Trie variants and the
-// three related-work baselines — answers the same queries on the same
-// workloads. Any divergence between two representations is a bug in one of
-// them; the naive vector-of-strings oracle arbitrates.
+// representation in the library — the three Wavelet Trie variants behind
+// the wtrie::Sequence facade and the three related-work baselines —
+// answers the same queries on the same workloads. Any divergence between
+// two representations is a bug in one of them; the naive vector-of-strings
+// oracle arbitrates.
 //
 // Also covers lifecycle paths a database would exercise: streaming into an
 // append-only trie and snapshotting it into the static structure, and
@@ -10,19 +11,44 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "api/sequence.hpp"
 #include "core/btree_sequence.hpp"
 #include "core/lex_sequence.hpp"
-#include "core/string_sequence.hpp"
-#include "core/wavelet_trie.hpp"
 #include "text/text_collection.hpp"
 #include "util/workloads.hpp"
 
 namespace wt {
 namespace {
+
+// Lemma 4.8's de-amortized append-only trie has no shipped policy; the
+// facade takes any struct that models contracts::SequencePolicy.
+struct Deamortized {
+  using Trie = DeamortizedAppendOnlyWaveletTrie;
+  static constexpr bool kMutable = true;
+  static constexpr bool kFullyDynamic = false;
+  static constexpr const char* kName = "Deamortized";
+};
+
+// The facade reports a missing occurrence as kNotFound, the baselines as
+// nullopt.
+std::optional<size_t> Opt(const wtrie::Result<size_t>& r) {
+  if (r.ok()) return r.value();
+  EXPECT_EQ(r.code(), wtrie::ErrorCode::kNotFound);
+  return std::nullopt;
+}
+
+std::map<std::string, size_t> ToMap(
+    wtrie::Result<wtrie::DistinctCursor<std::string>> r) {
+  std::map<std::string, size_t> out;
+  auto cur = std::move(r).value();
+  while (cur.Next()) out[cur.value()] = cur.count();
+  return out;
+}
 
 struct WorkloadParam {
   size_t n;
@@ -48,10 +74,10 @@ class AllRepresentations : public ::testing::TestWithParam<WorkloadParam> {
         seq_.insert(seq_.begin() + rng() % seq_.size(), e);
       }
     }
-    static_trie_ = StringSequence<WaveletTrie>(seq_);
+    static_trie_ = wtrie::Sequence<wtrie::Static>(seq_);
     for (const auto& s : seq_) {
-      append_trie_.Append(s);
-      deam_trie_.Append(s);
+      ASSERT_TRUE(append_trie_.Append(s).ok());
+      ASSERT_TRUE(deam_trie_.Append(s).ok());
     }
     lex_ = LexMappedSequence(seq_);
     text_ = TextCollection(seq_);
@@ -69,9 +95,9 @@ class AllRepresentations : public ::testing::TestWithParam<WorkloadParam> {
   }
 
   std::vector<std::string> seq_;
-  StringSequence<WaveletTrie> static_trie_;
-  StringSequence<AppendOnlyWaveletTrie> append_trie_;
-  StringSequence<DeamortizedAppendOnlyWaveletTrie> deam_trie_;
+  wtrie::Sequence<wtrie::Static> static_trie_;
+  wtrie::Sequence<wtrie::AppendOnly> append_trie_;
+  wtrie::Sequence<Deamortized> deam_trie_;
   LexMappedSequence lex_;
   TextCollection text_;
   BTreeIndexedSequence btree_;
@@ -80,9 +106,9 @@ class AllRepresentations : public ::testing::TestWithParam<WorkloadParam> {
 TEST_P(AllRepresentations, AccessAgreesEverywhere) {
   for (size_t i = 0; i < seq_.size(); i += 7) {
     const std::string& expect = seq_[i];
-    ASSERT_EQ(static_trie_.Access(i), expect) << i;
-    ASSERT_EQ(append_trie_.Access(i), expect) << i;
-    ASSERT_EQ(deam_trie_.Access(i), expect) << i;
+    ASSERT_EQ(static_trie_.Access(i).value(), expect) << i;
+    ASSERT_EQ(append_trie_.Access(i).value(), expect) << i;
+    ASSERT_EQ(deam_trie_.Access(i).value(), expect) << i;
     ASSERT_EQ(lex_.Access(i), expect) << i;
     ASSERT_EQ(text_.Access(i), expect) << i;
     ASSERT_EQ(btree_.Access(i), expect) << i;
@@ -95,9 +121,10 @@ TEST_P(AllRepresentations, RankAgreesEverywhere) {
     for (size_t i = 0; i <= seq_.size(); i += 97) {
       count = 0;
       for (size_t j = 0; j < i; ++j) count += seq_[j] == probe;
-      ASSERT_EQ(static_trie_.Rank(probe, i), count) << probe << "@" << i;
-      ASSERT_EQ(append_trie_.Rank(probe, i), count);
-      ASSERT_EQ(deam_trie_.Rank(probe, i), count);
+      ASSERT_EQ(static_trie_.Rank(probe, i).value(), count)
+          << probe << "@" << i;
+      ASSERT_EQ(append_trie_.Rank(probe, i).value(), count);
+      ASSERT_EQ(deam_trie_.Rank(probe, i).value(), count);
       ASSERT_EQ(lex_.Rank(probe, i), count);
       ASSERT_EQ(text_.Rank(probe, i), count);
       ASSERT_EQ(btree_.Rank(probe, i), count);
@@ -115,9 +142,10 @@ TEST_P(AllRepresentations, SelectAgreesEverywhere) {
       const std::optional<size_t> expect =
           k < positions.size() ? std::optional<size_t>(positions[k])
                                : std::nullopt;
-      ASSERT_EQ(static_trie_.Select(probe, k), expect) << probe << " k=" << k;
-      ASSERT_EQ(append_trie_.Select(probe, k), expect);
-      ASSERT_EQ(deam_trie_.Select(probe, k), expect);
+      ASSERT_EQ(Opt(static_trie_.Select(probe, k)), expect)
+          << probe << " k=" << k;
+      ASSERT_EQ(Opt(append_trie_.Select(probe, k)), expect);
+      ASSERT_EQ(Opt(deam_trie_.Select(probe, k)), expect);
       ASSERT_EQ(lex_.Select(probe, k), expect);
       ASSERT_EQ(text_.Select(probe, k), expect);
       ASSERT_EQ(btree_.Select(probe, k), expect);
@@ -136,8 +164,9 @@ TEST_P(AllRepresentations, PrefixOpsAgreeEverywhere) {
       for (size_t j = 0; j < i; ++j) {
         count += seq_[j].compare(0, p.size(), p) == 0;
       }
-      ASSERT_EQ(static_trie_.RankPrefix(p, i), count) << p << "@" << i;
-      ASSERT_EQ(append_trie_.RankPrefix(p, i), count);
+      ASSERT_EQ(static_trie_.RankPrefix(p, i).value(), count)
+          << p << "@" << i;
+      ASSERT_EQ(append_trie_.RankPrefix(p, i).value(), count);
       ASSERT_EQ(lex_.RankPrefix(p, i), count);
       ASSERT_EQ(text_.RankPrefix(p, i), count);
       ASSERT_EQ(btree_.RankPrefix(p, i), count);
@@ -151,8 +180,9 @@ TEST_P(AllRepresentations, PrefixOpsAgreeEverywhere) {
       const std::optional<size_t> expect =
           k < positions.size() ? std::optional<size_t>(positions[k])
                                : std::nullopt;
-      ASSERT_EQ(static_trie_.SelectPrefix(p, k), expect) << p << " k=" << k;
-      ASSERT_EQ(append_trie_.SelectPrefix(p, k), expect);
+      ASSERT_EQ(Opt(static_trie_.SelectPrefix(p, k)), expect)
+          << p << " k=" << k;
+      ASSERT_EQ(Opt(append_trie_.SelectPrefix(p, k)), expect);
       ASSERT_EQ(lex_.SelectPrefix(p, k), expect);
       ASSERT_EQ(text_.SelectPrefix(p, k), expect);
       ASSERT_EQ(btree_.SelectPrefix(p, k), expect);
@@ -195,14 +225,10 @@ TEST_P(AllRepresentations, PrefixRestrictedDistinctMatchesNaive) {
     for (size_t i = l; i < r; ++i) {
       if (seq_[i].compare(0, p.size(), p) == 0) ++expect[seq_[i]];
     }
-    std::map<std::string, size_t> from_static;
-    static_trie_.DistinctInRangeWithPrefix(
-        p, l, r, [&](const std::string& v, size_t c) { from_static[v] = c; });
-    ASSERT_EQ(from_static, expect) << "static, prefix '" << p << "'";
-    std::map<std::string, size_t> from_append;
-    append_trie_.DistinctInRangeWithPrefix(
-        p, l, r, [&](const std::string& v, size_t c) { from_append[v] = c; });
-    ASSERT_EQ(from_append, expect) << "append-only, prefix '" << p << "'";
+    ASSERT_EQ(ToMap(static_trie_.DistinctWithPrefix(p, l, r)), expect)
+        << "static, prefix '" << p << "'";
+    ASSERT_EQ(ToMap(append_trie_.DistinctWithPrefix(p, l, r)), expect)
+        << "append-only, prefix '" << p << "'";
   }
 }
 
@@ -213,25 +239,26 @@ TEST(Lifecycle, StreamingThenSnapshotToStatic) {
   // structure (a database flush); both must agree, and the static one must
   // not be larger.
   UrlLogGenerator gen({.num_domains = 15, .seed = 31});
-  StringSequence<AppendOnlyWaveletTrie> stream;
+  wtrie::Sequence<wtrie::AppendOnly> stream;
   std::vector<std::string> log;
   for (int i = 0; i < 3000; ++i) {
     log.push_back(gen.Next());
-    stream.Append(log.back());
+    ASSERT_TRUE(stream.Append(log.back()).ok());
   }
   // Snapshot by sequential range access (Section 5), not by re-reading the
-  // input: this exercises ForEachInRange as the extraction path.
+  // input: this exercises the Scan cursor as the extraction path.
   std::vector<std::string> extracted;
   extracted.reserve(stream.size());
-  stream.ForEachInRange(0, stream.size(), [&](size_t i, const std::string& s) {
-    ASSERT_EQ(i, extracted.size());
-    extracted.push_back(s);
-  });
+  auto cur = stream.Scan(0, stream.size()).value();
+  while (cur.Next()) {
+    ASSERT_EQ(cur.position(), extracted.size());
+    extracted.push_back(cur.value());
+  }
   ASSERT_EQ(extracted, log);
-  StringSequence<WaveletTrie> snapshot(extracted);
+  wtrie::Sequence<wtrie::Static> snapshot(extracted);
   ASSERT_EQ(snapshot.size(), stream.size());
   for (size_t i = 0; i < log.size(); i += 101) {
-    ASSERT_EQ(snapshot.Access(i), stream.Access(i));
+    ASSERT_EQ(snapshot.Access(i).value(), stream.Access(i).value());
   }
   const std::string domain = gen.Domain(2);
   ASSERT_EQ(snapshot.CountPrefix(domain), stream.CountPrefix(domain));
@@ -240,21 +267,22 @@ TEST(Lifecycle, StreamingThenSnapshotToStatic) {
 
 TEST(Lifecycle, FreezeSnapshotsStreamingSequence) {
   UrlLogGenerator gen({.num_domains = 10, .seed = 8});
-  StringSequence<AppendOnlyWaveletTrie> stream;
+  wtrie::Sequence<wtrie::AppendOnly> stream;
   std::vector<std::string> log;
   for (int i = 0; i < 2000; ++i) {
     log.push_back(gen.Next());
-    stream.Append(log.back());
+    ASSERT_TRUE(stream.Append(log.back()).ok());
   }
-  const StringSequence<WaveletTrie> frozen = stream.Freeze();
+  const wtrie::Sequence<wtrie::Static> frozen = stream.Freeze();
   ASSERT_EQ(frozen.size(), stream.size());
   ASSERT_EQ(frozen.NumDistinct(), stream.NumDistinct());
   for (size_t i = 0; i < log.size(); i += 53) {
-    ASSERT_EQ(frozen.Access(i), log[i]);
+    ASSERT_EQ(frozen.Access(i).value(), log[i]);
   }
   const std::string d = gen.Domain(1);
   EXPECT_EQ(frozen.CountPrefix(d), stream.CountPrefix(d));
-  EXPECT_EQ(frozen.Rank(log[7], 1500), stream.Rank(log[7], 1500));
+  EXPECT_EQ(frozen.Rank(log[7], 1500).value(),
+            stream.Rank(log[7], 1500).value());
   EXPECT_LE(frozen.SizeInBits(), stream.SizeInBits());
 }
 
@@ -264,7 +292,7 @@ uint64_t committed_seed() { return 0xC0FFEE; }
 TEST(Lifecycle, DynamicChurnAgainstNaive) {
   // Mixed insert/delete/append/query traffic vs a plain vector oracle.
   std::mt19937_64 rng(committed_seed());
-  StringSequence<DynamicWaveletTrie> dyn;
+  wtrie::Sequence<wtrie::Dynamic> dyn;
   std::vector<std::string> oracle;
   UrlLogGenerator gen({.num_domains = 8, .paths_per_domain = 5, .seed = 77});
   for (int op = 0; op < 4000; ++op) {
@@ -272,30 +300,30 @@ TEST(Lifecycle, DynamicChurnAgainstNaive) {
     if (dice < 5 || oracle.empty()) {  // insert at random position
       const std::string s = gen.Next();
       const size_t pos = rng() % (oracle.size() + 1);
-      dyn.Insert(s, pos);
+      ASSERT_TRUE(dyn.Insert(s, pos).ok());
       oracle.insert(oracle.begin() + pos, s);
     } else if (dice < 7) {  // delete
       const size_t pos = rng() % oracle.size();
-      dyn.Delete(pos);
+      ASSERT_TRUE(dyn.Delete(pos).ok());
       oracle.erase(oracle.begin() + pos);
     } else {  // probe
       ASSERT_EQ(dyn.size(), oracle.size());
       const size_t pos = rng() % oracle.size();
-      ASSERT_EQ(dyn.Access(pos), oracle[pos]) << "op " << op;
+      ASSERT_EQ(dyn.Access(pos).value(), oracle[pos]) << "op " << op;
       const std::string& probe = oracle[rng() % oracle.size()];
       size_t count = 0;
       for (size_t j = 0; j < pos; ++j) count += oracle[j] == probe;
-      ASSERT_EQ(dyn.Rank(probe, pos), count) << "op " << op;
+      ASSERT_EQ(dyn.Rank(probe, pos).value(), count) << "op " << op;
     }
   }
   // Full final sweep.
   for (size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_EQ(dyn.Access(i), oracle[i]);
+    ASSERT_EQ(dyn.Access(i).value(), oracle[i]);
   }
 
   // Empty it out completely: alphabet must shrink back to nothing.
   while (!oracle.empty()) {
-    dyn.Delete(oracle.size() - 1);
+    ASSERT_TRUE(dyn.Delete(oracle.size() - 1).ok());
     oracle.pop_back();
   }
   EXPECT_EQ(dyn.size(), 0u);

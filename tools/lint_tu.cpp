@@ -17,7 +17,6 @@
 #include "api/sequence.hpp"
 #include "common/layout_contracts.hpp"
 #include "common/thread_annotations.hpp"
-#include "core/balanced_wavelet_tree.hpp"
 #include "core/batch_dedup.hpp"
 #include "core/btree_sequence.hpp"
 #include "core/codec.hpp"
@@ -27,7 +26,6 @@
 #include "core/inverted_index.hpp"
 #include "core/lex_sequence.hpp"
 #include "core/naive.hpp"
-#include "core/string_sequence.hpp"
 #include "core/wavelet_tree.hpp"
 #include "core/wavelet_trie.hpp"
 #include "engine/engine.hpp"

@@ -12,8 +12,9 @@ compiler flag can express:
                     fault-inject every operation.
   parse-abort       WT_ASSERT / abort() inside the untrusted-input parse
                     functions (image reader, WAL parser, envelope reader,
-                    manifest reader). Corrupt bytes must surface as a
-                    clean Status/error code, never a process abort.
+                    manifest reader, codec state). Corrupt bytes must
+                    surface as a clean Status/error code, never a
+                    process abort.
                     Scope: the curated function bodies in PARSE_FUNCTIONS
                     (direct bodies, not transitive callees — reachability
                     is the ASan corruption sweeps' job). WT_DASSERT is
@@ -205,6 +206,7 @@ PARSE_FUNCTIONS = [
     ("src/core/wavelet_trie.hpp", "LoadImage"),
     ("src/api/sequence.hpp", "Load"),
     ("src/api/sequence.hpp", "LoadImage"),
+    ("src/core/codec.hpp", "LoadState"),
 ]
 PARSE_ABORT_PATTERN = re.compile(r"\b(?:WT_ASSERT|WT_ASSERT_MSG|abort)\s*\(")
 
