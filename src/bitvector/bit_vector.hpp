@@ -1,7 +1,7 @@
 // Plain (uncompressed) bitvector with constant-time Rank and sampled Select.
 //
 // This is the baseline Fully Indexable Dictionary (FID) of Section 2 of the
-// paper, and the substrate for the Elias--Fano partial-sum structure.
+// paper; the FM-index (text/) and the balanced wavelet tree build on it.
 //
 // Layout (rank9-style two-level directory): 512-bit superblocks with an
 // absolute 64-bit rank counter each, plus one packed 64-bit word per
@@ -19,7 +19,6 @@
 #include "common/assert.hpp"
 #include "common/bit_array.hpp"
 #include "common/bits.hpp"
-#include "storage/image.hpp"
 #include "storage/vec.hpp"
 
 namespace wt {
@@ -112,58 +111,12 @@ class BitVector {
   size_t num_zeros() const { return bits_.size() - num_ones_; }
   const BitArray& bits() const { return bits_; }
 
-  /// v4 flat image: persists the rank9 directory and the select samples
-  /// alongside the bits, so LoadImage borrows everything and rebuilds
-  /// nothing.
-  /// Array lengths are a function of (size, num_ones) — the reader derives
-  /// them rather than trusting length fields.
-  void SaveImage(storage::ImageWriter& w) const {
-    bits_.SaveImage(w);
-    w.Pod<uint64_t>(num_ones_);
-    WT_DASSERT(super_.size() == bits_.size() / kSuperBits + 2);
-    WT_DASSERT(block_.size() == bits_.size() / kSuperBits + 2);
-    WT_DASSERT(select1_samples_.size() == SampleCount(num_ones_));
-    WT_DASSERT(select0_samples_.size() == SampleCount(num_zeros()));
-    w.Array(super_.data(), super_.size());
-    w.Array(block_.data(), block_.size());
-    w.Array(select1_samples_.data(), select1_samples_.size());
-    w.Array(select0_samples_.data(), select0_samples_.size());
-  }
-  bool LoadImage(storage::ImageReader& r) {
-    if (!bits_.LoadImage(r)) return false;
-    uint64_t ones = 0;
-    if (!r.Pod(&ones) || ones > bits_.size()) return false;
-    num_ones_ = ones;
-    const size_t dir_entries = bits_.size() / kSuperBits + 2;
-    const uint64_t* super = nullptr;
-    const uint64_t* block = nullptr;
-    const uint32_t* s1 = nullptr;
-    const uint32_t* s0 = nullptr;
-    const size_t n1 = SampleCount(num_ones_);
-    const size_t n0 = SampleCount(bits_.size() - num_ones_);
-    if (!r.Array(&super, dir_entries) || !r.Array(&block, dir_entries) ||
-        !r.Array(&s1, n1) || !r.Array(&s0, n0)) {
-      return false;
-    }
-    super_ = storage::Vec<uint64_t>::Borrow(super, dir_entries);
-    block_ = storage::Vec<uint64_t>::Borrow(block, dir_entries);
-    select1_samples_ = storage::Vec<uint32_t>::Borrow(s1, n1);
-    select0_samples_ = storage::Vec<uint32_t>::Borrow(s0, n0);
-    return true;
-  }
-
   size_t SizeInBits() const {
     return bits_.SizeInBits() + 64 * (super_.capacity() + block_.capacity()) +
            32 * (select1_samples_.capacity() + select0_samples_.capacity());
   }
 
  private:
-  /// Entries BuildSelectSamples emits for k target bits: one per started
-  /// kSelectSample group, with a single 0 entry when there are none.
-  static size_t SampleCount(size_t k) {
-    return k == 0 ? 1 : (k + kSelectSample - 1) / kSelectSample;
-  }
-
   void Build() {
     const size_t n = bits_.size();
     const size_t num_super = n / kSuperBits + 1;

@@ -25,7 +25,7 @@
 // this is a deliberate capacity-for-space trade). Structures needing more
 // shard across instances — the append-only bitvector's chunking already
 // does; the wavelet trie's single concatenated beta inherits the cap as
-// its total-beta-bits limit (documented at WaveletTrie::BuildHeaders and
+// its total-beta-bits limit (documented at WaveletTrie::kMaxBetaBits and
 // DESIGN.md #6).
 #pragma once
 

@@ -3,26 +3,22 @@
 //
 // The trie shape is the Patricia trie of the distinct strings Sset; each
 // internal node carries the bitvector beta that routes sequence positions to
-// its two children. Representation (Section 3's "static succinct
-// representation"):
-//   * shape:  preorder internal/leaf bitmap with excess-search navigation
-//             (succinct/binary_tree_shape.hpp);
-//   * labels: all alpha labels concatenated in preorder into one bit array,
-//             delimited by an Elias--Fano partial-sum structure;
-//   * betas:  all internal-node bitvectors concatenated in preorder into ONE
-//             RRR vector, delimited by Elias--Fano — per-node Rank/Select are
-//             O(1) queries on the global RRR.
-//
-// Query fast path (DESIGN.md #6): a flat 16-byte-per-node header array —
-// label end, right-child id, beta start, ones-before-beta-start — is
-// precomputed at construction and persisted in the image, so each
-// traversal level is one header load plus one fused RRR operation instead
-// of recomputed Elias--Fano selects, shape excess searches and paired
-// ranks. The Elias--Fano delimiters and shape directories remain the
-// fallback when a trie exceeds the headers' 2^32-bit addressing. Batched
-// AccessBatch/RankBatch/
-// SelectBatch amortize one traversal per touched node per batch, mirroring
-// what AppendBatch did for ingestion.
+// its two children. Representation:
+//   * labels:  all alpha labels concatenated in preorder into one bit array;
+//   * betas:   all internal-node bitvectors concatenated in preorder into ONE
+//              RRR vector — per-node Rank/Select are O(1) queries on the
+//              global RRR;
+//   * headers: the node directory (DESIGN.md #6), one flat 16-byte header
+//              per node in preorder — label end, right-child id, beta
+//              start, ones before beta start — written by the build pass
+//              and persisted in the image. The left child of v is v + 1, so
+//              a traversal level is one header load plus one fused RRR
+//              operation.
+// Section 3's succinct directory (a preorder shape bitmap plus Elias--Fano
+// label and beta delimiters) would cost tens of bits per node instead of
+// 128, at several times the per-level query cost.
+// Batched AccessBatch/RankBatch/SelectBatch amortize one traversal per
+// touched node per batch, mirroring what AppendBatch did for ingestion.
 //
 // Space: LT(Sset) + nH0(S) + o(~h n) bits (Theorem 3.7) plus O(|Sset|)
 // words of headers. Queries: Access/Rank/Select/RankPrefix/SelectPrefix in
@@ -40,14 +36,12 @@
 #include <utility>
 #include <vector>
 
-#include "bitvector/elias_fano.hpp"
 #include "bitvector/rrr.hpp"
 #include "common/assert.hpp"
 #include "common/bit_string.hpp"
 #include "core/batch_dedup.hpp"
 #include "storage/image.hpp"
 #include "storage/vec.hpp"
-#include "succinct/binary_tree_shape.hpp"
 
 namespace wt {
 
@@ -62,12 +56,14 @@ class WaveletTrie {
  public:
   /// Capacity of one static trie: the concatenated per-node branch
   /// bitvectors share a single Rrr, whose 32+32 packed directory caps it at
-  /// 2^32-1 total beta bits (DESIGN.md #6). Each stored string contributes
-  /// one beta bit per internal node on its path, so total beta bits <= sum
-  /// of encoded string lengths — about 150M strings at trie height 30.
-  /// Both construction paths check this up front and abort with a clean
-  /// message; the engine layer (src/engine/) is the supported way to grow
-  /// past it (shard, then freeze per-shard segments).
+  /// 2^32-1 total beta bits (DESIGN.md #6), and the 32-bit node headers cap
+  /// the concatenated labels the same way. Each stored string contributes
+  /// one beta bit per internal node on its path, and each label bit belongs
+  /// to some distinct string, so both totals are <= the sum of encoded
+  /// string lengths — about 150M strings at trie height 30. Both
+  /// construction paths check this and abort with a clean message; the
+  /// engine layer (src/engine/) is the supported way to grow past it
+  /// (shard, then freeze per-shard segments).
   static constexpr uint64_t kMaxBetaBits = Rrr::kMaxBits;
 
   WaveletTrie() = default;
@@ -76,20 +72,22 @@ class WaveletTrie {
   /// prefix-free (use core/codec.hpp). O(total input bits) construction.
   explicit WaveletTrie(const std::vector<BitString>& seq) : n_(seq.size()) {
     if (n_ == 0) return;
+    WT_ASSERT_MSG(n_ < (uint64_t(1) << 32),
+                  "WaveletTrie: 2^32 or more strings (ids are 32-bit)");
     std::vector<uint32_t> ids(n_);
     for (size_t i = 0; i < n_; ++i) ids[i] = static_cast<uint32_t>(i);
 
-    BitArray shape_bits;
     BitArray beta_bits;
-    std::vector<uint64_t> label_ends;
-    std::vector<uint64_t> beta_ends;
+    size_t ones = 0;  // 1s in beta_bits so far
 
     // Explicit-stack preorder construction over [begin, end) ranges of ids.
     struct Frame {
       size_t begin, end;
-      size_t offset;  // bits of every string in the range already consumed
+      size_t offset;    // bits of every string in the range already consumed
+      uint32_t parent;  // parent node id (unused for the root)
+      bool right;       // the range is its parent's right subtree
     };
-    std::vector<Frame> stack{{0, n_, 0}};
+    std::vector<Frame> stack{{0, n_, 0, 0, false}};
     std::vector<uint32_t> scratch;
     while (!stack.empty()) {
       const Frame f = stack.back();
@@ -105,7 +103,7 @@ class WaveletTrie {
       }
       // Append the label alpha.
       labels_.AppendRange(seq[ids[f.begin]].bits(), f.offset, lcp);
-      label_ends.push_back(labels_.size());
+      const uint32_t v = AddNode(f.parent, f.right);
       const size_t split = f.offset + lcp;
       if (split == first.size() + f.offset) {
         // The first string ends here; by prefix-freeness all must.
@@ -113,10 +111,10 @@ class WaveletTrie {
           WT_ASSERT_MSG(seq[ids[i]].size() == split,
                         "WaveletTrie: input set is not prefix-free");
         }
-        shape_bits.PushBack(false);  // leaf
-        continue;
+        continue;  // leaf
       }
-      shape_bits.PushBack(true);  // internal
+      headers_[v].beta_start = static_cast<uint32_t>(beta_bits.size());
+      headers_[v].ones_start = static_cast<uint32_t>(ones);
       // Emit beta and stably partition the range by the branching bit.
       scratch.clear();
       size_t w = f.begin;
@@ -126,29 +124,19 @@ class WaveletTrie {
                       "WaveletTrie: input set is not prefix-free");
         const bool b = seq[id].Get(split);
         beta_bits.PushBack(b);
+        ones += b;
         if (b)
           scratch.push_back(id);
         else
           ids[w++] = id;
       }
       for (uint32_t id : scratch) ids[w++] = id;
-      beta_ends.push_back(beta_bits.size());
       const size_t mid = f.end - scratch.size();
       // Preorder: left subtree first, so push right first.
-      stack.push_back({mid, f.end, split + 1});
-      stack.push_back({f.begin, mid, split + 1});
+      stack.push_back({mid, f.end, split + 1, v, true});
+      stack.push_back({f.begin, mid, split + 1, v, false});
     }
-
-    shape_ = BinaryTreeShape(std::move(shape_bits));
-    labels_.ShrinkToFit();
-    label_ends_ = EliasFano(label_ends, labels_.size());
-    WT_ASSERT_MSG(beta_bits.size() <= kMaxBetaBits,
-                  "WaveletTrie: total beta bits exceed 2^32-1 (the packed RRR "
-                  "directory limit); split the sequence across tries "
-                  "(src/engine/) instead");
-    beta_ = Rrr(beta_bits);
-    beta_ends_ = EliasFano(beta_ends, beta_bits.size());
-    BuildHeaders();
+    FinishBuild(beta_bits);
   }
 
   /// Word-parallel bulk construction (the DESIGN.md #4 fast path). Produces
@@ -177,18 +165,19 @@ class WaveletTrie {
     std::vector<uint32_t> oscratch(n);
     std::vector<uint8_t> bit_of(dn);
 
-    BitArray shape_bits;
     BitArray beta_bits;
-    std::vector<uint64_t> label_ends;
-    std::vector<uint64_t> beta_ends;
+    size_t ones = 0;  // 1s in beta_bits so far
+    out.headers_.reserve(2 * dn - 1);  // a full binary tree over dn leaves
 
     struct Frame {
       uint32_t *dbegin, *dend;  // distinct ids in this subtree
       uint32_t *obegin, *oend;  // occurrence sequence (distinct ids), in order
       size_t offset;            // bits of every string already consumed
+      uint32_t parent;          // parent node id (unused for the root)
+      bool right;               // this subtree is its parent's right one
     };
     std::vector<Frame> stack{{darr.data(), darr.data() + dn, oarr.data(),
-                              oarr.data() + n, 0}};
+                              oarr.data() + n, 0, 0, false}};
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
@@ -202,19 +191,19 @@ class WaveletTrie {
       }
       const BitSpan rep = dstr[*f.dbegin];
       out.labels_.AppendWords(rep.words(), rep.start_bit() + f.offset, lcp);
-      label_ends.push_back(out.labels_.size());
+      const uint32_t v = out.AddNode(f.parent, f.right);
       const size_t split = f.offset + lcp;
       if (lcp == first.size()) {
         // The first suffix ends here; all routed strings must equal it.
         WT_ASSERT_MSG(f.dend - f.dbegin == 1,
                       "WaveletTrie: input set is not prefix-free");
-        shape_bits.PushBack(false);  // leaf
-        continue;
+        continue;  // leaf
       }
       WT_ASSERT_MSG(std::all_of(f.dbegin, f.dend,
                                 [&](uint32_t d) { return dstr[d].size() > split; }),
                     "WaveletTrie: input set is not prefix-free");
-      shape_bits.PushBack(true);  // internal
+      out.headers_[v].beta_start = static_cast<uint32_t>(beta_bits.size());
+      out.headers_[v].ones_start = static_cast<uint32_t>(ones);
       // Branch bit per distinct id, then one stable partition of both the
       // distinct set and the occurrence sequence, packing beta words.
       for (const uint32_t* it = f.dbegin; it != f.dend; ++it) {
@@ -245,6 +234,7 @@ class WaveletTrie {
           word |= uint64_t(bit_of[it[j]]) << j;
         }
         beta_bits.AppendBits(word, blk);
+        ones += PopCount(word);
         uint64_t w2 = word;
         for (size_t j = 0; j < blk; ++j) {
           const uint32_t d = it[j];
@@ -259,29 +249,18 @@ class WaveletTrie {
       }
       uint32_t* omid = o0;
       std::copy(oscratch.data(), oscratch.data() + on1, o0);
-      beta_ends.push_back(beta_bits.size());
       // Preorder: left subtree first, so push right first.
-      stack.push_back({dmid, f.dend, omid, f.oend, split + 1});
-      stack.push_back({f.dbegin, dmid, f.obegin, omid, split + 1});
+      stack.push_back({dmid, f.dend, omid, f.oend, split + 1, v, true});
+      stack.push_back({f.dbegin, dmid, f.obegin, omid, split + 1, v, false});
     }
-
-    out.shape_ = BinaryTreeShape(std::move(shape_bits));
-    out.labels_.ShrinkToFit();
-    out.label_ends_ = EliasFano(label_ends, out.labels_.size());
-    WT_ASSERT_MSG(beta_bits.size() <= kMaxBetaBits,
-                  "WaveletTrie: total beta bits exceed 2^32-1 (the packed RRR "
-                  "directory limit); split the sequence across tries "
-                  "(src/engine/) instead");
-    out.beta_ = Rrr(beta_bits);
-    out.beta_ends_ = EliasFano(beta_ends, beta_bits.size());
-    out.BuildHeaders();
+    out.FinishBuild(beta_bits);
     return out;
   }
 
   size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
   /// Number of distinct strings |Sset|.
-  size_t NumDistinct() const { return n_ == 0 ? 0 : shape_.NumLeaves(); }
+  size_t NumDistinct() const { return (headers_.size() + 1) / 2; }
 
   /// The string at position pos (paper: Access). O(|result| + h). Each level
   /// is one header load plus one fused RRR rank-and-get.
@@ -297,7 +276,7 @@ class WaveletTrie {
       out.PushBack(bit);
       pos = bit ? ones : pos - ones;
       v = bit ? RightChildOf(v) : v + 1;
-      if (!headers_.empty()) PrefetchRead(&headers_[v]);
+      PrefetchRead(&headers_[v]);
     }
     out.Append(Label(v));
     return out;
@@ -402,10 +381,6 @@ class WaveletTrie {
     if (m == 0) return out;
     WT_ASSERT(n_ > 0);
     for (const size_t p : positions) WT_ASSERT(p < n_);
-    if (n_ >= (uint64_t(1) << 32)) {  // beyond the packed-key range
-      for (size_t i = 0; i < m; ++i) out[i] = Access(positions[i]);
-      return out;
-    }
     BatchState st(m);
     SortByPosition(positions, &st);
     BitString prefix;
@@ -441,10 +416,6 @@ class WaveletTrie {
     std::vector<size_t> out(m, 0);
     if (m == 0 || n_ == 0) return out;
     for (const size_t p : positions) WT_ASSERT(p <= n_);
-    if (n_ >= (uint64_t(1) << 32)) {  // beyond the packed-key range
-      for (size_t i = 0; i < m; ++i) out[i] = Rank(strings[i], positions[i]);
-      return out;
-    }
     StringBatch sb(m, std::move(dict));
     SortByPosition(positions, &sb.st);
     for (size_t i = 0; i < m; ++i) sb.did[i] = sb.dict.id_of[QidOf(sb.st.q[i])];
@@ -460,10 +431,6 @@ class WaveletTrie {
     const size_t m = strings.size();
     std::vector<std::optional<size_t>> out(m);
     if (m == 0 || n_ == 0) return out;
-    if (n_ >= (uint64_t(1) << 32)) {  // beyond the packed-key range
-      for (size_t i = 0; i < m; ++i) out[i] = Select(strings[i], indices[i]);
-      return out;
-    }
     StringBatch sb(m, internal::DedupBatch(strings));
     size_t w = 0;
     for (size_t i = 0; i < m; ++i) {
@@ -623,29 +590,20 @@ class WaveletTrie {
   template <typename DistinctFn>
   void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
 
-  /// v4 flat image (DESIGN.md #8): one section per component, every
-  /// derived directory *and the flat node headers* persisted, so LoadImage
-  /// borrows the whole trie out of the blob with no rebuild pass — the
-  /// structure is query-ready the moment the bytes are visible.
+  /// v4 flat image (DESIGN.md #8): one section per component, the RRR
+  /// directories *and the node headers* persisted, so LoadImage borrows the
+  /// whole trie out of the blob with no rebuild pass — the structure is
+  /// query-ready the moment the bytes are visible.
   void SaveImage(storage::ImageWriter& w) const {
     w.BeginSection(storage::kSecTrie);
     w.Pod<uint64_t>(n_);
     w.EndSection();
     if (n_ == 0) return;
-    w.BeginSection(storage::kSecShape);
-    shape_.SaveImage(w);
-    w.EndSection();
     w.BeginSection(storage::kSecLabels);
     labels_.SaveImage(w);
     w.EndSection();
-    w.BeginSection(storage::kSecLabelEnds);
-    label_ends_.SaveImage(w);
-    w.EndSection();
     w.BeginSection(storage::kSecBeta);
     beta_.SaveImage(w);
-    w.EndSection();
-    w.BeginSection(storage::kSecBetaEnds);
-    beta_ends_.SaveImage(w);
     w.EndSection();
     w.BeginSection(storage::kSecHeaders);
     w.Pod<uint64_t>(headers_.size());
@@ -655,7 +613,9 @@ class WaveletTrie {
 
   /// Borrows a trie out of a parsed image. Never aborts: every bounds or
   /// consistency failure returns false (the caller translates it into a
-  /// clean Status). The blob must stay alive as long as the trie.
+  /// clean Status). The blob must stay alive as long as the trie. Sections
+  /// this version does not read (the retired tags of SectionTag) are
+  /// skipped, so images written before their retirement still load.
   bool LoadImage(storage::ImageReader& r) {
     if (!r.OpenSection(storage::kSecTrie)) return false;
     uint64_t n = 0;
@@ -666,45 +626,35 @@ class WaveletTrie {
     }
     WaveletTrie out;
     out.n_ = n;
-    if (!r.OpenSection(storage::kSecShape) || !out.shape_.LoadImage(r)) {
-      return false;
-    }
     if (!r.OpenSection(storage::kSecLabels) || !out.labels_.LoadImage(r)) {
-      return false;
-    }
-    if (!r.OpenSection(storage::kSecLabelEnds) ||
-        !out.label_ends_.LoadImage(r)) {
       return false;
     }
     if (!r.OpenSection(storage::kSecBeta) || !out.beta_.LoadImage(r)) {
       return false;
     }
-    if (!r.OpenSection(storage::kSecBetaEnds) || !out.beta_ends_.LoadImage(r)) {
-      return false;
-    }
-    // Cross-component shape checks: a full binary tree with one delimiter
-    // per node (labels) and per internal node (betas).
-    const size_t nodes = out.shape_.NumNodes();
-    if (nodes == 0 || nodes != 2 * out.shape_.NumInternal() + 1 ||
-        out.label_ends_.size() != nodes ||
-        out.beta_ends_.size() != out.shape_.NumInternal()) {
-      return false;
-    }
     if (!r.OpenSection(storage::kSecHeaders)) return false;
-    uint64_t num_headers = 0;
-    if (!r.Pod(&num_headers)) return false;
-    // Headers are either complete or absent (the >= 2^32 fallback).
-    if (num_headers != 0 && num_headers != nodes) return false;
-    const NodeHeader* headers = nullptr;
-    if (!r.Array(&headers, num_headers)) return false;
-    out.headers_ = storage::Vec<NodeHeader>::Borrow(headers, num_headers);
+    uint64_t nodes = 0;
+    const NodeHeader* h = nullptr;
+    if (!r.Pod(&nodes) || !r.Array(&h, nodes)) return false;
+    // The node count is the one length the image states (Array bounded it
+    // by the section). O(1) checks that it closes a full binary tree over
+    // these labels and this beta: an odd count, a leaf last in preorder
+    // ending the labels, a root beta at the origin, and a beta exactly
+    // when the root is internal. n < 2^32 as every builder guarantees.
+    if (n >= (uint64_t(1) << 32) || nodes % 2 == 0 ||
+        h[nodes - 1].right != 0 ||
+        h[nodes - 1].label_end != out.labels_.size() ||
+        h[0].beta_start != 0 || h[0].ones_start != 0 ||
+        (nodes == 1) != (out.beta_.size() == 0)) {
+      return false;
+    }
+    out.headers_ = storage::Vec<NodeHeader>::Borrow(h, nodes);
     *this = std::move(out);
     return true;
   }
 
   size_t SizeInBits() const {
-    return labels_.SizeInBits() + label_ends_.SizeInBits() + beta_.SizeInBits() +
-           beta_ends_.SizeInBits() + shape_.SizeInBits() +
+    return labels_.SizeInBits() + beta_.SizeInBits() +
            8 * sizeof(NodeHeader) * headers_.capacity();
   }
 
@@ -721,18 +671,18 @@ class WaveletTrie {
     bool is_leaf;
   };
   std::vector<NodeDebug> DebugNodes() const {
-    std::vector<NodeDebug> out;
-    for (size_t v = 0; v < shape_.NumNodes(); ++v) {
-      NodeDebug d;
+    std::vector<NodeDebug> out(headers_.size());
+    // Betas are concatenated in preorder, so each ends where the next
+    // internal node's begins.
+    size_t end = beta_.size();
+    for (size_t v = headers_.size(); v-- > 0;) {
+      NodeDebug& d = out[v];
       d.alpha = Label(v).ToString();
-      d.is_leaf = !shape_.IsInternal(v);
-      if (!d.is_leaf) {
-        const size_t r = shape_.InternalRank(v);
-        const size_t start = beta_ends_.SegmentStart(r);
-        const size_t end = beta_ends_.SegmentEnd(r);
-        for (size_t i = start; i < end; ++i) d.beta.push_back(beta_.Get(i) ? '1' : '0');
-      }
-      out.push_back(std::move(d));
+      d.is_leaf = !IsInternalNode(v);
+      if (d.is_leaf) continue;
+      const size_t start = headers_[v].beta_start;
+      for (size_t i = start; i < end; ++i) d.beta.push_back(beta_.Get(i) ? '1' : '0');
+      end = start;
     }
     return out;
   }
@@ -754,69 +704,43 @@ class WaveletTrie {
   };
 
  private:
-  /// Builds the flat header array. Skipped (leaving the Elias--Fano path in
-  /// charge) only when a component exceeds the headers' 32-bit addressing.
-  /// The global beta never can: a single Rrr is capped at 2^32-1 bits by
-  /// its own interleaved directory, so the trie's capacity limit is
-  /// 2^32-1 *total beta bits* (sum of per-string trie depths — ~150M
-  /// strings at height 30, more when strings repeat; n itself is unbounded
-  /// when the alphabet is a single string). Label bits and node count keep
-  /// the guard.
-  void BuildHeaders() {
-    headers_.clear();
-    if (n_ == 0) return;
-    const size_t num_nodes = shape_.NumNodes();
-    constexpr uint64_t kCap = uint64_t(1) << 32;
-    if (labels_.size() >= kCap || num_nodes >= kCap) {
-      return;
-    }
-    headers_.resize(num_nodes);
-    Rrr::RankCursor cursor(&beta_);
-    for (size_t v = 0; v < num_nodes; ++v) {
-      NodeHeader& h = headers_[v];
-      h.label_end = static_cast<uint32_t>(label_ends_.Access(v));
-      if (shape_.IsInternal(v)) {
-        const size_t r = shape_.InternalRank(v);
-        const size_t start = beta_ends_.SegmentStart(r);
-        h.right = static_cast<uint32_t>(shape_.RightChild(v));
-        h.beta_start = static_cast<uint32_t>(start);
-        h.ones_start = static_cast<uint32_t>(cursor.Rank1(start));
-      } else {
-        h.right = 0;
-        h.beta_start = 0;
-        h.ones_start = 0;
-      }
-    }
+  /// Preorder build step shared by both constructors: appends the header
+  /// of the node whose label was just appended (a leaf until its beta is
+  /// set) and links it as its parent's right child when it is one.
+  uint32_t AddNode(uint32_t parent, bool right) {
+    const auto v = static_cast<uint32_t>(headers_.size());
+    if (right) headers_[parent].right = v;
+    headers_.push_back({static_cast<uint32_t>(labels_.size()), 0, 0, 0});
+    return v;
   }
 
-  bool IsInternalNode(size_t v) const {
-    return headers_.empty() ? shape_.IsInternal(v) : headers_[v].right != 0;
+  /// Shared tail of both constructors: the capacity check (kMaxBetaBits),
+  /// then the global RRR over the emitted beta bits.
+  void FinishBuild(const BitArray& beta_bits) {
+    WT_ASSERT_MSG(labels_.size() <= kMaxBetaBits &&
+                      beta_bits.size() <= kMaxBetaBits,
+                  "WaveletTrie: total label or beta bits exceed 2^32-1 (the "
+                  "node-header and packed RRR directory limit); split the "
+                  "sequence across tries (src/engine/) instead");
+    labels_.ShrinkToFit();
+    headers_.shrink_to_fit();
+    beta_ = Rrr(beta_bits);
   }
 
-  size_t RightChildOf(size_t v) const {
-    return headers_.empty() ? shape_.RightChild(v) : headers_[v].right;
-  }
+  bool IsInternalNode(size_t v) const { return headers_[v].right != 0; }
+
+  size_t RightChildOf(size_t v) const { return headers_[v].right; }
 
   BitSpan Label(size_t v) const {
-    if (!headers_.empty()) {
-      const size_t start = v == 0 ? 0 : headers_[v - 1].label_end;
-      return BitSpan(labels_.data(), start, headers_[v].label_end - start);
-    }
-    const size_t start = label_ends_.SegmentStart(v);
-    const size_t end = label_ends_.SegmentEnd(v);
-    return BitSpan(labels_.data(), start, end - start);
+    const size_t start = v == 0 ? 0 : headers_[v - 1].label_end;
+    return BitSpan(labels_.data(), start, headers_[v].label_end - start);
   }
 
   /// Location of internal node v's beta in the global RRR: (start bit,
-  /// ones before start). One header load on the fast path.
+  /// ones before start). One header load.
   std::pair<size_t, size_t> BetaLoc(size_t v) const {
-    if (!headers_.empty()) {
-      const NodeHeader& h = headers_[v];
-      return {h.beta_start, h.ones_start};
-    }
-    const size_t r = shape_.InternalRank(v);
-    const size_t start = beta_ends_.SegmentStart(r);
-    return {start, beta_.Rank1(start)};
+    const NodeHeader& h = headers_[v];
+    return {h.beta_start, h.ones_start};
   }
 
   /// Rank of bit b in [0, pos) of internal node v's bitvector: one RRR rank
@@ -925,7 +849,6 @@ class WaveletTrie {
   }
 
   void PrefetchChildren(size_t v, size_t right) const {
-    if (headers_.empty()) return;
     PrefetchRead(&headers_[v + 1]);
     PrefetchRead(&headers_[right]);
   }
@@ -1173,8 +1096,8 @@ class WaveletTrie {
   }
 
   size_t HeightRec(size_t v) const {
-    if (!shape_.IsInternal(v)) return 0;
-    return 1 + std::max(HeightRec(shape_.LeftChild(v)), HeightRec(shape_.RightChild(v)));
+    if (!IsInternalNode(v)) return 0;
+    return 1 + std::max(HeightRec(v + 1), HeightRec(RightChildOf(v)));
   }
 
   template <typename DistinctFn>
@@ -1224,13 +1147,9 @@ class WaveletTrie {
   }
 
   size_t n_ = 0;
-  BinaryTreeShape shape_;
-  BitArray labels_;       // concatenated alpha labels, preorder
-  EliasFano label_ends_;  // cumulative label lengths per node
-  Rrr beta_;              // concatenated internal-node bitvectors, preorder
-  EliasFano beta_ends_;   // cumulative beta lengths per internal node
-  // Derived query fast path: built at construction, persisted in the image.
-  storage::Vec<NodeHeader> headers_;
+  BitArray labels_;  // concatenated alpha labels, preorder
+  Rrr beta_;         // concatenated internal-node bitvectors, preorder
+  storage::Vec<NodeHeader> headers_;  // the node directory, preorder
 };
 
 }  // namespace wt

@@ -3,13 +3,12 @@
 // it.
 //
 // A v4 image is ONE relocatable blob holding a frozen structure with *all*
-// derived state persisted — BitVector rank9 directories, RRR interleaved
-// superblocks, select samples, shape excess trees, flat node headers,
-// Elias–Fano arrays, codec state, encoded-bits budget — at offset-addressed,
-// 8-byte-aligned positions. Nothing is rebuilt on open: the structure
-// borrows (storage/vec.hpp) straight into the blob, so a segment is
-// query-ready the instant its bytes are visible (mmap) and the OS page
-// cache is the buffer pool.
+// derived state persisted — RRR interleaved superblocks and select
+// samples, the trie's flat node headers, codec state, encoded-bits
+// budget — at offset-addressed, 8-byte-aligned positions. Nothing is
+// rebuilt on open: the structure borrows (storage/vec.hpp) straight into
+// the blob, so a segment is query-ready the instant its bytes are visible
+// (mmap) and the OS page cache is the buffer pool.
 //
 // Layout (all offsets relative to the blob start, which must be 8-aligned):
 //
@@ -48,26 +47,24 @@ inline constexpr uint32_t kImageVersion = 4;
 inline constexpr uint32_t kMaxSections = 64;
 
 /// Section tags of the static wavelet-trie image (wt_inspect prints them).
+/// Tags 3, 5 and 7 are retired (a succinct shape and two Elias–Fano
+/// delimiters, superseded by the node headers) and must not be reused:
+/// readers find sections by tag, so older images that still carry them
+/// load with those sections skipped.
 enum SectionTag : uint32_t {
   kSecCodecState = 1,  // opaque codec SaveState bytes
   kSecTrie = 2,        // WaveletTrie scalars (n)
-  kSecShape = 3,       // BinaryTreeShape: preorder BitVector + excess tree
   kSecLabels = 4,      // concatenated labels BitArray
-  kSecLabelEnds = 5,   // Elias–Fano label delimiters
   kSecBeta = 6,        // global RRR (classes, offsets, superblocks, samples)
-  kSecBetaEnds = 7,    // Elias–Fano beta delimiters
-  kSecHeaders = 8,     // flat 16-byte node headers
+  kSecHeaders = 8,     // flat 16-byte node headers: the node directory
 };
 
 inline const char* SectionTagName(uint32_t tag) {
   switch (tag) {
     case kSecCodecState: return "codec-state";
     case kSecTrie: return "trie-meta";
-    case kSecShape: return "shape";
     case kSecLabels: return "labels";
-    case kSecLabelEnds: return "label-ends";
     case kSecBeta: return "beta-rrr";
-    case kSecBetaEnds: return "beta-ends";
     case kSecHeaders: return "node-headers";
   }
   return "unknown";

@@ -1,4 +1,4 @@
-// Tests for the static bitvectors: plain BitVector, RRR, Elias--Fano.
+// Tests for the static bitvectors: plain BitVector and RRR.
 //
 // Strategy: randomized cross-checks against a trivially-correct reference
 // (prefix-sum arrays), parameterized over bit densities so both dense and
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bitvector/bit_vector.hpp"
-#include "bitvector/elias_fano.hpp"
 #include "bitvector/rrr.hpp"
 #include "common/bit_array.hpp"
 
@@ -218,70 +217,6 @@ TEST(Rrr, IteratorMatchesGet) {
       }
     }
   }
-}
-
-// ------------------------------------------------------------- Elias--Fano
-
-TEST(EliasFano, Empty) {
-  EliasFano ef({}, 0);
-  EXPECT_EQ(ef.size(), 0u);
-}
-
-TEST(EliasFano, SmallKnown) {
-  EliasFano ef({2, 3, 5, 7, 11, 13, 24}, 24);
-  EXPECT_EQ(ef.size(), 7u);
-  const uint64_t expect[] = {2, 3, 5, 7, 11, 13, 24};
-  for (size_t i = 0; i < 7; ++i) EXPECT_EQ(ef.Access(i), expect[i]);
-}
-
-TEST(EliasFano, WithDuplicatesAndZeros) {
-  EliasFano ef({0, 0, 0, 4, 4, 9, 9, 9}, 9);
-  const uint64_t expect[] = {0, 0, 0, 4, 4, 9, 9, 9};
-  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(ef.Access(i), expect[i]);
-}
-
-TEST(EliasFano, AllZeroUniverse) {
-  EliasFano ef({0, 0, 0}, 0);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(ef.Access(i), 0u);
-}
-
-TEST(EliasFano, RandomMonotone) {
-  std::mt19937_64 rng(31337);
-  for (int iter = 0; iter < 20; ++iter) {
-    const size_t n = 1 + rng() % 5000;
-    std::vector<uint64_t> vals(n);
-    uint64_t cur = 0;
-    for (size_t i = 0; i < n; ++i) {
-      cur += rng() % 1000;  // duplicates allowed
-      vals[i] = cur;
-    }
-    EliasFano ef(vals, vals.back());
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(ef.Access(i), vals[i]);
-  }
-}
-
-TEST(EliasFano, SegmentHelpers) {
-  // Cumulative segment lengths 3, 0, 5 -> ends 3, 3, 8.
-  EliasFano ef({3, 3, 8}, 8);
-  EXPECT_EQ(ef.SegmentStart(0), 0u);
-  EXPECT_EQ(ef.SegmentEnd(0), 3u);
-  EXPECT_EQ(ef.SegmentStart(1), 3u);
-  EXPECT_EQ(ef.SegmentEnd(1), 3u);
-  EXPECT_EQ(ef.SegmentStart(2), 3u);
-  EXPECT_EQ(ef.SegmentEnd(2), 8u);
-}
-
-TEST(EliasFano, SpaceIsNearOptimalForSparse) {
-  // 1000 values in a 2^30 universe: ~ 2 + log2(u/n) = 22 bits per value.
-  std::vector<uint64_t> vals;
-  std::mt19937_64 rng(5);
-  uint64_t cur = 0;
-  for (int i = 0; i < 1000; ++i) {
-    cur += rng() % (1 << 20);
-    vals.push_back(cur);
-  }
-  EliasFano ef(vals, vals.back());
-  EXPECT_LT(ef.SizeInBits(), 1000 * 40u);  // generous: well under 64n
 }
 
 }  // namespace

@@ -38,11 +38,11 @@ inline std::shared_ptr<const storage::Blob> BlobOf(const std::string& bytes) {
 /// Borrows a T back out of `blob` (written by ImageBytes); false when the
 /// image does not parse or load. The blob must outlive *out.
 template <typename T>
-bool LoadFromImage(const storage::Blob& blob, T* out) {
+bool LoadFromImage(const storage::Blob& blob, T* out,
+                   storage::VerifyMode verify = storage::VerifyMode::kFull) {
   storage::ImageReader r;
-  if (storage::ImageReader::Parse(blob.data(), blob.size(),
-                                  storage::VerifyMode::kFull,
-                                  &r) != storage::ImageError::kOk) {
+  if (storage::ImageReader::Parse(blob.data(), blob.size(), verify, &r) !=
+      storage::ImageError::kOk) {
     return false;
   }
   if constexpr (!std::is_same_v<T, WaveletTrie>) {

@@ -4,13 +4,12 @@
 // false — never an abort.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "bitvector/bit_vector.hpp"
-#include "bitvector/elias_fano.hpp"
 #include "bitvector/rrr.hpp"
 #include "core/codec.hpp"
 #include "core/wavelet_trie.hpp"
@@ -32,25 +31,6 @@ BitArray RandomBits(size_t n, double density, uint64_t seed) {
   return a;
 }
 
-TEST(Serialize, BitVectorRoundTrip) {
-  BitVector orig(RandomBits(50000, 0.37, 1));
-  const auto blob = BlobOf(ImageBytes(orig));
-  BitVector loaded;
-  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
-  ASSERT_EQ(loaded.size(), orig.size());
-  ASSERT_EQ(loaded.num_ones(), orig.num_ones());
-  ASSERT_EQ(loaded.SizeInBits(), orig.SizeInBits());
-  for (size_t pos = 0; pos <= orig.size(); pos += 997) {
-    ASSERT_EQ(loaded.Rank1(pos), orig.Rank1(pos));
-  }
-  for (size_t k = 0; k < orig.num_ones(); k += 991) {
-    ASSERT_EQ(loaded.Select1(k), orig.Select1(k));
-  }
-  for (size_t k = 0; k < orig.num_zeros(); k += 997) {
-    ASSERT_EQ(loaded.Select0(k), orig.Select0(k));
-  }
-}
-
 TEST(Serialize, RrrRoundTrip) {
   Rrr orig(RandomBits(80000, 0.08, 2));
   const auto blob = BlobOf(ImageBytes(orig));
@@ -70,22 +50,6 @@ TEST(Serialize, RrrRoundTrip) {
   for (size_t k = 0; k < orig.num_zeros(); k += 4999) {
     ASSERT_EQ(loaded.Select0(k), orig.Select0(k));
   }
-}
-
-TEST(Serialize, EliasFanoRoundTrip) {
-  std::vector<uint64_t> vals;
-  std::mt19937_64 rng(3);
-  uint64_t cur = 0;
-  for (int i = 0; i < 5000; ++i) {
-    cur += rng() % 300;
-    vals.push_back(cur);
-  }
-  EliasFano orig(vals, vals.back());
-  const auto blob = BlobOf(ImageBytes(orig));
-  EliasFano loaded;
-  ASSERT_TRUE(LoadFromImage(*blob, &loaded));
-  ASSERT_EQ(loaded.size(), orig.size());
-  for (size_t i = 0; i < vals.size(); ++i) ASSERT_EQ(loaded.Access(i), vals[i]);
 }
 
 TEST(Serialize, WaveletTrieRoundTripFullQuerySurface) {
@@ -143,11 +107,62 @@ TEST(Serialize, MalformedImagesAreRefusedNotAborted) {
   EXPECT_FALSE(LoadFromImage(*BlobOf(std::string(bytes.size(), 'x')), &t));
   EXPECT_FALSE(LoadFromImage(*BlobOf(bytes.substr(0, bytes.size() / 2)), &t));
   // A well-formed image holding some other component has no trie sections.
-  EXPECT_FALSE(LoadFromImage(*BlobOf(ImageBytes(BitVector(RandomBits(100, 0.5, 6)))),
-                             &t));
+  EXPECT_FALSE(
+      LoadFromImage(*BlobOf(ImageBytes(Rrr(RandomBits(100, 0.5, 6)))), &t));
   const auto blob = BlobOf(bytes);
   ASSERT_TRUE(LoadFromImage(*blob, &t));
   EXPECT_EQ(t.Access(1), orig.Access(1));
+}
+
+// Offset of the node-header section (count, then the header array) in a
+// trie image.
+size_t HeadersOffset(const std::string& bytes) {
+  const auto blob = BlobOf(bytes);
+  storage::ImageReader r;
+  EXPECT_EQ(storage::ImageReader::Parse(blob->data(), blob->size(),
+                                        storage::VerifyMode::kFull, &r),
+            storage::ImageError::kOk);
+  for (const storage::SectionEntry& s : r.sections()) {
+    if (s.tag == storage::kSecHeaders) return s.offset;
+  }
+  ADD_FAILURE() << "image has no node-header section";
+  return 0;
+}
+
+// Under VerifyMode::kNone no hash covers the node headers, the one array
+// whose length the image states. LoadImage's O(1) checks must refuse a
+// count or a label end that cannot describe a full binary trie over the
+// stored labels.
+TEST(Serialize, UnverifiedNodeDirectoryIsValidated) {
+  std::vector<BitString> seq;
+  for (const char* s : {"0001", "0011", "0100", "00100", "0011"}) {
+    seq.push_back(BitString::FromString(s));
+  }
+  const std::string bytes = ImageBytes(WaveletTrie(seq));
+  const size_t at = HeadersOffset(bytes);
+  uint64_t nodes = 0;
+  std::memcpy(&nodes, bytes.data() + at, sizeof(nodes));
+  ASSERT_EQ(nodes, 7u);  // 4 distinct strings: 3 internal nodes, 4 leaves
+  const auto loads = [](const std::string& image) {
+    const auto blob = BlobOf(image);
+    WaveletTrie t;
+    return LoadFromImage(*blob, &t, storage::VerifyMode::kNone);
+  };
+  const auto with_count = [&](uint64_t count) {
+    std::string edited = bytes;
+    std::memcpy(edited.data() + at, &count, sizeof(count));
+    return edited;
+  };
+  EXPECT_TRUE(loads(bytes));
+  EXPECT_FALSE(loads(with_count(0)));          // no directory at all
+  EXPECT_FALSE(loads(with_count(nodes - 1)));  // even: not a full binary tree
+  std::string past_labels = bytes;
+  WaveletTrie::NodeHeader last;
+  const size_t last_at = at + sizeof(uint64_t) + (nodes - 1) * sizeof(last);
+  std::memcpy(&last, past_labels.data() + last_at, sizeof(last));
+  ++last.label_end;
+  std::memcpy(past_labels.data() + last_at, &last, sizeof(last));
+  EXPECT_FALSE(loads(past_labels));
 }
 
 }  // namespace

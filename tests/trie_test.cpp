@@ -1,5 +1,4 @@
-// Tests for BinaryTreeShape (succinct full-binary-tree navigation via excess
-// search) and the dynamic PatriciaTrie of Appendix B.
+// Tests for the dynamic PatriciaTrie of Appendix B.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -8,130 +7,10 @@
 #include <vector>
 
 #include "common/bit_string.hpp"
-#include "succinct/binary_tree_shape.hpp"
 #include "trie/patricia_trie.hpp"
 
 namespace wt {
 namespace {
-
-// ------------------------------------------------------ BinaryTreeShape
-
-// Builds a random full binary tree's preorder bitmap with ~k internal nodes,
-// and an oracle map of left/right children computed by brute force.
-struct TreeOracle {
-  std::vector<bool> preorder;  // 1 = internal
-  std::vector<size_t> close;   // close[v] = last node of v's subtree
-};
-
-void GenTree(std::mt19937_64& rng, size_t budget, std::vector<bool>* out) {
-  if (budget == 0 || rng() % 4 == 0) {
-    out->push_back(false);
-    return;
-  }
-  out->push_back(true);
-  const size_t half = budget / 2;
-  GenTree(rng, rng() % (half + 1), out);
-  GenTree(rng, half, out);
-}
-
-TreeOracle MakeOracle(uint64_t seed, size_t budget) {
-  TreeOracle o;
-  std::mt19937_64 rng(seed);
-  GenTree(rng, budget, &o.preorder);
-  o.close.resize(o.preorder.size());
-  // Brute-force close via excess scan.
-  for (size_t v = 0; v < o.preorder.size(); ++v) {
-    int excess = 0;
-    for (size_t j = v; j < o.preorder.size(); ++j) {
-      excess += o.preorder[j] ? 1 : -1;
-      if (excess == -1) {
-        o.close[v] = j;
-        break;
-      }
-    }
-  }
-  return o;
-}
-
-BitArray ToBits(const std::vector<bool>& v) {
-  BitArray a;
-  for (bool b : v) a.PushBack(b);
-  return a;
-}
-
-TEST(BinaryTreeShape, SingleLeaf) {
-  BitArray a;
-  a.PushBack(false);
-  BinaryTreeShape t(a);
-  EXPECT_EQ(t.NumNodes(), 1u);
-  EXPECT_EQ(t.NumLeaves(), 1u);
-  EXPECT_FALSE(t.IsInternal(0));
-  EXPECT_EQ(t.Close(0), 0u);
-}
-
-TEST(BinaryTreeShape, ThreeNodes) {
-  // root(internal), leaf, leaf -> preorder 1 0 0
-  BitArray a;
-  a.PushBack(true);
-  a.PushBack(false);
-  a.PushBack(false);
-  BinaryTreeShape t(a);
-  EXPECT_EQ(t.LeftChild(0), 1u);
-  EXPECT_EQ(t.RightChild(0), 2u);
-  EXPECT_EQ(t.Close(0), 2u);
-  EXPECT_EQ(t.InternalRank(2), 1u);
-  EXPECT_EQ(t.LeafRank(2), 1u);
-}
-
-TEST(BinaryTreeShape, NineNodeNavigation) {
-  // A 4-internal/5-leaf full binary tree:
-  // preorder: root(1), left-subtree [1,[1,leaf,leaf],leaf], right [1,0,0].
-  const std::vector<bool> pre = {true, true, true,  false, false,
-                                 false, true, false, false};
-  BinaryTreeShape t(ToBits(pre));
-  EXPECT_EQ(t.NumInternal(), 4u);
-  EXPECT_EQ(t.NumLeaves(), 5u);
-  EXPECT_EQ(t.LeftChild(0), 1u);
-  EXPECT_EQ(t.RightChild(0), 6u);
-  EXPECT_EQ(t.LeftChild(1), 2u);
-  EXPECT_EQ(t.RightChild(1), 5u);
-  EXPECT_EQ(t.LeftChild(2), 3u);
-  EXPECT_EQ(t.RightChild(2), 4u);
-  EXPECT_EQ(t.LeftChild(6), 7u);
-  EXPECT_EQ(t.RightChild(6), 8u);
-}
-
-TEST(BinaryTreeShape, RandomTreesMatchBruteForce) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    // Budgets span within-block and multi-block (>512 nodes) regimes.
-    const size_t budget = seed <= 6 ? 200 : 40000;
-    TreeOracle o = MakeOracle(seed, budget);
-    BinaryTreeShape t(ToBits(o.preorder));
-    ASSERT_EQ(t.NumNodes(), o.preorder.size());
-    for (size_t v = 0; v < o.preorder.size(); ++v) {
-      ASSERT_EQ(t.Close(v), o.close[v]) << "seed=" << seed << " v=" << v;
-      if (o.preorder[v]) {
-        ASSERT_EQ(t.LeftChild(v), v + 1);
-        ASSERT_EQ(t.RightChild(v), o.close[v + 1] + 1);
-      }
-    }
-  }
-}
-
-TEST(BinaryTreeShape, DeepLeftSpine) {
-  // Pathological all-left tree: 1^k 0^(k+1); Close spans nearly everything.
-  const size_t k = 5000;
-  BitArray a;
-  for (size_t i = 0; i < k; ++i) a.PushBack(true);
-  for (size_t i = 0; i <= k; ++i) a.PushBack(false);
-  BinaryTreeShape t(a);
-  EXPECT_EQ(t.Close(0), 2 * k);
-  EXPECT_EQ(t.RightChild(0), 2u * k);
-  EXPECT_EQ(t.Close(k), k);  // first leaf
-  // Every internal node v on the spine closes at 2k - ... check a few.
-  EXPECT_EQ(t.Close(1), 2 * k - 1);
-  EXPECT_EQ(t.RightChild(k - 1), k + 1u);
-}
 
 // --------------------------------------------------------- PatriciaTrie
 
