@@ -191,7 +191,7 @@ std::string MetricsSeed() {
 
 // A hand-built span timeline through the live serializer: a freeze with a
 // nested compaction, a WAL fsync on another thread, and a pager-unmap
-// instant — the shape bench_serving's trace gate requires, with fixed
+// instant — the nesting ValidateTraceSnapshot checks, with fixed
 // timestamps so regenerating the corpus must not churn the file.
 std::string TraceSeed() {
   wt::obs::TraceSnapshot s;

@@ -11,9 +11,8 @@ namespace wt::internal {
 
 [[noreturn]] inline void AssertFail(const char* expr, const char* file,
                                     int line, const char* msg) {
-  // The process is about to abort; the async logger (a queue drained by
-  // another thread) could lose this last line, so it goes straight out.
-  std::fprintf(  // wt-lint: allow(raw-stderr) crash path must not queue
+  // The process is about to abort, so the message goes straight out.
+  std::fprintf(  // wt-lint: allow(raw-stderr) crash path before abort
       stderr, "wt: assertion `%s` failed at %s:%d%s%s\n", expr, file, line,
       msg[0] ? ": " : "", msg);
   std::abort();

@@ -69,7 +69,6 @@
 #include "engine/thread_pool.hpp"
 #include "engine/wal.hpp"
 #include "io/vfs.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/image.hpp"
@@ -394,7 +393,6 @@ class Engine {
   /// maintain per operation. Exposition paths call this right before
   /// MetricsRegistry::Snapshot().
   void RefreshMetrics() const {
-    if constexpr (!wt::obs::kObsEnabled) return;
     uint64_t frozen = 0;
     int64_t segments = 0;
     int64_t debt = 0;
@@ -465,6 +463,8 @@ class Engine {
     c_compactions_ = reg.GetCounter("wt_engine_compactions_total");
     c_wal_appends_ = reg.GetCounter("wt_wal_appends_total");
     c_wal_fsyncs_ = reg.GetCounter("wt_wal_fsyncs_total");
+    c_wal_salvages_ = reg.GetCounter("wt_engine_wal_salvages_total");
+    c_background_errors_ = reg.GetCounter("wt_engine_background_errors_total");
     h_freeze_ms_ = reg.GetHistogram("wt_engine_freeze_ms");
     h_compaction_ms_ = reg.GetHistogram("wt_engine_compaction_ms");
     h_wal_append_us_ = reg.GetHistogram("wt_wal_append_us");
@@ -492,7 +492,6 @@ class Engine {
   /// Updates shard s's memtable gauges from its current memtable. Caller
   /// holds ingest_mu_ (the memtable's guard).
   void UpdateMemtableGaugesLocked(size_t s) WT_REQUIRES(ingest_mu_) {
-    if constexpr (!wt::obs::kObsEnabled) return;
     g_mem_strings_[s]->Set(
         static_cast<int64_t>(shards_[s].memtable.size()));
     g_mem_bytes_[s]->Set(
@@ -652,10 +651,6 @@ class Engine {
     if (durable() && PersistManifest().ok()) CleanWal(s);
     h_freeze_ms_->Record(wt::obs::ElapsedMs(t0));
     c_freezes_->Increment();
-    WT_LOG(wt::obs::LogLevel::kInfo, "freeze_done", wt::obs::KV("shard", s),
-           wt::obs::KV("strings", seg->size()),
-           wt::obs::KV("saved", saved),
-           wt::obs::KV("ms", wt::obs::ElapsedMs(t0)));
     // Size-tiered tail compaction: merge while the penultimate segment is
     // within ratio of the last, so segment sizes decay geometrically.
     for (;;) {
@@ -1139,12 +1134,10 @@ class Engine {
     if (salvaged) {
       // The settle below (freezes + WAL generation deletion) runs under a
       // salvage span so a trace of a degraded open shows the repair work;
-      // the log line is the durable breadcrumb that data past the cut was
-      // dropped.
+      // the counter tells an operator that data past the cut was dropped.
       salvage_span.emplace(wt::obs::Tracer::Get(),
                            wt::obs::TraceName::kSalvage, cut);
-      WT_LOG(wt::obs::LogLevel::kWarn, "wal_salvage",
-             wt::obs::KV("cut", cut), wt::obs::KV("total", plan->total));
+      c_wal_salvages_->Increment();
     }
     {
       wt::MutexLock lk(ingest_mu_);
@@ -1169,8 +1162,7 @@ class Engine {
   }
 
   void RecordBackgroundError(const Status& st) {
-    WT_LOG(wt::obs::LogLevel::kError, "background_error",
-           wt::obs::KV("message", st.message()));
+    c_background_errors_->Increment();
     wt::MutexLock lk(bg_error_mu_);
     if (bg_error_.ok()) bg_error_ = st;
   }
@@ -1188,6 +1180,8 @@ class Engine {
   wt::obs::Counter* c_compactions_ = nullptr;
   wt::obs::Counter* c_wal_appends_ = nullptr;
   wt::obs::Counter* c_wal_fsyncs_ = nullptr;
+  wt::obs::Counter* c_wal_salvages_ = nullptr;
+  wt::obs::Counter* c_background_errors_ = nullptr;
   wt::obs::Histogram* h_freeze_ms_ = nullptr;
   wt::obs::Histogram* h_compaction_ms_ = nullptr;
   wt::obs::Histogram* h_wal_append_us_ = nullptr;
@@ -1217,8 +1211,7 @@ class Engine {
   std::atomic<uint64_t> publish_epoch_{0};  // wt-lint: allow(bare-atomic-counter)
   std::atomic<uint64_t> next_batch_id_{0};  // wt-lint: allow(bare-atomic-counter)
   // Steady-clock stamp of the last view publication, feeding the
-  // snapshot-epoch-age gauge. 0 until the first publish (or always,
-  // under WT_OBS_OFF).
+  // snapshot-epoch-age gauge. 0 until the first publish.
   std::atomic<uint64_t> last_publish_ns_{0};  // wt-lint: allow(bare-atomic-counter)
   std::vector<engine::Shard<Codec>> shards_;
   // Orders concurrent manifest writers; always taken before (never inside)

@@ -59,8 +59,8 @@ class AdmissionQueue {
 
   /// `metrics` is where the queue's counters/gauges and the admit-wait
   /// histogram live, and where they are read back from; null creates a
-  /// private registry. The server passes its own, so one snapshot covers
-  /// admission, serving stages and the engine alike.
+  /// private registry. The server passes the engine's, so one snapshot
+  /// covers admission, serving stages and the engine alike.
   AdmissionQueue(Limits limits, MonotonicClock* clock,
                  std::shared_ptr<wt::obs::MetricsRegistry> metrics = nullptr)
       : limits_(limits),
@@ -213,10 +213,8 @@ class AdmissionQueue {
     // slack to spare — every kPublishEveryPops pops as a staleness bound,
     // or when the queue drains for good. The saturated path publishes
     // nothing per pop.
-    if constexpr (wt::obs::kObsEnabled) {
-      if (drained || slack || ++pending_pops_ >= kPublishEveryPops) {
-        FlushWaitSamples();
-      }
+    if (drained || slack || ++pending_pops_ >= kPublishEveryPops) {
+      FlushWaitSamples();
     }
     if (n_expired > 0) c_expired_dequeue_->Add(n_expired);
     return !drained;
@@ -256,10 +254,8 @@ class AdmissionQueue {
     }
     // Same slack-aware publication as PopBatch; an empty poll is the
     // manual-dispatch loop going idle, which is also a publish point.
-    if constexpr (wt::obs::kObsEnabled) {
-      if (empty || slack || ++pending_pops_ >= kPublishEveryPops) {
-        FlushWaitSamples();
-      }
+    if (empty || slack || ++pending_pops_ >= kPublishEveryPops) {
+      FlushWaitSamples();
     }
     if (n_expired > 0) c_expired_dequeue_->Add(n_expired);
     return !empty;
@@ -319,8 +315,7 @@ class AdmissionQueue {
 
  private:
   /// Mirrors queue depth/bytes into the exposition gauges. Telemetry
-  /// only — admission decisions read the guarded fields directly, so a
-  /// WT_OBS_OFF build (where Set is a no-op) behaves identically.
+  /// only — admission decisions read the guarded fields directly.
   void UpdateQueueGaugesLocked() WT_REQUIRES(mu_) {
     g_depth_->Set(static_cast<int64_t>(queue_.size()));
     g_bytes_->Set(static_cast<int64_t>(queued_bytes_));

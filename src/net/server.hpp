@@ -83,7 +83,7 @@ class Server {
     AdmissionQueue::Limits admission;
     SessionLimits session;
     /// Requests popped per dispatch — the coalescing window. 1 degenerates
-    /// to one-query-per-dispatch (the bench's baseline arm).
+    /// to one-query-per-dispatch.
     size_t max_dispatch_batch = 1024;
     /// Grace for flushing replies to slow clients at shutdown.
     uint32_t drain_timeout_ms = 5000;
@@ -96,11 +96,6 @@ class Server {
     /// currently pinned snapshot, invalidated whenever the engine
     /// publishes). Bounds the memo to cap * O(value) bytes; 0 disables.
     size_t access_cache_entries = 1 << 16;
-    /// Instrument home for the serving layer. Null uses the engine's
-    /// registry, so one kMetrics snapshot covers admission, per-stage
-    /// serving histograms and engine internals alike. The bench overrides
-    /// it to isolate per-arm counters.
-    std::shared_ptr<wt::obs::MetricsRegistry> metrics;
   };
 
   /// Binds, starts the threads, returns a serving server.
@@ -119,11 +114,12 @@ class Server {
 
   size_t queue_depth() const { return admission_.depth(); }
 
-  /// The registry every serving-side instrument lives in (the engine's by
-  /// default; see Options::metrics). The only read path for the server's
-  /// own numbers, in process or over kMetrics.
+  /// The registry every serving-side instrument lives in: the engine's,
+  /// so one snapshot covers admission, per-stage serving histograms and
+  /// engine internals alike. The only read path for the server's own
+  /// numbers, in process or over kMetrics.
   const std::shared_ptr<wt::obs::MetricsRegistry>& metrics() const {
-    return metrics_;
+    return engine_->metrics();
   }
 
   /// Graceful shutdown: refuse new work, finish admitted work, flush
@@ -144,7 +140,7 @@ class Server {
         ExecuteBatch(batch, expired);
       }
       // No DispatcherLoop to flush deferred samples on exit — do it here.
-      if constexpr (wt::obs::kObsEnabled) FlushDispatchStageSamples();
+      FlushDispatchStageSamples();
     }
     draining_.store(true, std::memory_order_release);
     wakeup_.Signal();
@@ -199,9 +195,8 @@ class Server {
       : engine_(engine),
         opt_(std::move(opt)),
         clock_(opt_.clock != nullptr ? opt_.clock : RealClock::Instance()),
-        metrics_(opt_.metrics != nullptr ? opt_.metrics : engine->metrics()),
-        admission_(opt_.admission, clock_, metrics_) {
-    wt::obs::MetricsRegistry& reg = *metrics_;
+        admission_(opt_.admission, clock_, engine->metrics()) {
+    wt::obs::MetricsRegistry& reg = *engine->metrics();
     c_conns_accepted_ = reg.GetCounter("wt_serving_conns_accepted_total");
     c_conns_closed_ = reg.GetCounter("wt_serving_conns_closed_total");
     c_protocol_errors_ = reg.GetCounter("wt_serving_protocol_errors_total");
@@ -299,7 +294,7 @@ class Server {
     }
     // Exit: publish deferred flush samples, then drop every remaining
     // connection.
-    if constexpr (wt::obs::kObsEnabled) FlushReplyFlushSamples();
+    FlushReplyFlushSamples();
     std::vector<uint64_t> ids;
     ids.reserve(conns_.size());
     for (const auto& [id, c] : conns_) ids.push_back(id);
@@ -384,16 +379,11 @@ class Server {
         continue;
       }
       if (type == MsgType::kMetrics) {
-        // One merged snapshot for the whole process: the serving-side
-        // registry plus the engine's when they differ (they are usually
-        // the same object; see Options::metrics).
+        // One snapshot for the whole process: serving, admission and
+        // engine instruments share the engine's registry.
         engine_->RefreshMetrics();
-        wt::obs::MetricsSnapshot snap = metrics_->Snapshot();
-        if (engine_->metrics() != metrics_) {
-          snap.MergeFrom(engine_->metrics()->Snapshot());
-        }
         PayloadWriter body;
-        body.Str(wt::obs::SerializeMetricsSnapshot(snap));
+        body.Str(wt::obs::SerializeMetricsSnapshot(metrics()->Snapshot()));
         ReplyInline(c, f.header, WireStatus::kOk, &body);
         continue;
       }
@@ -532,26 +522,23 @@ class Server {
       auto it = conns_.find(done.conn_id);
       if (it != conns_.end()) FlushConn(done.conn_id, *it->second);
     }
-    if constexpr (wt::obs::kObsEnabled) {
-      if (batch.empty()) {
-        // Idle I/O pass: publish anything the busy path deferred (and skip
-        // the clock read — nothing to sample).
-        if (!acc_reply_flush_us_.Empty()) FlushReplyFlushSamples();
-        return;
-      }
-      // Handoff + first flush attempt per completion. Slow clients whose
-      // bytes sit in the session buffer past this point show up as
-      // backpressure (OverHardLimit), not here. Samples accumulate in the
-      // I/O-thread-owned batch; a small drain means the thread is lightly
-      // loaded, which is when publication to the shared histogram happens.
-      const uint64_t now = clock_->NowNanos();
-      for (const Completion& done : batch) {
-        acc_reply_flush_us_.Add((now - done.created_ns) / 1000);
-      }
-      if (batch.size() < kSmallDrain ||
-          ++acc_drains_ >= kPublishEveryBatches) {
-        FlushReplyFlushSamples();
-      }
+    if (batch.empty()) {
+      // Idle I/O pass: publish anything the busy path deferred (and skip
+      // the clock read — nothing to sample).
+      if (!acc_reply_flush_us_.Empty()) FlushReplyFlushSamples();
+      return;
+    }
+    // Handoff + first flush attempt per completion. Slow clients whose
+    // bytes sit in the session buffer past this point show up as
+    // backpressure (OverHardLimit), not here. Samples accumulate in the
+    // I/O-thread-owned batch; a small drain means the thread is lightly
+    // loaded, which is when publication to the shared histogram happens.
+    const uint64_t now = clock_->NowNanos();
+    for (const Completion& done : batch) {
+      acc_reply_flush_us_.Add((now - done.created_ns) / 1000);
+    }
+    if (batch.size() < kSmallDrain || ++acc_drains_ >= kPublishEveryBatches) {
+      FlushReplyFlushSamples();
     }
   }
 
@@ -586,7 +573,7 @@ class Server {
     }
     // Queue closed and drained: publish whatever the slack-aware path
     // still holds so post-Stop snapshots are complete.
-    if constexpr (wt::obs::kObsEnabled) FlushDispatchStageSamples();
+    FlushDispatchStageSamples();
   }
 
   /// One-byte reply body: just the status (errors and acks carry nothing
@@ -623,16 +610,11 @@ class Server {
       // One span per coalesced batch (arg = batch size). Engine work the
       // batch triggers synchronously (WAL append/fsync on the dispatcher
       // thread) nests under it via the thread-local span stack.
-      uint64_t batch_span = 0;
-      if constexpr (wt::obs::kObsEnabled) {
-        batch_span = wt::obs::Tracer::Get().SpanBegin(
-            wt::obs::TraceName::kEngineBatch, batch.size());
-      }
+      const uint64_t batch_span = wt::obs::Tracer::Get().SpanBegin(
+          wt::obs::TraceName::kEngineBatch, batch.size());
       ExecuteCoalesced(batch);
-      if constexpr (wt::obs::kObsEnabled) {
-        wt::obs::Tracer::Get().SpanEnd(
-            batch_span, wt::obs::TraceName::kEngineBatch, batch.size());
-      }
+      wt::obs::Tracer::Get().SpanEnd(
+          batch_span, wt::obs::TraceName::kEngineBatch, batch.size());
       const uint64_t t1 = clock_->NowNanos();
       // EWMA feed: execution cost only (queue wait excluded), split evenly
       // across the batch — what one more queued request costs to serve.
@@ -660,12 +642,9 @@ class Server {
     // i.e. the dispatcher has cycles to spare — or at the staleness bound.
     // Publishing before PostCompletions keeps tests deterministic: a
     // client that saw its reply queries a registry that already counts it.
-    if constexpr (wt::obs::kObsEnabled) {
-      const bool slack =
-          batch.size() + expired.size() < opt_.max_dispatch_batch;
-      if (slack || ++acc_batches_ >= kPublishEveryBatches) {
-        FlushDispatchStageSamples();
-      }
+    const bool slack = batch.size() + expired.size() < opt_.max_dispatch_batch;
+    if (slack || ++acc_batches_ >= kPublishEveryBatches) {
+      FlushDispatchStageSamples();
     }
     PostCompletions(std::move(out));
   }
@@ -946,10 +925,8 @@ class Server {
 
   void PostCompletions(std::vector<Completion>&& done) {
     if (done.empty()) return;
-    if constexpr (wt::obs::kObsEnabled) {
-      const uint64_t now = clock_->NowNanos();
-      for (Completion& c : done) c.created_ns = now;
-    }
+    const uint64_t now = clock_->NowNanos();
+    for (Completion& c : done) c.created_ns = now;
     {
       wt::MutexLock lock(completion_mu_);
       for (Completion& c : done) completions_.push_back(std::move(c));
@@ -962,9 +939,6 @@ class Server {
   EngineT* const engine_;
   const Options opt_;
   MonotonicClock* const clock_;
-  // Declared before admission_ (which registers its instruments here) and
-  // shared so a bench/test holder can outlive the server.
-  const std::shared_ptr<wt::obs::MetricsRegistry> metrics_;
   AdmissionQueue admission_;
   // Cached instrument pointers (deque-stable in the registry); read back
   // through metrics()->Snapshot() or kMetrics, never a second ledger.

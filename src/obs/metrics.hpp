@@ -26,10 +26,8 @@
 // convention is `wt_<subsystem>_<metric>_<unit>` (counters end in
 // `_total`, durations carry `_us`/`_ms`).
 //
-// Compiling with -DWT_OBS_OFF turns every write (Add/Set/Record) into a
-// no-op so the serving bench can price the instrumentation. Metrics are
-// telemetry only — no control-plane decision (admission bounds, EWMA
-// backoff) may read them, so the OFF build behaves identically.
+// Metrics are telemetry only: no control-plane decision (admission
+// bounds, EWMA backoff) may read them.
 #pragma once
 
 #include <algorithm>
@@ -51,15 +49,6 @@
 
 namespace wt::obs {
 
-/// Compile-time observability switch. Call sites that would pay a clock
-/// read for a histogram sample guard it with kObsEnabled so the OFF build
-/// sheds the timing cost too, not just the atomic increments.
-#if defined(WT_OBS_OFF)
-inline constexpr bool kObsEnabled = false;
-#else
-inline constexpr bool kObsEnabled = true;
-#endif
-
 /// Steady-clock timestamp for instrumentation sites that have no injected
 /// MonotonicClock (engine, WAL, pager). Serving-path stages use the
 /// server's injected clock instead so ManualClock tests stay deterministic.
@@ -71,20 +60,10 @@ inline uint64_t NowNanos() {
 }
 
 /// Timing pair for duration histograms: `t0 = TimerStart();` ... and
-/// later `hist->Record(ElapsedUs(t0))`. Both compile to nothing under
-/// WT_OBS_OFF.
-inline uint64_t TimerStart() {
-  if constexpr (kObsEnabled) return NowNanos();
-  return 0;
-}
-inline uint64_t ElapsedUs(uint64_t t0) {
-  if constexpr (kObsEnabled) return (NowNanos() - t0) / 1000;
-  return 0;
-}
-inline uint64_t ElapsedMs(uint64_t t0) {
-  if constexpr (kObsEnabled) return (NowNanos() - t0) / 1000000;
-  return 0;
-}
+/// later `hist->Record(ElapsedUs(t0))`.
+inline uint64_t TimerStart() { return NowNanos(); }
+inline uint64_t ElapsedUs(uint64_t t0) { return (NowNanos() - t0) / 1000; }
+inline uint64_t ElapsedMs(uint64_t t0) { return (NowNanos() - t0) / 1000000; }
 
 namespace detail {
 /// Stripe index for the calling thread: threads round-robin onto stripes
@@ -105,12 +84,8 @@ class Counter {
   static constexpr size_t kStripes = 8;
 
   void Add(uint64_t n) {
-#if !defined(WT_OBS_OFF)
     stripes_[detail::ThreadStripe() & (kStripes - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   void Increment() { Add(1); }
 
@@ -132,20 +107,8 @@ class Counter {
 /// Last-writer-wins signed gauge (queue depths, byte totals, ages).
 class Gauge {
  public:
-  void Set(int64_t v) {
-#if !defined(WT_OBS_OFF)
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  void Add(int64_t d) {
-#if !defined(WT_OBS_OFF)
-    v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
-  }
+  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -242,14 +205,10 @@ struct HistogramSnapshot {
 class HistogramBatch {
  public:
   void Add(uint64_t v) {
-#if !defined(WT_OBS_OFF)
     counts_[HistogramBucketOf(v)]++;
     ++n_;
     sum_ += v;
     if (v > max_) max_ = v;
-#else
-    (void)v;
-#endif
   }
 
   bool Empty() const { return n_ == 0; }
@@ -269,7 +228,6 @@ class HistogramBatch {
 class Histogram {
  public:
   void Record(uint64_t v) {
-#if !defined(WT_OBS_OFF)
     buckets_[HistogramBucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -277,15 +235,11 @@ class Histogram {
     while (v > cur && !max_.compare_exchange_weak(
                           cur, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   /// Merges a whole accumulated batch. Same relaxed-atomic contract as
   /// the per-sample Record, amortized across the batch.
   void Record(const HistogramBatch& b) {
-#if !defined(WT_OBS_OFF)
     if (b.n_ == 0) return;
     for (size_t i = 0; i < kHistogramBuckets; ++i) {
       if (b.counts_[i] != 0) {
@@ -298,9 +252,6 @@ class Histogram {
     while (b.max_ > cur && !max_.compare_exchange_weak(
                                cur, b.max_, std::memory_order_relaxed)) {
     }
-#else
-    (void)b;
-#endif
   }
 
   HistogramSnapshot Snap() const {
@@ -331,19 +282,6 @@ struct MetricsSnapshot {
 
   size_t MetricCount() const {
     return counters.size() + gauges.size() + histograms.size();
-  }
-
-  /// Concatenates another snapshot (e.g. a server registry on top of the
-  /// engine's) keeping each kind sorted by name.
-  void MergeFrom(const MetricsSnapshot& o) {
-    auto merge = [](auto& dst, const auto& src) {
-      dst.insert(dst.end(), src.begin(), src.end());
-      std::sort(dst.begin(), dst.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-    };
-    merge(counters, o.counters);
-    merge(gauges, o.gauges);
-    merge(histograms, o.histograms);
   }
 
   const uint64_t* FindCounter(std::string_view name) const {

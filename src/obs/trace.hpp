@@ -157,8 +157,7 @@ inline uint32_t TraceThreadId() {
 
 /// The span collector. Instantiable for tests; production code shares the
 /// process singleton (Tracer::Get()) so engine, pager and server spans
-/// land on one timeline and ids link across subsystems. Every mutating
-/// call compiles to a no-op under WT_OBS_OFF.
+/// land on one timeline and ids link across subsystems.
 class Tracer {
  public:
   explicit Tracer(size_t ring_slots = kDefaultTraceRingSlots)
@@ -173,16 +172,10 @@ class Tracer {
   }
 
   /// Opens a span nested under the calling thread's current span (0 =
-  /// root). Returns the span id to pass to SpanEnd, 0 under WT_OBS_OFF.
+  /// root). Returns the span id to pass to SpanEnd.
   uint64_t SpanBegin(TraceName name, uint64_t arg = 0) {
-#if !defined(WT_OBS_OFF)
     ThreadRing& r = RingForThread();
     return BeginInRing(r, name, CurrentParent(r), arg);
-#else
-    (void)name;
-    (void)arg;
-    return 0;
-#endif
   }
 
   /// Opens a span under an explicit parent — the cross-thread form: a
@@ -190,20 +183,12 @@ class Tracer {
   /// through the closure.
   uint64_t SpanBeginWithParent(TraceName name, uint64_t parent,
                                uint64_t arg = 0) {
-#if !defined(WT_OBS_OFF)
     return BeginInRing(RingForThread(), name, parent, arg);
-#else
-    (void)name;
-    (void)parent;
-    (void)arg;
-    return 0;
-#endif
   }
 
   /// Closes a span begun on THIS thread. Tolerates misnesting by
   /// unwinding the stack to the span (children left open are abandoned).
   void SpanEnd(uint64_t span_id, TraceName name, uint64_t arg = 0) {
-#if !defined(WT_OBS_OFF)
     if (span_id == 0) return;
     ThreadRing& r = RingForThread();
     for (size_t i = r.depth; i > 0; --i) {
@@ -213,50 +198,33 @@ class Tracer {
       }
     }
     Emit(r, TraceKind::kEnd, name, span_id, CurrentParent(r), arg);
-#else
-    (void)span_id;
-    (void)name;
-    (void)arg;
-#endif
   }
 
   /// Zero-duration marker under the current span.
   void Instant(TraceName name, uint64_t arg = 0) {
-#if !defined(WT_OBS_OFF)
     ThreadRing& r = RingForThread();
     Emit(r, TraceKind::kInstant, name, /*span_id=*/0, CurrentParent(r), arg);
-#else
-    (void)name;
-    (void)arg;
-#endif
   }
 
   /// The calling thread's innermost open span id, 0 when none. The engine
   /// parents work it hands to its thread pool on it.
   uint64_t CurrentSpan() {
-#if !defined(WT_OBS_OFF)
     ThreadRing* r = MaybeRing();
     return r == nullptr ? 0 : CurrentParent(*r);
-#else
-    return 0;
-#endif
   }
 
   /// Force-publishes the calling thread's ring so a following Snapshot
   /// observes every event emitted so far (tests; also useful before
   /// handing work to another thread).
   void FlushThisThread() {
-#if !defined(WT_OBS_OFF)
     ThreadRing* r = MaybeRing();
     if (r != nullptr) PublishRing(*r);
-#endif
   }
 
   /// Collects every ring's published events, newest ~ring_slots per
   /// thread, sorted by timestamp. Safe to call while writers are active.
   TraceSnapshot Snapshot() const WT_EXCLUDES(mu_) {
     TraceSnapshot snap;
-#if !defined(WT_OBS_OFF)
     wt::MutexLock lock(mu_);
     for (const ThreadRing& r : rings_) {
       const uint64_t pub = r.pub_wpos.load(std::memory_order_acquire);
@@ -276,7 +244,6 @@ class Tracer {
                      [](const TraceWireEvent& a, const TraceWireEvent& b) {
                        return a.ts_ns < b.ts_ns;
                      });
-#endif
     return snap;
   }
 
@@ -520,10 +487,10 @@ inline bool ParseTraceSnapshot(const char* data, size_t size,
   return true;
 }
 
-/// Structural validation shared by `wt_trace --validate` and the serving
-/// bench gate. Rules are eviction-tolerant: a ring that wrapped (dropped
-/// > 0) may have shed a Begin whose End survived, so the strict pairing
-/// rules only bind when nothing was dropped.
+/// Structural validation shared by `wt_trace --validate`, wtbench's
+/// traced runs and the tests. Rules are eviction-tolerant: a ring that
+/// wrapped (dropped > 0) may have shed a Begin whose End survived, so the
+/// strict pairing rules only bind when nothing was dropped.
 ///
 ///   * timestamps non-decreasing (Snapshot sorts; the wire must stay so)
 ///   * no span id begins or ends twice

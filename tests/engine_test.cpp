@@ -226,7 +226,6 @@ TEST(EngineDifferential, FixedIntCodecEngine) {
 // frozen and no memtable holds any, and the counters and histograms the
 // ingest and freeze paths maintain agree with each other.
 TEST(EngineObservability, RegistryAccountsForEveryAppendedString) {
-  if (!wt::obs::kObsEnabled) GTEST_SKIP() << "registry writes compiled out";
   StrEngine::Options opt;
   opt.num_shards = 2;
   opt.memtable_limit = 256;
@@ -525,6 +524,12 @@ TEST(EngineRecovery, UnsavedSegmentStaysOutOfManifestAndWalFloor) {
     EXPECT_FALSE(eng->Flush().ok());  // the background error is sticky;
                                       // the freeze itself succeeds
     EXPECT_EQ(eng->size(), 1000u);
+    // The failed save is counted where operators read it.
+    const wt::obs::MetricsSnapshot ms = eng->metrics()->Snapshot();
+    const uint64_t* errors =
+        ms.FindCounter("wt_engine_background_errors_total");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_GE(*errors, 1u);
     // The WAL generations feeding the unsaved segment must have survived
     // the second (successful) freeze's floor advance and cleaning pass.
     EXPECT_TRUE(fs::exists(dir.path / "wal-0-0.log"));
@@ -633,6 +638,13 @@ TEST(EngineRecovery, IncompleteMiddleBatchSalvagesLongestPrefix) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   auto eng = std::move(opened).value();
   EXPECT_EQ(eng->size(), 2u);  // batch 0 survives; batches 1 and 2 do not
+  {
+    // The degraded open is counted where operators read it.
+    const wt::obs::MetricsSnapshot ms = eng->metrics()->Snapshot();
+    const uint64_t* salvages = ms.FindCounter("wt_engine_wal_salvages_total");
+    ASSERT_NE(salvages, nullptr);
+    EXPECT_EQ(*salvages, 1u);
+  }
   ASSERT_TRUE(eng->Flush().ok());
   const auto snap = eng->GetSnapshot();
   ASSERT_EQ(snap.size(), 2u);

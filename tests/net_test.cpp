@@ -14,7 +14,10 @@
 //     pinned snapshot oracle, per-request errors that keep the connection,
 //     stream errors that end it, shed-under-burst with manual dispatch,
 //     deadline expiry mid-queue with a manual clock, slow-client
-//     disconnect, and graceful shutdown that answers everything admitted.
+//     disconnect, and graceful shutdown that answers everything admitted;
+//   * coalescing as counts (Linux, manual dispatch): requests per dispatch
+//     from wt_serving_batch_size and one serving.engine_batch span per
+//     dispatch, coalesced vs one-request-per-dispatch.
 //
 // All server tests run under TSan in CI (two server threads + client
 // threads exercise the completion handoff and the atomics).
@@ -25,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/admission.hpp"
@@ -41,6 +45,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/trace.hpp"
 #include "util/workloads.hpp"
 #endif
 
@@ -392,6 +397,30 @@ WireStatus StatusOf(const Frame& f, PayloadReader* r) {
   return st;
 }
 
+/// Reads one histogram back from the registry; a missing histogram fails
+/// the test.
+wt::obs::HistogramSnapshot Hist(const wt::obs::MetricsRegistry& reg,
+                                std::string_view name) {
+  const wt::obs::MetricsSnapshot snap = reg.Snapshot();
+  const wt::obs::HistogramSnapshot* h = snap.FindHistogram(name);
+  EXPECT_NE(h, nullptr) << name;
+  return h != nullptr ? *h : wt::obs::HistogramSnapshot{};
+}
+
+/// serving.engine_batch begins on the process timeline so far. Manual
+/// dispatch runs on the calling thread, so publishing its ring first makes
+/// every dispatch it pumped visible.
+size_t EngineBatchSpans() {
+  wt::obs::Tracer& tracer = wt::obs::Tracer::Get();
+  tracer.FlushThisThread();
+  size_t n = 0;
+  for (const wt::obs::TraceWireEvent& e : tracer.Snapshot().events) {
+    n += e.kind == static_cast<uint8_t>(wt::obs::TraceKind::kBegin) &&
+         e.name == static_cast<uint8_t>(wt::obs::TraceName::kEngineBatch);
+  }
+  return n;
+}
+
 /// One kMetrics round trip, parsed into *out.
 ::testing::AssertionResult FetchMetrics(Client& c, uint64_t request_id,
                                         wt::obs::MetricsSnapshot* out) {
@@ -672,9 +701,10 @@ TEST(ServerTest, ShedUnderBurstIsExactWithManualDispatch) {
   }
   EXPECT_EQ(shed, kBurst - 16);
 
-  // Pump the dispatcher: the 16 admitted requests all answer kOk.
-  while ((*server)->DispatchOnce()) {
-  }
+  // One dispatch answers all 16 admitted requests, so shedding the other
+  // 84 cost the dispatcher nothing.
+  ASSERT_TRUE((*server)->DispatchOnce());
+  EXPECT_FALSE((*server)->DispatchOnce());
   for (int i = 0; i < 16; ++i) {
     auto resp = client->Recv();
     ASSERT_TRUE(resp.ok());
@@ -687,6 +717,10 @@ TEST(ServerTest, ShedUnderBurstIsExactWithManualDispatch) {
   EXPECT_EQ(Count(reg, "wt_admission_admitted_total"), 16u);
   EXPECT_EQ(Count(reg, "wt_admission_shed_total"), uint64_t(kBurst - 16));
   EXPECT_EQ(Count(reg, "wt_admission_completed_total"), 16u);
+  ExpectAdmittedAllAnswered(reg);
+  const wt::obs::HistogramSnapshot sizes = Hist(reg, "wt_serving_batch_size");
+  EXPECT_EQ(sizes.count, 1u);
+  EXPECT_EQ(sizes.sum, 16u);
   ASSERT_TRUE((*server)->Stop().ok());
 }
 
@@ -863,19 +897,29 @@ TEST(ServerTest, CoalescesAcrossConnectionsAndEpochsTrackPublishes) {
   // Two clients, three requests total, one DispatchOnce: the coalescer
   // merges them into single batch calls and every reply still routes to
   // the right connection and request id.
+  auto send_three = [](Client& a, Client& b) {
+    ASSERT_TRUE(
+        a.Send(MsgType::kAccess, 101, 0, Client::AccessPayload({1, 2})).ok());
+    ASSERT_TRUE(
+        b.Send(MsgType::kAccess, 201, 0, Client::AccessPayload({3})).ok());
+    ASSERT_TRUE(
+        b.Send(MsgType::kRank, 202, 0, Client::RankPayload({"zzz"}, {100}))
+            .ok());
+  };
   auto c1 = Client::Connect((*server)->port());
   auto c2 = Client::Connect((*server)->port());
   ASSERT_TRUE(c1.ok());
   ASSERT_TRUE(c2.ok());
-  ASSERT_TRUE(
-      c1->Send(MsgType::kAccess, 101, 0, Client::AccessPayload({1, 2})).ok());
-  ASSERT_TRUE(
-      c2->Send(MsgType::kAccess, 201, 0, Client::AccessPayload({3})).ok());
-  ASSERT_TRUE(c2->Send(MsgType::kRank, 202, 0,
-                       Client::RankPayload({"zzz"}, {100}))
-                  .ok());
+  send_three(*c1, *c2);
   while ((*server)->queue_depth() < 3) std::this_thread::yield();
+  const size_t spans_before = EngineBatchSpans();
   ASSERT_TRUE((*server)->DispatchOnce());
+  // One dispatch, one engine batch, one batch-size sample of 3.
+  EXPECT_EQ(EngineBatchSpans() - spans_before, 1u);
+  const wt::obs::HistogramSnapshot coalesced =
+      Hist(*(*server)->metrics(), "wt_serving_batch_size");
+  EXPECT_EQ(coalesced.count, 1u);
+  EXPECT_EQ(coalesced.sum, 3u);
 
   auto snap = store.engine->GetSnapshot();
   {
@@ -928,6 +972,41 @@ TEST(ServerTest, CoalescesAcrossConnectionsAndEpochsTrackPublishes) {
   EXPECT_EQ(rank, 1u);
 
   ASSERT_TRUE((*server)->Stop().ok());
+
+  // The coalescing ablation: the same three requests against a server
+  // that pops one request per dispatch take three dispatches and three
+  // engine batches. A batch with no slack defers its samples, so the
+  // histogram is read after Stop().
+  ServedStore solo_store(UrlWorkload(512, 19));
+  StrServer::Options solo_opt = opt;
+  solo_opt.max_dispatch_batch = 1;
+  auto solo = StrServer::Start(solo_store.engine.get(), solo_opt);
+  ASSERT_TRUE(solo.ok());
+  auto s1 = Client::Connect((*solo)->port());
+  auto s2 = Client::Connect((*solo)->port());
+  ASSERT_TRUE(s1.ok());
+  ASSERT_TRUE(s2.ok());
+  send_three(*s1, *s2);
+  while ((*solo)->queue_depth() < 3) std::this_thread::yield();
+  const size_t solo_spans_before = EngineBatchSpans();
+  size_t dispatches = 0;
+  while ((*solo)->DispatchOnce()) dispatches++;
+  EXPECT_EQ(dispatches, 3u);
+  EXPECT_EQ(EngineBatchSpans() - solo_spans_before, 3u);
+  const std::pair<Client*, uint64_t> solo_replies[] = {
+      {&*s1, 101}, {&*s2, 201}, {&*s2, 202}};
+  for (const auto& [client, want_id] : solo_replies) {
+    auto reply = client->Recv();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->header.request_id, want_id);
+    PayloadReader pr(nullptr, 0);
+    EXPECT_EQ(StatusOf(*reply, &pr), WireStatus::kOk);
+  }
+  ASSERT_TRUE((*solo)->Stop().ok());
+  const wt::obs::HistogramSnapshot solo_sizes =
+      Hist(*(*solo)->metrics(), "wt_serving_batch_size");
+  EXPECT_EQ(solo_sizes.count, 3u);
+  EXPECT_EQ(solo_sizes.sum, 3u);
 }
 
 TEST(ServerTest, CoalescedBatchDedupsRepeatedAccessPositions) {

@@ -1,5 +1,4 @@
-// Tests for the span-tracing subsystem and the structured async logger
-// (src/obs/trace.hpp, src/obs/log.hpp, DESIGN.md #13):
+// Tests for the span-tracing subsystem (src/obs/trace.hpp, DESIGN.md #13):
 //   * ring overflow: the drop counter is exact and no surviving event is
 //     torn (every slot either reads whole or is shed into `dropped`);
 //   * slack-aware publication: events become reader-visible at the slack
@@ -10,12 +9,9 @@
 //     rejected, eviction-tolerant validation rules;
 //   * concurrent begin/end/instant under load while snapshotting (the
 //     TSan job runs this binary);
-//   * logger: structured lines through the Vfs seam, per-site rate
-//     limiting with carried suppressed counts, queue-overflow drops,
-//     write-error counting under FaultVfs;
 //   * integration: a durable engine's background work lands freeze /
-//     compaction / WAL-fsync / manifest spans on the process timeline
-//     with the nesting the validator demands.
+//     compaction / WAL-fsync / manifest / pager-map spans on the process
+//     timeline with the nesting the validator demands.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,8 +23,6 @@
 
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
-#include "io/vfs.hpp"
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 
 namespace wt::obs {
@@ -334,94 +328,12 @@ TEST(TraceConcurrency, ConcurrentSpansAndSnapshotsStayWhole) {
   EXPECT_TRUE(ParseTraceSnapshot(bytes.data(), bytes.size(), &back));
 }
 
-// ---------------------------------------------------------------- logger
-
-TEST(Logger, StructuredLinesThroughVfsSeam) {
-  wt::io::FaultVfs vfs;
-  Logger lg;
-  LogSite site;
-  // Logging before Configure buffers in memory and flushes once the sink
-  // exists — startup lines are never lost to ordering.
-  lg.LogAt(site, LogLevel::kInfo, "early", {KV("seq", 1)});
-  ASSERT_TRUE(lg.Configure({.path = "app.log", .vfs = &vfs}).ok());
-  lg.LogAt(site, LogLevel::kInfo, "freeze_done",
-           {KV("shard", 3), KV("note", "two words"), KV("ok", true)});
-  lg.LogAt(site, LogLevel::kDebug, "below_min_level", {});
-  lg.Flush();
-  lg.Shutdown();
-
-  const std::string content = vfs.CurrentFiles().at("app.log");
-  EXPECT_NE(content.find("event=early seq=1"), std::string::npos);
-  EXPECT_NE(content.find("level=info event=freeze_done shard=3 "
-                         "note=\"two words\" ok=true"),
-            std::string::npos);
-  // Default min level is kInfo: the debug line never reached the queue.
-  EXPECT_EQ(content.find("below_min_level"), std::string::npos);
-  EXPECT_EQ(lg.write_errors(), 0u);
-}
-
-TEST(Logger, PerSiteRateLimitCarriesSuppressedCount) {
-  wt::io::FaultVfs vfs;
-  Logger lg;
-  Logger::Options opt;
-  opt.path = "rate.log";
-  opt.vfs = &vfs;
-  opt.site_window_ms = 100;
-  opt.site_max_per_window = 2;
-  ASSERT_TRUE(lg.Configure(std::move(opt)).ok());
-  LogSite site;
-  for (int i = 0; i < 10; ++i) {
-    lg.LogAt(site, LogLevel::kInfo, "flood", {KV("i", i)});
-  }
-  lg.Flush();
-  EXPECT_EQ(lg.suppressed(), 8u);
-  // After the window rolls, the next line from the site carries the
-  // flood size so the log shows one line saying how much was dropped.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  lg.LogAt(site, LogLevel::kInfo, "flood", {KV("i", 10)});
-  lg.Flush();
-  lg.Shutdown();
-  const std::string content = vfs.CurrentFiles().at("rate.log");
-  EXPECT_NE(content.find("event=flood suppressed=8 i=10"),
-            std::string::npos);
-  // A different site is untouched by this site's window.
-  EXPECT_EQ(lg.dropped(), 0u);
-}
-
-TEST(Logger, QueueOverflowDropsInsteadOfBlocking) {
-  // Unconfigured: no flusher drains, so the queue bound is hit exactly.
-  // Log() is the unlimited variant — no site window shields the queue.
-  Logger lg;
-  for (int i = 0; i < 4100; ++i) {
-    lg.Log(LogLevel::kError, "burst", {});
-  }
-  EXPECT_EQ(lg.dropped(), 4u);  // default bound 4096
-  EXPECT_EQ(lg.emitted(), 4100u);
-}
-
-TEST(Logger, WriteErrorsCountedUnderFaultVfs) {
-  wt::io::FaultVfs vfs;
-  Logger lg;
-  ASSERT_TRUE(lg.Configure({.path = "faulty.log", .vfs = &vfs}).ok());
-  // Op 0 was Configure's OpenWrite; fail the first Append after it.
-  vfs.FailOpAt(1);
-  lg.Log(LogLevel::kError, "doomed", {});
-  lg.Flush();
-  EXPECT_EQ(lg.write_errors(), 1u);
-  // The logger degrades to counting, it does not wedge: later lines land.
-  lg.Log(LogLevel::kError, "survivor", {});
-  lg.Flush();
-  lg.Shutdown();
-  EXPECT_NE(vfs.CurrentFiles().at("faulty.log").find("event=survivor"),
-            std::string::npos);
-}
-
 // ------------------------------------------------------------ integration
 
 // A durable engine under real freeze/compaction load must land its
 // background spans on the process timeline (Tracer::Get()) with the
-// nesting ValidateTraceSnapshot demands — the same gate bench_serving and
-// the CI trace smoke apply to a live daemon.
+// nesting ValidateTraceSnapshot demands — the same gate the CI trace
+// smoke applies to a live daemon.
 TEST(TraceIntegration, EngineBackgroundWorkAppearsOnProcessTimeline) {
   using StrEngine = wtrie::Engine<wt::ByteCodec>;
   TempDir dir("engine_spans");
@@ -459,6 +371,8 @@ TEST(TraceIntegration, EngineBackgroundWorkAppearsOnProcessTimeline) {
   EXPECT_GT(CountEvents(snap, K::kBegin, N::kWalFsync), 0u);
   EXPECT_GT(CountEvents(snap, K::kBegin, N::kManifestPersist), 0u);
   EXPECT_GT(CountEvents(snap, K::kBegin, N::kWalRotate), 0u);
+  // The durable engine remaps every segment it saves.
+  EXPECT_GT(CountEvents(snap, K::kBegin, N::kPagerMap), 0u);
   std::string err;
   EXPECT_TRUE(ValidateTraceSnapshot(snap, &err)) << err;
   // The export pipeline accepts what the engine produced.

@@ -44,12 +44,13 @@ compiler flag can express:
                     (epochs, ids, flags) take a waiver stating they are
                     not telemetry. atomic<bool> is exempt (a flag, never
                     a counter).
-  raw-stderr        fprintf(stderr, ...) outside the structured logger
-                    (src/obs/log.hpp). Library code must report through
-                    WT_LOG so events come out as bounded, rate-limited
-                    key=value lines on the Vfs seam, not interleaved
-                    free-text on a shared stream. Crash-path diagnostics
-                    that must survive a broken logger take a waiver.
+  raw-stderr        fprintf(stderr, ...) anywhere in src/. Library code
+                    reports through the metrics registry
+                    (obs/metrics.hpp) and the span tracer
+                    (obs/trace.hpp), which operators read over kMetrics
+                    and kTrace, not as interleaved free-text on a shared
+                    stream. Crash-path diagnostics written just before
+                    an abort take a waiver.
 
 Waivers: append `// wt-lint: allow(<rule>)` to the offending line, with a
 reason. Use sparingly; CI reviews every new waiver.
@@ -176,9 +177,8 @@ RAW_MUTEX_PATTERN = re.compile(
 
 TSA_ESCAPE_ALLOWED = {"src/common/thread_annotations.hpp"}
 
-# The async logger is the one place allowed to write raw stderr (its own
-# last-resort path); everything else goes through WT_LOG.
-RAW_STDERR_ALLOWED = {"src/obs/log.hpp"}
+# No file may write raw stderr; a crash path takes a waiver instead.
+RAW_STDERR_ALLOWED: set[str] = set()
 RAW_STDERR_PATTERN = re.compile(r"\b(?:std::\s*)?fprintf\s*\(\s*stderr\b")
 
 # The obs layer IS the sanctioned home for atomic counters; everything else
@@ -225,8 +225,8 @@ RULES = {
         "integer std::atomic outside src/obs/ (use the MetricsRegistry, "
         "or waive as sequencing state)",
     "raw-stderr":
-        "fprintf(stderr) outside the structured logger (use WT_LOG, "
-        "or waive for crash-path diagnostics)",
+        "fprintf(stderr) in library code (count it in the metrics "
+        "registry or trace it, or waive for crash-path diagnostics)",
 }
 
 
@@ -320,8 +320,9 @@ def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[Finding]:
     if rel not in RAW_STDERR_ALLOWED:
         for m in RAW_STDERR_PATTERN.finditer(stripped):
             report(m.start(), "raw-stderr",
-                   "raw stderr write: structured events go through WT_LOG "
-                   "(obs/log.hpp); waive only for crash-path diagnostics")
+                   "raw stderr write: events are counted in the metrics "
+                   "registry (obs/metrics.hpp) or traced (obs/trace.hpp); "
+                   "waive only for crash-path diagnostics")
 
     if not rel.startswith(BARE_ATOMIC_ALLOWED_PREFIX):
         for m in BARE_ATOMIC_PATTERN.finditer(stripped):

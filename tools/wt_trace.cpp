@@ -22,8 +22,8 @@
 // timestamps, no duplicate begin/end per span id, matched halves agree on
 // name and thread, every compaction parented under a freeze or tier-merge
 // — and prints a per-name event census. Exit codes: 0 valid, 1 invalid or
-// unreadable, 2 usage. The same checks gate bench_serving's trace
-// artifact, so a CI failure here reproduces locally from the .bin file.
+// unreadable, 2 usage. The CI daemon smoke validates a live daemon's
+// snapshot with it, so a CI failure reproduces locally from the .bin file.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
