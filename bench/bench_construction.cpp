@@ -12,19 +12,29 @@
 //     against the >= 3x acceptance target at 1M strings. The binary exits
 //     nonzero if batch and per-string ingestion ever disagree on queries
 //     or the batch structure grows larger (speedup itself is reported, not
-//     gated, because container timing jitters).
+//     gated, because container timing jitters);
+//   * freeze and merge of a url_large-shaped engine shard (wtbench's 4,096
+//     domains x 256 paths, 131,072 strings; a merge joins two) rebuild
+//     from the tries' leaf dictionaries (Sequence::Freeze, Concat) instead
+//     of the per-string ForEachInRange scan plus BulkBuild. The binary
+//     exits nonzero unless both paths write byte-identical images.
 //
 // Besides the google-benchmark tables, the binary always writes
 // BENCH_construction.json (strings/sec, bits/string, old vs new ingestion,
-// speedups) so the perf trajectory is tracked across PRs.
+// freeze and merge paths, speedups, hardware threads) so the perf
+// trajectory is tracked across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "api/sequence.hpp"
 #include "core/codec.hpp"
 #include "core/dynamic_wavelet_trie.hpp"
 #include "core/wavelet_trie.hpp"
@@ -162,12 +172,103 @@ double Seconds(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+// String path vs leaf-dictionary path for one rebuild, kRuns timed runs
+// each (the paths are deterministic, so every run builds the same image).
+struct PathRow {
+  size_t strings = 0;
+  std::vector<double> string_s, dict_s;  // seconds, sorted
+  bool identical = false;
+};
+
+constexpr int kRuns = 5;
+
+template <typename Fn>
+std::vector<double> TimeRuns(Fn&& fn) {
+  std::vector<double> s;
+  for (int r = 0; r < kRuns; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    s.push_back(Seconds(t0, std::chrono::steady_clock::now()));
+  }
+  std::sort(s.begin(), s.end());
+  return s;
+}
+
+template <typename Trie>
+std::vector<BitString> ScanAll(const Trie& trie) {
+  std::vector<BitString> out;
+  out.reserve(trie.size());
+  trie.ForEachInRange(0, trie.size(),
+                      [&](size_t, const BitString& s) { out.push_back(s); });
+  return out;
+}
+
+using Memtable = wtrie::Sequence<wtrie::AppendOnly>;
+using Segment = wtrie::Sequence<wtrie::Static>;
+
+// One url_large-shaped shard: wtbench's 4,096 domains x 256 paths.
+Memtable MakeShard(UrlLogGenerator* gen, size_t n) {
+  Memtable mem;
+  const bool ok = mem.AppendBatch(gen->Take(n)).ok();
+  if (!ok) std::abort();
+  return mem;
+}
+
+// The timed region is the rebuild; the images are compared afterwards.
+PathRow MeasureFreeze(const Memtable& mem) {
+  PathRow row;
+  row.strings = mem.size();
+  Segment by_string, by_dict;
+  row.string_s =
+      TimeRuns([&] { by_string = Segment::FromEncoded(ScanAll(mem.trie())); });
+  row.dict_s = TimeRuns([&] { by_dict = mem.Freeze(); });
+  row.identical = by_string.SerializeImage() == by_dict.SerializeImage();
+  return row;
+}
+
+PathRow MeasureMerge(const Segment& a, const Segment& b) {
+  PathRow row;
+  row.strings = a.size() + b.size();
+  Segment by_string, by_dict;
+  row.string_s = TimeRuns([&] {
+    std::vector<BitString> enc = ScanAll(a.trie());
+    for (BitString& s : ScanAll(b.trie())) enc.push_back(std::move(s));
+    by_string = Segment::FromEncoded(enc);
+  });
+  const std::vector<const Segment*> parts{&a, &b};
+  row.dict_s = TimeRuns([&] { by_dict = Segment::Concat(parts); });
+  row.identical = by_string.SerializeImage() == by_dict.SerializeImage();
+  return row;
+}
+
+// Throughput from the median run; the ms range is the run-to-run spread.
+void PrintPathRow(FILE* f, const char* name, const PathRow& row, bool last) {
+  const double n = static_cast<double>(row.strings);
+  const double string_med = row.string_s[kRuns / 2];
+  const double dict_med = row.dict_s[kRuns / 2];
+  std::fprintf(f, "  \"%s\": {\n", name);
+  std::fprintf(f, "    \"num_strings\": %zu,\n", row.strings);
+  std::fprintf(f, "    \"runs\": %d,\n", kRuns);
+  std::fprintf(f, "    \"string_path_strings_per_sec\": %.0f,\n",
+               n / string_med);
+  std::fprintf(f, "    \"dict_path_strings_per_sec\": %.0f,\n", n / dict_med);
+  std::fprintf(f, "    \"string_path_ms_min_max\": [%.1f, %.1f],\n",
+               1e3 * row.string_s.front(), 1e3 * row.string_s.back());
+  std::fprintf(f, "    \"dict_path_ms_min_max\": [%.1f, %.1f],\n",
+               1e3 * row.dict_s.front(), 1e3 * row.dict_s.back());
+  std::fprintf(f, "    \"speedup\": %.2f,\n", string_med / dict_med);
+  std::fprintf(f, "    \"images_identical\": %s\n",
+               row.identical ? "true" : "false");
+  std::fprintf(f, "  }%s\n", last ? "" : ",");
+}
+
 bool WriteAcceptanceJson() {
   // WT_BENCH_SMOKE shrinks the acceptance run so CI can exercise the whole
   // path (build + ingest + identical-result checks) in seconds; the
   // tracked perf numbers come from full runs without it.
   const bool smoke = std::getenv("WT_BENCH_SMOKE") != nullptr;
   const size_t n = smoke ? 50'000 : 1'000'000;
+  const size_t shard_n = smoke ? 16'384 : 131'072;
   const auto seq = MakeLog(n);
   size_t input_bits = 0;
   for (const auto& s : seq) input_bits += s.size();
@@ -201,9 +302,24 @@ bool WriteAcceptanceJson() {
          static_bulk.Access(i) == static_ref.Access(i);
   }
 
+  // Engine rebuilds on url_large-shaped shards: freeze one memtable,
+  // merge two frozen segments.
+  UrlLogOptions large;
+  large.num_domains = 4096;
+  large.paths_per_domain = 256;
+  large.seed = 11;
+  UrlLogGenerator shard_gen(large);
+  const Memtable mem_a = MakeShard(&shard_gen, shard_n);
+  const Memtable mem_b = MakeShard(&shard_gen, shard_n);
+  const PathRow freeze = MeasureFreeze(mem_a);
+  const PathRow merge = MeasureMerge(mem_a.Freeze(), mem_b.Freeze());
+  const bool images_identical = freeze.identical && merge.identical;
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+
   FILE* f = std::fopen("BENCH_construction.json", "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n", hw_threads);
   std::fprintf(f, "  \"workload\": \"url_log_zipf\",\n");
   std::fprintf(f, "  \"num_strings\": %zu,\n", n);
   std::fprintf(f, "  \"bits_per_string\": %.2f,\n",
@@ -228,7 +344,12 @@ bool WriteAcceptanceJson() {
   std::fprintf(f, "    \"bulk_build_strings_per_sec\": %.0f,\n",
                static_cast<double>(n) / bulk_s);
   std::fprintf(f, "    \"speedup\": %.2f\n", static_s / bulk_s);
-  std::fprintf(f, "  }\n");
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"shard_workload\": \"url_large (4096 domains x 256 paths)\",\n");
+  std::fprintf(f, "  \"images_identical\": %s,\n",
+               images_identical ? "true" : "false");
+  PrintPathRow(f, "freeze", freeze, /*last=*/false);
+  PrintPathRow(f, "merge", merge, /*last=*/true);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf(
@@ -236,7 +357,16 @@ bool WriteAcceptanceJson() {
       "static %.2fx, identical=%s\n",
       append_s / batch_s, static_cast<double>(n) / append_s,
       static_cast<double>(n) / batch_s, static_s / bulk_s, ok ? "yes" : "no");
-  return ok;
+  for (const auto& [name, row] : {std::pair{"freeze", &freeze},
+                                   std::pair{"merge", &merge}}) {
+    std::printf("  %s %zu strings, median of %d: %.1f -> %.1f ms (%.2fx)\n",
+                name, row->strings, kRuns, 1e3 * row->string_s[kRuns / 2],
+                1e3 * row->dict_s[kRuns / 2],
+                row->string_s[kRuns / 2] / row->dict_s[kRuns / 2]);
+  }
+  std::printf("  images_identical=%s, hardware_threads=%u\n",
+              images_identical ? "true" : "false", hw_threads);
+  return ok && images_identical;
 }
 
 }  // namespace

@@ -71,8 +71,9 @@ int main() {
   }
 
   // ------------------------------------------------ lifecycle: Thaw/Freeze
-  // A static sequence re-opens under a mutable policy (enumerate-and-replay),
-  // takes updates, and freezes back into the compact static form.
+  // A static sequence re-opens under a mutable policy (rebuilt from its
+  // leaf dictionary), takes updates, and freezes back into the compact
+  // static form.
   auto dyn = seq.Thaw<wtrie::Dynamic>();
   (void)dyn.Insert("api/payments", 4);  // brand new string: alphabet grows
   std::printf("after insert: distinct = %zu, Access(4) = %s\n",

@@ -20,11 +20,12 @@
 //     are the caller's prerogative here;
 //   * cursor-based enumeration (cursor.hpp) instead of std::function
 //     visitors;
-//   * explicit lifecycle transitions: Freeze() (any policy -> Static, via
-//     the word-parallel BulkBuild) and Thaw<P>() (Static -> a mutable
-//     policy, via enumerate-and-replay: the Section 5 sequential scan feeds
-//     AppendBatch, so extraction pays one Rank per trie node and replay is
-//     word-parallel end to end);
+//   * explicit lifecycle transitions: Freeze() (any policy -> Static) and
+//     Thaw<P>() (Static -> a mutable policy) read the source trie's leaf
+//     dictionary (ExtractDict: each distinct string once, each position's
+//     leaf id) and rebuild from it word-parallel — BuildFromDict or
+//     AppendDict — with no hashing and no per-string copy; Concat() joins
+//     static sequences the same way;
 //   * whole-structure persistence for ALL policies in one format: Save/Load
 //     stream the hash-checked v4 image (storage/image.hpp). Mutable
 //     policies persist through their canonical static image and thaw on
@@ -142,9 +143,8 @@ class Sequence {
   }
 
   /// Builds from strings already encoded by (an equal instantiation of)
-  /// `codec` — the engine layer's hook for WAL replay and segment
-  /// compaction, where values were encoded once at ingest and round-trip as
-  /// bits. The distinct set must be prefix-free, as with every codec here.
+  /// `codec`, for callers that hold values as bits. The distinct set must
+  /// be prefix-free, as with every codec here.
   static Sequence FromEncoded(const std::vector<wt::BitString>& enc,
                               Codec codec = {}) {
     Sequence out(std::move(codec));
@@ -478,13 +478,16 @@ class Sequence {
   // -------------------------------------------------------------- lifecycle
 
   /// Snapshots this sequence into the Static policy (Theorem 3.7) — the
-  /// "flush" of a streaming ingest path. Extraction uses the Section 5
-  /// sequential scan; construction uses the word-parallel BulkBuild.
+  /// "flush" of a streaming ingest path. The trie's leaf dictionary
+  /// (ExtractDict) feeds the static builder directly: the image is
+  /// byte-identical to BulkBuild over the extracted strings, without
+  /// materializing or re-hashing them.
   Sequence<Static, Codec> Freeze() const {
     Sequence<Static, Codec> out(codec_);
     out.encoded_bits_ = encoded_bits_;
     if constexpr (kMutable) {
-      out.trie_ = wt::WaveletTrie::BulkBuild(ExtractEncoded());
+      wt::internal::LeafDict d = trie_.ExtractDict();
+      out.trie_ = wt::WaveletTrie::BuildFromDict(std::move(d.dict));
     } else {
       out.trie_ = trie_;      // already static: plain copy
       out.storage_ = storage_;  // a borrowed trie needs its blob alive
@@ -493,17 +496,59 @@ class Sequence {
   }
 
   /// Re-opens a Static sequence under a mutable policy — the inverse of
-  /// Freeze. Enumerate-and-replay: the sequential scan extracts the encoded
-  /// strings (one Rank per trie node for the whole sequence), AppendBatch
-  /// replays them word-parallel. Queries are identical before and after.
+  /// Freeze. The static trie's leaf dictionary (ExtractDict) feeds
+  /// AppendBatch's word-parallel trie pass (AppendDict) directly; the
+  /// result equals AppendBatch over the extracted strings. Queries are
+  /// identical before and after.
   template <typename P2>
   Sequence<P2, Codec> Thaw() const
     requires(!kMutable && P2::kMutable)
   {
     Sequence<P2, Codec> out(codec_);
-    std::vector<wt::BitString> enc = ExtractEncoded();
-    out.encoded_bits_ = TotalBits(enc);
-    out.trie_.AppendBatch(enc);
+    const wt::internal::LeafDict d = trie_.ExtractDict();
+    out.encoded_bits_ = TotalBits(d.dict);
+    out.trie_.AppendDict(d.dict);
+    return out;
+  }
+
+  /// The static sequences `parts`, laid end to end in order, as one — the
+  /// engine's segment compaction. Byte-identical to FromEncoded over the
+  /// parts' strings concatenated, but built from the parts' leaf
+  /// dictionaries: only their leaf strings are deduplicated (DedupBatch
+  /// over the union of the parts' alphabets), each position is remapped to
+  /// its global id, and the trie is built once (BuildFromDict). Like
+  /// FromEncoded, it does not check kMaxEncodedBits; the caller keeps the
+  /// parts' total within it.
+  static Sequence Concat(std::span<const Sequence* const> parts,
+                         Codec codec = {})
+    requires(!kMutable)
+  {
+    std::vector<wt::internal::LeafDict> dicts;
+    dicts.reserve(parts.size());
+    std::vector<wt::BitSpan> leaves;  // every part's leaf strings, in order
+    size_t n = 0;
+    for (const Sequence* p : parts) {
+      dicts.push_back(p->trie_.ExtractDict());
+      const std::vector<wt::BitSpan>& d = dicts.back().dict.distinct;
+      leaves.insert(leaves.end(), d.begin(), d.end());
+      n += p->size();
+    }
+    // The union alphabet. DedupBatch's id_of gives the union id of the
+    // k-th entry of `leaves`; it is then replaced by one id per position.
+    wt::internal::BatchDict all = wt::internal::DedupBatch(leaves);
+    const std::vector<uint32_t> leaf_union_id = std::move(all.id_of);
+    all.id_of.clear();
+    all.id_of.reserve(n);
+    size_t base = 0;  // offset of the current part's leaves in `leaves`
+    for (const wt::internal::LeafDict& d : dicts) {
+      for (const uint32_t id : d.dict.id_of) {
+        all.id_of.push_back(leaf_union_id[base + id]);
+      }
+      base += d.dict.distinct.size();
+    }
+    Sequence out(std::move(codec));
+    out.encoded_bits_ = TotalBits(all);
+    out.trie_ = Trie::BuildFromDict(std::move(all));
     return out;
   }
 
@@ -691,19 +736,6 @@ class Sequence {
   /// kMaxEncodedBits). An upper bound on the static image's beta bits.
   uint64_t EncodedBits() const { return encoded_bits_; }
 
-  /// The whole sequence as encoded strings, extracted with the Section 5
-  /// sequential scan (one Rank per trie node total, not per element). This
-  /// is the engine layer's segment-merge hook: segments are re-linearized
-  /// and rebuilt through FromEncoded without a decode/encode round trip.
-  std::vector<wt::BitString> ExtractEncoded() const {
-    std::vector<wt::BitString> enc;
-    enc.reserve(size());
-    trie_.ForEachInRange(0, size(), [&](size_t, const wt::BitString& s) {
-      enc.push_back(s);
-    });
-    return enc;
-  }
-
  private:
   template <typename P2, typename C2>
   friend class Sequence;  // Freeze/Thaw build sibling instantiations
@@ -735,6 +767,13 @@ class Sequence {
   static uint64_t TotalBits(const std::vector<wt::BitString>& enc) {
     uint64_t bits = 0;
     for (const auto& s : enc) bits += s.size();
+    return bits;
+  }
+
+  /// The summed length of the strings a dictionary spells.
+  static uint64_t TotalBits(const wt::internal::BatchDict& dict) {
+    uint64_t bits = 0;
+    for (const uint32_t id : dict.id_of) bits += dict.distinct[id].size();
     return bits;
   }
 

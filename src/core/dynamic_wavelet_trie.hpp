@@ -84,7 +84,16 @@ class DynamicWaveletTrieT {
   /// The spans must stay valid for the duration of the call.
   void AppendBatch(std::span<const BitSpan> batch) {
     if (batch.empty()) return;
-    const internal::BatchDict dict = internal::DedupBatch(batch);
+    AppendDict(internal::DedupBatch(batch));
+  }
+
+  /// AppendBatch's trie pass, fed a batch already collapsed onto its
+  /// distinct alphabet: by DedupBatch over fresh strings, or by a static
+  /// trie's ExtractDict (Sequence::Thaw). The distinct strings must be
+  /// pairwise different, each used by some position, and alive for the
+  /// duration of the call; their order does not matter.
+  void AppendDict(const internal::BatchDict& dict) {
+    if (dict.id_of.empty()) return;
     // Occurrence ids are 16-bit whenever the distinct alphabet allows it:
     // the per-occurrence partitions are memory-bound, so the narrower ids
     // halve the dominant traffic.
@@ -538,6 +547,13 @@ class DynamicWaveletTrieT {
   template <typename DistinctFn>
   void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
 
+  /// The whole sequence as a dictionary — each leaf's string once, in
+  /// preorder, and each position's leaf id — through the kernel the static
+  /// trie's ExtractDict shares (internal::ExtractLeafDict).
+  internal::LeafDict ExtractDict() const {
+    return internal::ExtractLeafDict(n_, DictWalk{root_});
+  }
+
   size_t SizeInBits() const { return NodeSize(root_); }
 
   /// Maximum number of internal nodes on any root-to-leaf path (the h of
@@ -568,6 +584,17 @@ class DynamicWaveletTrieT {
     BV beta;           // internal nodes only
     size_t count = 0;  // leaves only: multiplicity
     bool IsLeaf() const { return child[0] == nullptr; }
+  };
+
+  /// ExtractLeafDict's view of this trie.
+  struct DictWalk {
+    using NodeRef = const Node*;
+    const Node* root;
+    NodeRef Root() const { return root; }
+    BitSpan Label(NodeRef v) const { return v->label.Span(); }
+    bool IsLeaf(NodeRef v) const { return v->IsLeaf(); }
+    NodeRef Child(NodeRef v, bool b) const { return v->child[b]; }
+    typename BV::Iterator Beta(NodeRef v) const { return v->beta.IteratorAt(0); }
   };
 
   static size_t SubtreeSize(const Node* v) {

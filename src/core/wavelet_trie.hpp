@@ -143,19 +143,30 @@ class WaveletTrie {
   /// byte-identical serialization to the WaveletTrie(seq) constructor — the
   /// constructor stays as the bit-for-bit reference the differential test
   /// compares against — but first collapses the sequence onto its distinct
-  /// alphabet: label LCPs and shape decisions run over the distinct set
-  /// only, and each node's branch bits are emitted as packed 64-bit words
-  /// driven by an L1-resident per-node bit table over distinct ids.
+  /// alphabet (DedupBatch), then builds through BuildFromDict.
   static WaveletTrie BulkBuild(const std::vector<BitString>& seq) {
+    std::vector<BitSpan> spans;
+    spans.reserve(seq.size());
+    for (const auto& s : seq) spans.push_back(s.Span());
+    return BuildFromDict(internal::DedupBatch(std::span<const BitSpan>(spans)));
+  }
+
+  /// The one static builder, fed a sequence already collapsed onto its
+  /// distinct alphabet: by DedupBatch over fresh strings (BulkBuild), or by
+  /// a built trie's ExtractDict (Sequence::Freeze and Concat). Label LCPs
+  /// and shape decisions run over the distinct set only, and each node's
+  /// branch bits are emitted as packed 64-bit words driven by an
+  /// L1-resident per-node bit table over distinct ids. The image depends
+  /// only on the sequence `dict` spells, not on the order of its distinct
+  /// strings, which must be pairwise different, prefix-free, each used by
+  /// some position, and alive for the duration of the call.
+  static WaveletTrie BuildFromDict(internal::BatchDict dict) {
     WaveletTrie out;
-    out.n_ = seq.size();
+    out.n_ = dict.id_of.size();
     if (out.n_ == 0) return out;
     const size_t n = out.n_;
-    std::vector<BitSpan> spans;
-    spans.reserve(n);
-    for (const auto& s : seq) spans.push_back(s.Span());
-    internal::BatchDict dict =
-        internal::DedupBatch(std::span<const BitSpan>(spans));
+    WT_ASSERT_MSG(n < (uint64_t(1) << 32),
+                  "WaveletTrie: 2^32 or more strings (ids are 32-bit)");
     const std::vector<BitSpan>& dstr = dict.distinct;
     const size_t dn = dstr.size();
     std::vector<uint32_t> darr(dn);
@@ -590,6 +601,14 @@ class WaveletTrie {
   template <typename DistinctFn>
   void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
 
+  /// The whole sequence as a dictionary — each leaf's string once, in
+  /// preorder, and each position's leaf id — read off the betas in one
+  /// preorder pass (internal::ExtractLeafDict). BuildFromDict over it
+  /// rebuilds this trie byte for byte.
+  internal::LeafDict ExtractDict() const {
+    return internal::ExtractLeafDict(n_, DictWalk{this});
+  }
+
   /// v4 flat image (DESIGN.md #8): one section per component, the RRR
   /// directories *and the node headers* persisted, so LoadImage borrows the
   /// whole trie out of the blob with no rebuild pass — the structure is
@@ -704,6 +723,21 @@ class WaveletTrie {
   };
 
  private:
+  /// ExtractLeafDict's view of this trie.
+  struct DictWalk {
+    using NodeRef = size_t;
+    const WaveletTrie* t;
+    NodeRef Root() const { return 0; }
+    BitSpan Label(NodeRef v) const { return t->Label(v); }
+    bool IsLeaf(NodeRef v) const { return !t->IsInternalNode(v); }
+    NodeRef Child(NodeRef v, bool b) const {
+      return b ? t->RightChildOf(v) : v + 1;
+    }
+    Rrr::Iterator Beta(NodeRef v) const {
+      return Rrr::Iterator(&t->beta_, t->BetaLoc(v).first);
+    }
+  };
+
   /// Preorder build step shared by both constructors: appends the header
   /// of the node whose label was just appended (a leaf until its beta is
   /// set) and links it as its parent's right child when it is one.

@@ -9,10 +9,11 @@
 //     appends through the word-parallel ingest path, and
 //   * a stack of frozen segments — `Sequence<Static>` (Theorem 3.7) built
 //     by background Freeze() when the memtable crosses a size threshold,
-//     with adjacent small segments merged by enumerate-and-BulkBuild
-//     compaction (size-tiered: a merge runs while the penultimate segment
-//     is at most `compaction_size_ratio` times the last, so stacks stay
-//     logarithmic in shard size).
+//     with adjacent small segments merged by Sequence::Concat compaction
+//     (both rebuild from the tries' leaf dictionaries, never from
+//     per-string copies; size-tiered: a merge runs while the penultimate
+//     segment is at most `compaction_size_ratio` times the last, so stacks
+//     stay logarithmic in shard size).
 //
 // Reads never lock: GetSnapshot() pins the published immutable views
 // (engine/snapshot.hpp) and answers Access/Rank/Select, their batch forms,
@@ -697,9 +698,10 @@ class Engine {
   }
 
   /// Merges the last `k` (>= 2) segments of shard s into one, preserving
-  /// order: enumerate each segment's encoded strings (one Rank per trie
-  /// node total), concatenate, BulkBuild. Runs on the shard's pool stripe;
-  /// the publish lock is held only to swap stacks, not during the build.
+  /// order: Segment::Concat reads each segment's leaf dictionary, dedups
+  /// only their leaf strings, and builds once. Runs on the shard's pool
+  /// stripe; the publish lock is held only to swap stacks, not during the
+  /// build.
   /// `parent_span` links a pool-worker merge to the Compact() coordinator
   /// span; 0 (the FreezeJob path) nests under the caller's open freeze
   /// span via the thread-local stack.
@@ -730,14 +732,10 @@ class Engine {
       }
       merged_bits += v.segment->EncodedBits();
     }
-    std::vector<wt::BitString> enc;
-    for (const auto& v : victims) {
-      std::vector<wt::BitString> part = v.segment->ExtractEncoded();
-      enc.insert(enc.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
+    std::vector<const Segment*> parts;
+    for (const auto& v : victims) parts.push_back(v.segment.get());
     auto merged =
-        std::make_shared<const Segment>(Segment::FromEncoded(enc, codec_));
+        std::make_shared<const Segment>(Segment::Concat(parts, codec_));
     uint64_t seq;
     {
       wt::MutexLock lk(sh.publish_mu);

@@ -6,7 +6,10 @@
 //     must be *identical* (same trie shape, same beta contents, same counts),
 //     checked over >= 10k mixed Zipf/uniform strings;
 //   * WaveletTrie::BulkBuild vs the reference constructor — byte-identical
-//     images.
+//     images;
+//   * the leaf-dictionary paths (ExtractDict feeding BuildFromDict or
+//     AppendDict: Sequence::Freeze, Thaw and Concat) vs BulkBuild over the
+//     per-string ForEachInRange scan — byte-identical images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -434,11 +437,187 @@ TEST(SequenceBatch, AppendBatchMatchesAppendAndFreeze) {
     ASSERT_EQ(batched.Rank(urls[i], urls.size()).value(),
               incremental.Rank(urls[i], urls.size()).value());
   }
-  // Freeze goes through BulkBuild; the snapshot must agree everywhere.
+  // Freeze goes through BuildFromDict; the snapshot must agree everywhere.
   auto frozen = batched.Freeze();
   ASSERT_EQ(frozen.size(), urls.size());
   for (size_t i = 0; i < urls.size(); i += 61) {
     ASSERT_EQ(frozen.Access(i).value(), urls[i]);
+  }
+}
+
+// ------------------------------------------------ leaf-dictionary paths
+
+using StrStatic = wtrie::Sequence<wtrie::Static>;
+
+// The per-string Section 5 scan, the reference every dictionary path is
+// checked against.
+template <typename Trie>
+std::vector<BitString> ScanAll(const Trie& trie) {
+  std::vector<BitString> out;
+  trie.ForEachInRange(0, trie.size(),
+                      [&](size_t, const BitString& s) { out.push_back(s); });
+  return out;
+}
+
+uint64_t TotalBits(const std::vector<BitString>& seq) {
+  uint64_t bits = 0;
+  for (const auto& s : seq) bits += s.size();
+  return bits;
+}
+
+// SerializeImage of a ByteCodec static sequence holding `encoded_bits`,
+// built by BulkBuild over `strings`.
+std::string ScanImage(const std::vector<BitString>& strings,
+                      uint64_t encoded_bits) {
+  storage::ImageWriter w;
+  WaveletTrie::BulkBuild(strings).SaveImage(w);
+  return w.Finish(ByteCodec::kCodecId, strings.size(), encoded_bits);
+}
+
+// The dictionary cases: the empty sequence, one string, one distinct value
+// repeated, all-distinct values, the empty string among others, and a
+// Zipf URL log.
+std::vector<std::vector<std::string>> DictCases() {
+  std::vector<std::vector<std::string>> cases;
+  cases.push_back({});
+  cases.push_back({"solo"});
+  cases.push_back(std::vector<std::string>(300, "same"));
+  std::vector<std::string> distinct;
+  for (int i = 0; i < 300; ++i) distinct.push_back("v" + std::to_string(i * 7919));
+  std::shuffle(distinct.begin(), distinct.end(), std::mt19937_64(3));
+  cases.push_back(distinct);
+  cases.push_back({"", "a", "", "ab", "b", ""});
+  UrlLogOptions opt;
+  opt.num_domains = 30;
+  opt.paths_per_domain = 20;
+  opt.seed = 5;
+  cases.push_back(UrlLogGenerator(opt).Take(3000));
+  return cases;
+}
+
+template <typename Trie>
+void ExpectDictSpellsSequence(const Trie& trie) {
+  const internal::LeafDict d = trie.ExtractDict();
+  const std::vector<BitString> scan = ScanAll(trie);
+  ASSERT_EQ(d.dict.id_of.size(), scan.size());
+  ASSERT_EQ(d.dict.distinct.size(), trie.NumDistinct());
+  std::vector<size_t> uses(d.dict.distinct.size(), 0);
+  for (size_t i = 0; i < scan.size(); ++i) {
+    const uint32_t id = d.dict.id_of[i];
+    ASSERT_LT(id, d.dict.distinct.size());
+    ASSERT_EQ(BitString::FromSpan(d.dict.distinct[id]), scan[i]) << "pos " << i;
+    ++uses[id];
+  }
+  // Each leaf string once, every one used, in sorted (preorder) order.
+  for (size_t k = 0; k < uses.size(); ++k) {
+    ASSERT_GT(uses[k], 0u) << "leaf " << k;
+    if (k > 0) {
+      ASSERT_TRUE(BitString::FromSpan(d.dict.distinct[k - 1]) <
+                  BitString::FromSpan(d.dict.distinct[k]));
+    }
+  }
+}
+
+TYPED_TEST(AppendBatchTest, ExtractDictSpellsTheSequence) {
+  for (const auto& values : DictCases()) {
+    TypeParam trie;
+    std::vector<BitString> enc;
+    for (const auto& v : values) enc.push_back(ByteCodec::Encode(v));
+    trie.AppendBatch(enc);
+    ExpectDictSpellsSequence(trie);
+    ExpectDictSpellsSequence(WaveletTrie::BulkBuild(enc));
+  }
+}
+
+template <typename P>
+void ExpectFreezeMatchesScan(const wtrie::Sequence<P>& seq) {
+  const std::vector<BitString> scan = ScanAll(seq.trie());
+  const auto frozen = seq.Freeze();
+  ASSERT_EQ(frozen.SerializeImage(), ScanImage(scan, seq.EncodedBits()));
+}
+
+TEST(LeafDict, FreezeMatchesScanUnderAppendOnlyAndDynamic) {
+  for (const auto& values : DictCases()) {
+    SCOPED_TRACE(values.size());
+    wtrie::Sequence<wtrie::AppendOnly> append_only;
+    ASSERT_TRUE(append_only.AppendBatch(values).ok());
+    ExpectFreezeMatchesScan(append_only);
+    wtrie::Sequence<wtrie::Dynamic> dynamic;
+    // Half appended, half inserted at the front.
+    std::vector<std::string> back(values.begin(),
+                                  values.begin() + values.size() / 2);
+    ASSERT_TRUE(dynamic.AppendBatch(back).ok());
+    for (size_t i = values.size() / 2; i < values.size(); ++i) {
+      ASSERT_TRUE(dynamic.Insert(values[i], 0).ok());
+    }
+    ExpectFreezeMatchesScan(dynamic);
+    // Deletes that empty leaves merge nodes away; the budget is not
+    // refunded, so the frozen image keeps the larger EncodedBits.
+    for (size_t i = 0; i < dynamic.size(); i += 3) {
+      ASSERT_TRUE(dynamic.Delete(i).ok());
+    }
+    ExpectFreezeMatchesScan(dynamic);
+  }
+}
+
+template <typename P>
+void ExpectThawMatchesScan(const StrStatic& frozen) {
+  const std::vector<BitString> scan = ScanAll(frozen.trie());
+  const auto thawed = frozen.template Thaw<P>();
+  ASSERT_EQ(thawed.EncodedBits(), TotalBits(scan));
+  typename P::Trie reference;
+  reference.AppendBatch(scan);
+  ExpectIdenticalStructure(thawed.trie(), reference);
+  ASSERT_EQ(thawed.SerializeImage(), ScanImage(scan, TotalBits(scan)));
+}
+
+TEST(LeafDict, ThawOfAFrozenSequenceMatchesScan) {
+  for (const auto& values : DictCases()) {
+    SCOPED_TRACE(values.size());
+    wtrie::Sequence<wtrie::AppendOnly> stream;
+    ASSERT_TRUE(stream.AppendBatch(values).ok());
+    const StrStatic frozen = stream.Freeze();
+    ExpectThawMatchesScan<wtrie::AppendOnly>(frozen);
+    ExpectThawMatchesScan<wtrie::Dynamic>(frozen);
+  }
+}
+
+void ExpectConcatMatchesScan(
+    const std::vector<std::vector<std::string>>& part_values) {
+  std::vector<StrStatic> parts;
+  for (const auto& v : part_values) parts.emplace_back(v);
+  std::vector<const StrStatic*> ptrs;
+  std::vector<BitString> scan;
+  for (const StrStatic& p : parts) {
+    ptrs.push_back(&p);
+    for (BitString& s : ScanAll(p.trie())) scan.push_back(std::move(s));
+  }
+  const StrStatic merged = StrStatic::Concat(ptrs);
+  ASSERT_EQ(merged.SerializeImage(), ScanImage(scan, TotalBits(scan)));
+}
+
+TEST(LeafDict, ConcatMatchesScan) {
+  ExpectConcatMatchesScan({});
+  ExpectConcatMatchesScan({{}});
+  ExpectConcatMatchesScan({{}, {}});
+  ExpectConcatMatchesScan({{"one"}});
+  ExpectConcatMatchesScan({{"ab"}, {"ac"}});  // the union splits a label
+  ExpectConcatMatchesScan({{"ab", "ab"}, {}, {"ac"}, {"ab"}});
+  ExpectConcatMatchesScan({{"a", "b", "a"}, {"x", "y"}});  // disjoint alphabets
+  ExpectConcatMatchesScan({{"same", "same"}, {"same"}, {"same", "same"}});
+  const auto cases = DictCases();
+  std::mt19937_64 rng(11);
+  for (size_t k = 1; k <= 4; ++k) {
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::vector<std::string>> part_values;
+      for (size_t j = 0; j < k; ++j) {
+        const auto& c = cases[rng() % cases.size()];
+        const size_t from = c.empty() ? 0 : rng() % c.size();
+        part_values.emplace_back(c.begin() + from, c.end());
+      }
+      SCOPED_TRACE(testing::Message() << k << " parts, round " << round);
+      ExpectConcatMatchesScan(part_values);
+    }
   }
 }
 
