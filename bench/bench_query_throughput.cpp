@@ -13,11 +13,12 @@
 //
 // Besides the google-benchmark tables, the binary always writes
 // BENCH_query.json (ns/query single vs batched, batch-vs-loop speedups,
-// size accounting against the seed baseline) so the perf trajectory is
-// tracked across PRs. The binary exits nonzero if batched and per-query
-// results ever disagree, or if the query fast path costs more than 5% extra
-// space on the 1M-string acceptance workload (speedups themselves are
-// reported, not gated, because container timing jitters).
+// size accounting against the seed baseline, the machine's hardware
+// threads) so the perf trajectory is tracked across PRs. The binary exits
+// nonzero if batched and per-query results ever disagree, or if the query
+// fast path costs more than 5% extra space on the 1M-string acceptance
+// workload (speedups themselves are reported, not gated, because container
+// timing jitters).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,6 +28,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/codec.hpp"
@@ -276,6 +278,8 @@ bool WriteAcceptanceJson() {
   FILE* f = std::fopen("BENCH_query.json", "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"seed_baseline\": {\n");
   std::fprintf(f, "    \"note\": \"seed commit, same container, url_log_zipf 1M\",\n");
   std::fprintf(f, "    \"access_ns\": %.0f, \"rank_ns\": %.0f, \"select_ns\": %.0f,\n",

@@ -16,13 +16,13 @@
 //     Figure 3).
 //
 // Queries (Access, Rank, Select, RankPrefix, SelectPrefix) and the Section 5
-// range analytics are shared by both variants.
+// range analytics are inherited from internal::TrieQueries
+// (core/trie_queries.hpp), the one copy both wavelet tries share; this file
+// supplies their Walker over the pointer nodes, plus the updates.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,19 +32,16 @@
 #include "common/assert.hpp"
 #include "common/bit_string.hpp"
 #include "core/batch_dedup.hpp"
+#include "core/trie_queries.hpp"
 
 namespace wt {
 
 template <typename BV>
-class DynamicWaveletTrieT {
+class DynamicWaveletTrieT
+    : public internal::TrieQueries<DynamicWaveletTrieT<BV>> {
  public:
   /// True when BV supports arbitrary-position insertion and deletion.
   static constexpr bool kFullyDynamic = requires(BV& b) { b.Erase(size_t{}); };
-
-  // Visitor parameters are deduced callables, not std::function — see the
-  // note in wavelet_trie.hpp. Same signatures:
-  //   distinct enumeration: fn(const BitString& value, size_t multiplicity)
-  //   sequential access:    fn(size_t position, const BitString& value)
 
   DynamicWaveletTrieT() = default;
   ~DynamicWaveletTrieT() { Free(root_); }
@@ -323,242 +320,7 @@ class DynamicWaveletTrieT {
   /// Current number of distinct strings |Sset| (the dynamic alphabet).
   size_t NumDistinct() const { return distinct_; }
 
-  BitString Access(size_t pos) const {
-    WT_ASSERT(pos < n_);
-    BitString out;
-    const Node* v = root_;
-    for (;;) {
-      out.Append(v->label);
-      if (v->IsLeaf()) return out;
-      const bool b = v->beta.Get(pos);
-      out.PushBack(b);
-      pos = v->beta.Rank(b, pos);
-      v = v->child[b];
-    }
-  }
-
-  size_t Rank(BitSpan s, size_t pos) const {
-    WT_ASSERT(pos <= n_);
-    const Node* v = root_;
-    size_t depth = 0;
-    while (v != nullptr) {
-      const BitSpan label = v->label.Span();
-      if (!label.IsPrefixOf(s.SubSpan(depth))) return 0;
-      depth += label.size();
-      if (v->IsLeaf()) return depth == s.size() ? pos : 0;
-      if (depth >= s.size()) return 0;
-      const bool b = s.Get(depth++);
-      pos = v->beta.Rank(b, pos);
-      v = v->child[b];
-    }
-    return 0;
-  }
-
-  size_t RankPrefix(BitSpan p, size_t pos) const {
-    WT_ASSERT(pos <= n_);
-    const Node* v = root_;
-    size_t depth = 0;
-    while (v != nullptr) {
-      const BitSpan label = v->label.Span();
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) return pos;
-      if (lcp < label.size()) return 0;
-      depth += lcp;
-      if (v->IsLeaf()) return 0;
-      const bool b = p.Get(depth++);
-      pos = v->beta.Rank(b, pos);
-      v = v->child[b];
-    }
-    return 0;
-  }
-
-  std::optional<size_t> Select(BitSpan s, size_t idx) const {
-    if (root_ == nullptr) return std::nullopt;
-    std::vector<std::pair<const Node*, bool>> path;
-    const Node* v = root_;
-    size_t depth = 0;
-    for (;;) {
-      const BitSpan label = v->label.Span();
-      if (!label.IsPrefixOf(s.SubSpan(depth))) return std::nullopt;
-      depth += label.size();
-      if (v->IsLeaf()) {
-        if (depth != s.size() || idx >= v->count) return std::nullopt;
-        break;
-      }
-      if (depth >= s.size()) return std::nullopt;
-      const bool b = s.Get(depth++);
-      path.push_back({v, b});
-      v = v->child[b];
-    }
-    return SelectUp(path, idx);
-  }
-
-  std::optional<size_t> SelectPrefix(BitSpan p, size_t idx) const {
-    if (root_ == nullptr) return std::nullopt;
-    std::vector<std::pair<const Node*, bool>> path;
-    const Node* v = root_;
-    size_t depth = 0;
-    for (;;) {
-      const BitSpan label = v->label.Span();
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) break;  // subtree of v holds all matches
-      if (lcp < label.size()) return std::nullopt;
-      depth += lcp;
-      if (v->IsLeaf()) return std::nullopt;
-      const bool b = p.Get(depth++);
-      path.push_back({v, b});
-      v = v->child[b];
-    }
-    if (idx >= SubtreeSize(v)) return std::nullopt;
-    return SelectUp(path, idx);
-  }
-
-  size_t Count(BitSpan s) const { return Rank(s, n_); }
-  size_t CountPrefix(BitSpan p) const { return RankPrefix(p, n_); }
-
-  size_t RangeCountPrefix(BitSpan p, size_t l, size_t r) const {
-    WT_DASSERT(l <= r);
-    return RankPrefix(p, r) - RankPrefix(p, l);
-  }
-
-  /// Section 5: distinct strings in [l, r) with multiplicities (lex order).
-  template <typename DistinctFn>
-  void DistinctInRange(size_t l, size_t r, const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || root_ == nullptr) return;
-    BitString prefix;
-    DistinctRec(root_, l, r, &prefix, fn);
-  }
-
-  /// Section 5, prefix-restricted variant: distinct strings with prefix p
-  /// in [l, r), with multiplicities (see wavelet_trie.hpp for the paper
-  /// quote). The descent maps the window through the node bitvectors.
-  template <typename DistinctFn>
-  void DistinctInRangeWithPrefix(BitSpan p, size_t l, size_t r,
-                                 const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || root_ == nullptr) return;
-    BitString prefix;
-    const Node* v = root_;
-    size_t depth = 0;
-    for (;;) {
-      const BitSpan label = v->label.Span();
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) break;  // subtree of v holds all matches
-      if (lcp < label.size()) return;
-      depth += lcp;
-      if (v->IsLeaf()) return;
-      const bool b = p.Get(depth++);
-      l = v->beta.Rank(b, l);
-      r = v->beta.Rank(b, r);
-      if (l >= r) return;
-      prefix.Append(label);
-      prefix.PushBack(b);
-      v = v->child[b ? 1 : 0];
-    }
-    DistinctRec(v, l, r, &prefix, fn);
-  }
-
-  /// Section 5: the majority string of [l, r), if one exists.
-  std::optional<std::pair<BitString, size_t>> RangeMajority(size_t l,
-                                                            size_t r) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l >= r || root_ == nullptr) return std::nullopt;
-    const size_t range = r - l;
-    BitString prefix;
-    const Node* v = root_;
-    for (;;) {
-      prefix.Append(v->label);
-      if (v->IsLeaf()) {
-        if (2 * (r - l) <= range) return std::nullopt;
-        return std::make_pair(std::move(prefix), r - l);
-      }
-      const size_t l0 = v->beta.Rank0(l), r0 = v->beta.Rank0(r);
-      const size_t c0 = r0 - l0;
-      const size_t c1 = (r - l) - c0;
-      if (2 * c0 > r - l) {
-        prefix.PushBack(false);
-        v = v->child[0];
-        l = l0;
-        r = r0;
-      } else if (2 * c1 > r - l) {
-        prefix.PushBack(true);
-        v = v->child[1];
-        l = l - l0;
-        r = r - r0;
-      } else {
-        return std::nullopt;
-      }
-    }
-  }
-
-  /// Section 5 heuristic: strings occurring at least t times in [l, r).
-  template <typename DistinctFn>
-  void RangeFrequent(size_t l, size_t r, size_t t, const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_ && t >= 1);
-    if (r - l < t || root_ == nullptr) return;
-    BitString prefix;
-    FrequentRec(root_, l, r, t, &prefix, fn);
-  }
-
-  /// Section 5 sequential access over [l, r): one Rank per traversed node
-  /// for the whole range, O(1)-advance bit iterators afterwards.
-  template <typename AccessFn>
-  void ForEachInRange(size_t l, size_t r, const AccessFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || root_ == nullptr) return;
-    struct NodeIter {
-      typename BV::Iterator it;
-      size_t pos;  // node-local position of the iterator
-    };
-    std::unordered_map<const Node*, NodeIter> iters;
-    for (size_t i = l; i < r; ++i) {
-      BitString out;
-      const Node* v = root_;
-      const Node* parent = nullptr;
-      bool parent_bit = false;
-      size_t parent_pos = 0;
-      for (;;) {
-        out.Append(v->label);
-        if (v->IsLeaf()) break;
-        auto found = iters.find(v);
-        if (found == iters.end()) {
-          const size_t node_pos =
-              parent ? parent->beta.Rank(parent_bit, parent_pos) : i;
-          found = iters.emplace(v, NodeIter{v->beta.IteratorAt(node_pos), node_pos})
-                      .first;
-        }
-        NodeIter& ni = found->second;
-        const bool b = ni.it.Next();
-        out.PushBack(b);
-        parent = v;
-        parent_bit = b;
-        parent_pos = ni.pos;
-        ++ni.pos;
-        v = v->child[b];
-      }
-      fn(i, out);
-    }
-  }
-
-  template <typename DistinctFn>
-  void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
-
-  /// The whole sequence as a dictionary — each leaf's string once, in
-  /// preorder, and each position's leaf id — through the kernel the static
-  /// trie's ExtractDict shares (internal::ExtractLeafDict).
-  internal::LeafDict ExtractDict() const {
-    return internal::ExtractLeafDict(n_, DictWalk{root_});
-  }
-
   size_t SizeInBits() const { return NodeSize(root_); }
-
-  /// Maximum number of internal nodes on any root-to-leaf path (the h of
-  /// Section 5/6; h_s <= Height() for every stored s).
-  size_t Height() const { return HeightRec(root_); }
 
   /// Total label bits |L| plus pointer overhead stats (the PT term).
   size_t LabelBits() const { return LabelBitsRec(root_); }
@@ -586,16 +348,39 @@ class DynamicWaveletTrieT {
     bool IsLeaf() const { return child[0] == nullptr; }
   };
 
-  /// ExtractLeafDict's view of this trie.
-  struct DictWalk {
+  friend class internal::TrieQueries<DynamicWaveletTrieT>;
+
+  /// The shared queries' view of this layout (core/trie_queries.hpp):
+  /// pointer nodes, each internal one owning its dynamic bitvector.
+  struct Walker {
     using NodeRef = const Node*;
     const Node* root;
     NodeRef Root() const { return root; }
     BitSpan Label(NodeRef v) const { return v->label.Span(); }
     bool IsLeaf(NodeRef v) const { return v->IsLeaf(); }
     NodeRef Child(NodeRef v, bool b) const { return v->child[b]; }
-    typename BV::Iterator Beta(NodeRef v) const { return v->beta.IteratorAt(0); }
+    size_t Rank(NodeRef v, bool b, size_t pos) const {
+      return v->beta.Rank(b, pos);
+    }
+    size_t Select(NodeRef v, bool b, size_t k) const {
+      return v->beta.Select(b, k);
+    }
+    std::pair<bool, size_t> Route(NodeRef v, size_t pos) const {
+      const bool b = v->beta.Get(pos);
+      return {b, v->beta.Rank(b, pos)};
+    }
+    /// The child's stored size (beta length or leaf count): Select bounds
+    /// its index without a rank per level, which on the fully-dynamic
+    /// bitvector would cost about as much as the select itself.
+    size_t ChildSize(NodeRef v, bool b, size_t) const {
+      return SubtreeSize(v->child[b]);
+    }
+    typename BV::Iterator Beta(NodeRef v, size_t pos) const {
+      return v->beta.IteratorAt(pos);
+    }
+    void Prefetch(NodeRef) const {}
   };
+  Walker Walk() const { return {root_}; }
 
   static size_t SubtreeSize(const Node* v) {
     return v->IsLeaf() ? v->count : v->beta.size();
@@ -704,60 +489,6 @@ class DynamicWaveletTrieT {
     return false;
   }
 
-  std::optional<size_t> SelectUp(
-      const std::vector<std::pair<const Node*, bool>>& path, size_t idx) const {
-    for (size_t i = path.size(); i-- > 0;) {
-      idx = path[i].first->beta.Select(path[i].second, idx);
-    }
-    return idx;
-  }
-
-  template <typename DistinctFn>
-  void DistinctRec(const Node* v, size_t l, size_t r, BitString* prefix,
-                   const DistinctFn& fn) const {
-    const size_t mark = prefix->size();
-    prefix->Append(v->label);
-    if (v->IsLeaf()) {
-      fn(*prefix, r - l);
-      prefix->Truncate(mark);
-      return;
-    }
-    const size_t l0 = v->beta.Rank0(l), r0 = v->beta.Rank0(r);
-    if (l0 < r0) {
-      prefix->PushBack(false);
-      DistinctRec(v->child[0], l0, r0, prefix, fn);
-      prefix->Truncate(mark + v->label.size());
-    }
-    if (l - l0 < r - r0) {
-      prefix->PushBack(true);
-      DistinctRec(v->child[1], l - l0, r - r0, prefix, fn);
-    }
-    prefix->Truncate(mark);
-  }
-
-  template <typename DistinctFn>
-  void FrequentRec(const Node* v, size_t l, size_t r, size_t t,
-                   BitString* prefix, const DistinctFn& fn) const {
-    const size_t mark = prefix->size();
-    prefix->Append(v->label);
-    if (v->IsLeaf()) {
-      if (r - l >= t) fn(*prefix, r - l);
-      prefix->Truncate(mark);
-      return;
-    }
-    const size_t l0 = v->beta.Rank0(l), r0 = v->beta.Rank0(r);
-    if (r0 - l0 >= t) {
-      prefix->PushBack(false);
-      FrequentRec(v->child[0], l0, r0, t, prefix, fn);
-      prefix->Truncate(mark + v->label.size());
-    }
-    if ((r - r0) - (l - l0) >= t) {
-      prefix->PushBack(true);
-      FrequentRec(v->child[1], l - l0, r - r0, t, prefix, fn);
-    }
-    prefix->Truncate(mark);
-  }
-
   static void DebugRec(const Node* v, std::vector<NodeDebug>* out) {
     if (v == nullptr) return;
     NodeDebug d;
@@ -792,11 +523,6 @@ class DynamicWaveletTrieT {
   static size_t LabelBitsRec(const Node* v) {
     if (v == nullptr) return 0;
     return v->label.size() + LabelBitsRec(v->child[0]) + LabelBitsRec(v->child[1]);
-  }
-
-  static size_t HeightRec(const Node* v) {
-    if (v == nullptr || v->IsLeaf()) return 0;
-    return 1 + std::max(HeightRec(v->child[0]), HeightRec(v->child[1]));
   }
 
   Node* root_ = nullptr;

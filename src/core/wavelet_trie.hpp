@@ -24,15 +24,17 @@
 // words of headers. Queries: Access/Rank/Select/RankPrefix/SelectPrefix in
 // O(|s| + h_s).
 //
-// Section 5 range analytics (sequential access, distinct values, majority,
-// frequent elements) are implemented on the same representation.
+// Those queries and the Section 5 range analytics (sequential access,
+// distinct values, majority, frequent elements) are inherited from
+// internal::TrieQueries (core/trie_queries.hpp), written once for both
+// wavelet tries; this file supplies their Walker over the flat headers, the
+// builders, the batched kernels and the image.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,19 +42,13 @@
 #include "common/assert.hpp"
 #include "common/bit_string.hpp"
 #include "core/batch_dedup.hpp"
+#include "core/trie_queries.hpp"
 #include "storage/image.hpp"
 #include "storage/vec.hpp"
 
 namespace wt {
 
-// Enumeration methods take the visitor as a deduced callable (inlined at the
-// call site) rather than a std::function — the type-erased closures showed
-// up in the Section 5 scan profiles, and the public API layer (src/api/)
-// wraps these visitors into cursors anyway. Visitor signatures:
-//   distinct enumeration: fn(const BitString& value, size_t multiplicity)
-//   sequential access:    fn(size_t position, const BitString& value)
-
-class WaveletTrie {
+class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
  public:
   /// Capacity of one static trie: the concatenated per-node branch
   /// bitvectors share a single Rrr, whose 32+32 packed directory caps it at
@@ -273,109 +269,6 @@ class WaveletTrie {
   /// Number of distinct strings |Sset|.
   size_t NumDistinct() const { return (headers_.size() + 1) / 2; }
 
-  /// The string at position pos (paper: Access). O(|result| + h). Each level
-  /// is one header load plus one fused RRR rank-and-get.
-  BitString Access(size_t pos) const {
-    WT_ASSERT(pos < n_);
-    BitString out;
-    size_t v = 0;
-    while (IsInternalNode(v)) {
-      out.Append(Label(v));
-      const auto [start, ones_start] = BetaLoc(v);
-      const auto [ones_abs, bit] = beta_.RankGet(start + pos);
-      const size_t ones = ones_abs - ones_start;
-      out.PushBack(bit);
-      pos = bit ? ones : pos - ones;
-      v = bit ? RightChildOf(v) : v + 1;
-      PrefetchRead(&headers_[v]);
-    }
-    out.Append(Label(v));
-    return out;
-  }
-
-  /// Occurrences of the exact string s in positions [0, pos).
-  size_t Rank(BitSpan s, size_t pos) const {
-    WT_ASSERT(pos <= n_);
-    if (n_ == 0) return 0;
-    size_t v = 0, depth = 0;
-    for (;;) {
-      const BitSpan label = Label(v);
-      if (!label.IsPrefixOf(s.SubSpan(depth))) return 0;
-      depth += label.size();
-      if (!IsInternalNode(v)) return depth == s.size() ? pos : 0;
-      if (depth >= s.size()) return 0;  // s is a proper prefix of stored keys
-      const bool b = s.Get(depth++);
-      pos = BetaRank(v, b, pos);
-      v = b ? RightChildOf(v) : v + 1;
-    }
-  }
-
-  /// Strings with prefix p in positions [0, pos) (paper: RankPrefix).
-  size_t RankPrefix(BitSpan p, size_t pos) const {
-    WT_ASSERT(pos <= n_);
-    if (n_ == 0) return 0;
-    size_t v = 0, depth = 0;
-    for (;;) {
-      const BitSpan label = Label(v);
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) return pos;  // p exhausted: whole subtree matches
-      if (lcp < label.size()) return 0;    // mismatch inside the label
-      depth += lcp;
-      if (!IsInternalNode(v)) return 0;  // p longer than the stored key
-      const bool b = p.Get(depth++);
-      pos = BetaRank(v, b, pos);
-      v = b ? RightChildOf(v) : v + 1;
-    }
-  }
-
-  /// Position of the (idx+1)-th occurrence of s (idx 0-based), or nullopt if
-  /// s occurs fewer than idx+1 times.
-  std::optional<size_t> Select(BitSpan s, size_t idx) const {
-    if (n_ == 0) return std::nullopt;
-    // Descend to the leaf for s, recording (node, branch bit).
-    std::vector<std::pair<size_t, bool>> path;
-    size_t v = 0, depth = 0, len = n_;
-    for (;;) {
-      const BitSpan label = Label(v);
-      if (!label.IsPrefixOf(s.SubSpan(depth))) return std::nullopt;
-      depth += label.size();
-      if (!IsInternalNode(v)) {
-        if (depth != s.size()) return std::nullopt;
-        break;
-      }
-      if (depth >= s.size()) return std::nullopt;
-      const bool b = s.Get(depth++);
-      path.push_back({v, b});
-      len = BetaRank(v, b, len);
-      v = b ? RightChildOf(v) : v + 1;
-    }
-    if (idx >= len) return std::nullopt;  // fewer than idx+1 occurrences
-    return SelectUp(path, idx);
-  }
-
-  /// Position of the (idx+1)-th string having prefix p (paper: SelectPrefix).
-  std::optional<size_t> SelectPrefix(BitSpan p, size_t idx) const {
-    if (n_ == 0) return std::nullopt;
-    std::vector<std::pair<size_t, bool>> path;
-    size_t v = 0, depth = 0, len = n_;
-    for (;;) {
-      const BitSpan label = Label(v);
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) break;  // subtree of v holds all matches
-      if (lcp < label.size()) return std::nullopt;
-      depth += lcp;
-      if (!IsInternalNode(v)) return std::nullopt;
-      const bool b = p.Get(depth++);
-      path.push_back({v, b});
-      len = BetaRank(v, b, len);
-      v = b ? RightChildOf(v) : v + 1;
-    }
-    if (idx >= len) return std::nullopt;
-    return SelectUp(path, idx);
-  }
-
   // ------------------------------------------------------- batched queries
   //
   // One node-grouped traversal per batch (DESIGN.md #6): queries are
@@ -461,154 +354,6 @@ class WaveletTrie {
     return out;
   }
 
-  /// Strings with prefix p in [l, r).
-  size_t RangeCountPrefix(BitSpan p, size_t l, size_t r) const {
-    WT_DASSERT(l <= r);
-    return RankPrefix(p, r) - RankPrefix(p, l);
-  }
-
-  /// Section 5, "Distinct values in range": enumerates each distinct string
-  /// occurring in [l, r) with its multiplicity, in lexicographic order.
-  /// O(sum over reported strings of |s| + h_s) bitvector operations.
-  template <typename DistinctFn>
-  void DistinctInRange(size_t l, size_t r, const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || n_ == 0) return;
-    BitString prefix;
-    DistinctRec(0, l, r, &prefix, fn);
-  }
-
-  /// Section 5, prefix-restricted variant ("we can stop early in the
-  /// traversal, hence enumerating the distinct prefixes that satisfy some
-  /// property ... find efficiently the distinct hostnames in a given time
-  /// range"): enumerates the distinct strings *with prefix p* occurring in
-  /// [l, r), with multiplicities. The descent to p's node maps the range
-  /// through the betas; the enumeration then never leaves p's subtree.
-  template <typename DistinctFn>
-  void DistinctInRangeWithPrefix(BitSpan p, size_t l, size_t r,
-                                 const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || n_ == 0) return;
-    BitString prefix;
-    size_t v = 0, depth = 0;
-    for (;;) {
-      const BitSpan label = Label(v);
-      const BitSpan rest = p.SubSpan(depth);
-      const size_t lcp = label.Lcp(rest);
-      if (lcp == rest.size()) break;  // subtree of v holds all matches
-      if (lcp < label.size()) return;  // mismatch inside the label
-      depth += lcp;
-      if (!IsInternalNode(v)) return;  // p longer than any stored key
-      const bool b = p.Get(depth++);
-      l = BetaRank(v, b, l);
-      r = BetaRank(v, b, r);
-      if (l >= r) return;  // no occurrences inside the window
-      prefix.Append(label);
-      prefix.PushBack(b);
-      v = b ? RightChildOf(v) : v + 1;
-    }
-    DistinctRec(v, l, r, &prefix, fn);
-  }
-
-  /// Section 5, "Range majority element": the string occurring more than
-  /// (r-l)/2 times in [l, r), if any.
-  std::optional<std::pair<BitString, size_t>> RangeMajority(size_t l,
-                                                            size_t r) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l >= r || n_ == 0) return std::nullopt;
-    const size_t range = r - l;  // the descent yields a candidate; its count
-                                 // must be verified against the full range
-    BitString prefix;
-    size_t v = 0;
-    for (;;) {
-      prefix.Append(Label(v));
-      if (!IsInternalNode(v)) {
-        if (2 * (r - l) <= range) return std::nullopt;
-        return std::make_pair(std::move(prefix), r - l);
-      }
-      const size_t l0 = BetaRank(v, false, l), r0 = BetaRank(v, false, r);
-      const size_t c0 = r0 - l0;
-      const size_t c1 = (r - l) - c0;
-      if (2 * c0 > r - l) {
-        prefix.PushBack(false);
-        v = v + 1;
-        l = l0;
-        r = r0;
-      } else if (2 * c1 > r - l) {
-        prefix.PushBack(true);
-        v = RightChildOf(v);
-        l = l - l0;
-        r = r - r0;
-      } else {
-        return std::nullopt;
-      }
-    }
-  }
-
-  /// Section 5 heuristic: all strings occurring at least `t` times in
-  /// [l, r) (t >= 1). Branches with fewer than t positions are pruned.
-  template <typename DistinctFn>
-  void RangeFrequent(size_t l, size_t r, size_t t, const DistinctFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    WT_ASSERT(t >= 1);
-    if (r - l < t || n_ == 0) return;
-    BitString prefix;
-    FrequentRec(0, l, r, t, &prefix, fn);
-  }
-
-  /// Section 5, "Sequential access": calls fn(i, S_i) for i in [l, r) using
-  /// per-node bit iterators — one Rank per traversed node for the whole
-  /// range instead of per string.
-  template <typename AccessFn>
-  void ForEachInRange(size_t l, size_t r, const AccessFn& fn) const {
-    WT_ASSERT(l <= r && r <= n_);
-    if (l == r || n_ == 0) return;
-    // Per-internal-node iterator over the global beta, created lazily at the
-    // node-local position corresponding to this range.
-    std::unordered_map<size_t, Rrr::Iterator> iters;
-    iters.reserve(64);
-    for (size_t i = l; i < r; ++i) {
-      BitString out;
-      size_t v = 0;
-      // Parent context, used only when a node is visited for the first time
-      // in this range (one Rank per traversed node for the whole range).
-      size_t parent_v = 0, parent_pos = 0;
-      bool parent_bit = false, has_parent = false;
-      for (;;) {
-        out.Append(Label(v));
-        if (!IsInternalNode(v)) break;
-        const size_t start = BetaLoc(v).first;
-        auto it = iters.find(v);
-        if (it == iters.end()) {
-          const size_t node_pos =
-              has_parent ? BetaRank(parent_v, parent_bit, parent_pos) : i;
-          it = iters.emplace(v, Rrr::Iterator(&beta_, start + node_pos)).first;
-        }
-        const size_t node_pos = it->second.position() - start;
-        const bool b = it->second.Next();
-        out.PushBack(b);
-        has_parent = true;
-        parent_v = v;
-        parent_bit = b;
-        parent_pos = node_pos;
-        v = b ? RightChildOf(v) : v + 1;
-      }
-      fn(i, out);
-    }
-  }
-
-  /// All distinct strings (the alphabet Sset) with global multiplicities.
-  template <typename DistinctFn>
-  void ForEachDistinct(const DistinctFn& fn) const { DistinctInRange(0, n_, fn); }
-
-  /// The whole sequence as a dictionary — each leaf's string once, in
-  /// preorder, and each position's leaf id — read off the betas in one
-  /// preorder pass (internal::ExtractLeafDict). BuildFromDict over it
-  /// rebuilds this trie byte for byte.
-  internal::LeafDict ExtractDict() const {
-    return internal::ExtractLeafDict(n_, DictWalk{this});
-  }
-
   /// v4 flat image (DESIGN.md #8): one section per component, the RRR
   /// directories *and the node headers* persisted, so LoadImage borrows the
   /// whole trie out of the blob with no rebuild pass — the structure is
@@ -677,12 +422,6 @@ class WaveletTrie {
            8 * sizeof(NodeHeader) * headers_.capacity();
   }
 
-  /// Maximum number of internal nodes on any root-to-leaf path.
-  size_t Height() const {
-    if (n_ == 0) return 0;
-    return HeightRec(0);
-  }
-
   /// Per-node debug view (preorder), used to reproduce the paper's Figure 2.
   struct NodeDebug {
     std::string alpha;
@@ -723,8 +462,12 @@ class WaveletTrie {
   };
 
  private:
-  /// ExtractLeafDict's view of this trie.
-  struct DictWalk {
+  friend class internal::TrieQueries<WaveletTrie>;
+
+  /// The shared queries' view of this layout (core/trie_queries.hpp): node
+  /// ids in preorder, v's left child is v + 1, and every beta operation is
+  /// one header load plus one RRR operation on the global beta.
+  struct Walker {
     using NodeRef = size_t;
     const WaveletTrie* t;
     NodeRef Root() const { return 0; }
@@ -733,10 +476,34 @@ class WaveletTrie {
     NodeRef Child(NodeRef v, bool b) const {
       return b ? t->RightChildOf(v) : v + 1;
     }
-    Rrr::Iterator Beta(NodeRef v) const {
-      return Rrr::Iterator(&t->beta_, t->BetaLoc(v).first);
+    /// One RRR rank (the rank at the segment start is in the header).
+    size_t Rank(NodeRef v, bool b, size_t pos) const {
+      const auto [start, ones_start] = t->BetaLoc(v);
+      const size_t ones = t->beta_.Rank1(start + pos) - ones_start;
+      return b ? ones : pos - ones;
     }
+    size_t Select(NodeRef v, bool b, size_t k) const {
+      const auto [start, ones_start] = t->BetaLoc(v);
+      if (b) return t->beta_.Select1(ones_start + k) - start;
+      return t->beta_.Select0((start - ones_start) + k) - start;
+    }
+    /// One fused RRR rank-and-get.
+    std::pair<bool, size_t> Route(NodeRef v, size_t pos) const {
+      const auto [start, ones_start] = t->BetaLoc(v);
+      const auto [ones_abs, bit] = t->beta_.RankGet(start + pos);
+      const size_t ones = ones_abs - ones_start;
+      return {bit, bit ? ones : pos - ones};
+    }
+    /// No subtree sizes are stored: a rank.
+    size_t ChildSize(NodeRef v, bool b, size_t len) const {
+      return Rank(v, b, len);
+    }
+    Rrr::Iterator Beta(NodeRef v, size_t pos) const {
+      return Rrr::Iterator(&t->beta_, t->BetaLoc(v).first + pos);
+    }
+    void Prefetch(NodeRef v) const { PrefetchRead(&t->headers_[v]); }
   };
+  Walker Walk() const { return {this}; }
 
   /// Preorder build step shared by both constructors: appends the header
   /// of the node whose label was just appended (a leaf until its beta is
@@ -775,29 +542,6 @@ class WaveletTrie {
   std::pair<size_t, size_t> BetaLoc(size_t v) const {
     const NodeHeader& h = headers_[v];
     return {h.beta_start, h.ones_start};
-  }
-
-  /// Rank of bit b in [0, pos) of internal node v's bitvector: one RRR rank
-  /// (the rank at the segment start is precomputed in the header).
-  size_t BetaRank(size_t v, bool b, size_t pos) const {
-    const auto [start, ones_start] = BetaLoc(v);
-    const size_t ones = beta_.Rank1(start + pos) - ones_start;
-    return b ? ones : pos - ones;
-  }
-
-  /// Select of the (k+1)-th b within internal node v's bitvector.
-  size_t BetaSelect(size_t v, bool b, size_t k) const {
-    const auto [start, ones_start] = BetaLoc(v);
-    if (b) return beta_.Select1(ones_start + k) - start;
-    return beta_.Select0((start - ones_start) + k) - start;
-  }
-
-  size_t SelectUp(const std::vector<std::pair<size_t, bool>>& path,
-                  size_t idx) const {
-    for (size_t i = path.size(); i-- > 0;) {
-      idx = BetaSelect(path[i].first, path[i].second, idx);
-    }
-    return idx;
   }
 
   // ------------------------------------------------ batched traversal core
@@ -1127,57 +871,6 @@ class WaveletTrie {
                sb->st.scratch.begin() + lo);
     std::copy_n(sb->st.scratch.data() + lo, total, sb->st.q.data() + lo);
     return lo + total;
-  }
-
-  size_t HeightRec(size_t v) const {
-    if (!IsInternalNode(v)) return 0;
-    return 1 + std::max(HeightRec(v + 1), HeightRec(RightChildOf(v)));
-  }
-
-  template <typename DistinctFn>
-  void DistinctRec(size_t v, size_t l, size_t r, BitString* prefix,
-                   const DistinctFn& fn) const {
-    const size_t mark = prefix->size();
-    prefix->Append(Label(v));
-    if (!IsInternalNode(v)) {
-      fn(*prefix, r - l);
-      prefix->Truncate(mark);
-      return;
-    }
-    const size_t l0 = BetaRank(v, false, l), r0 = BetaRank(v, false, r);
-    if (l0 < r0) {
-      prefix->PushBack(false);
-      DistinctRec(v + 1, l0, r0, prefix, fn);
-      prefix->Truncate(mark + Label(v).size());
-    }
-    if (l - l0 < r - r0) {
-      prefix->PushBack(true);
-      DistinctRec(RightChildOf(v), l - l0, r - r0, prefix, fn);
-    }
-    prefix->Truncate(mark);
-  }
-
-  template <typename DistinctFn>
-  void FrequentRec(size_t v, size_t l, size_t r, size_t t, BitString* prefix,
-                   const DistinctFn& fn) const {
-    const size_t mark = prefix->size();
-    prefix->Append(Label(v));
-    if (!IsInternalNode(v)) {
-      if (r - l >= t) fn(*prefix, r - l);
-      prefix->Truncate(mark);
-      return;
-    }
-    const size_t l0 = BetaRank(v, false, l), r0 = BetaRank(v, false, r);
-    if (r0 - l0 >= t) {
-      prefix->PushBack(false);
-      FrequentRec(v + 1, l0, r0, t, prefix, fn);
-      prefix->Truncate(mark + Label(v).size());
-    }
-    if ((r - r0) - (l - l0) >= t) {
-      prefix->PushBack(true);
-      FrequentRec(RightChildOf(v), l - l0, r - r0, t, prefix, fn);
-    }
-    prefix->Truncate(mark);
   }
 
   size_t n_ = 0;

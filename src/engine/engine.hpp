@@ -12,7 +12,7 @@
 //     with adjacent small segments merged by Sequence::Concat compaction
 //     (both rebuild from the tries' leaf dictionaries, never from
 //     per-string copies; size-tiered: a merge runs while the penultimate
-//     segment is at most `compaction_size_ratio` times the last, so stacks
+//     segment is at most kCompactionSizeRatio = 3 times the last, so stacks
 //     stay logarithmic in shard size).
 //
 // Reads never lock: GetSnapshot() pins the published immutable views
@@ -93,9 +93,6 @@ class Engine {
     /// Strings a shard memtable absorbs before it is rotated out and
     /// frozen in the background.
     size_t memtable_limit = 1 << 16;
-    /// Merge the two newest segments while the older is at most this many
-    /// times the newer; keeps per-shard stacks logarithmic.
-    size_t compaction_size_ratio = 3;
     /// Background workers (0 = one per shard, capped at hardware threads).
     size_t background_threads = 0;
     /// Durable directory; empty runs the engine in memory (no WAL, no
@@ -653,7 +650,9 @@ class Engine {
     h_freeze_ms_->Record(wt::obs::ElapsedMs(t0));
     c_freezes_->Increment();
     // Size-tiered tail compaction: merge while the penultimate segment is
-    // within ratio of the last, so segment sizes decay geometrically.
+    // within kCompactionSizeRatio of the last, so segment sizes decay
+    // geometrically and per-shard stacks stay logarithmic.
+    constexpr uint64_t kCompactionSizeRatio = 3;
     for (;;) {
       size_t n;
       uint64_t prev, last;
@@ -664,7 +663,7 @@ class Engine {
         prev = sh.entries[n - 2].segment->size();
         last = sh.entries[n - 1].segment->size();
       }
-      if (prev > last * opt_.compaction_size_ratio) return;
+      if (prev > last * kCompactionSizeRatio) return;
       if (!MergeTail(s, 2)) return;
     }
   }

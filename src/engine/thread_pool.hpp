@@ -94,6 +94,10 @@ class ThreadPool {
         w.running = true;
       }
       job();
+      // Destroy the closure before reporting the job finished: what it
+      // captured (a freeze holds the last reference to its memtable) must
+      // be freed by the time Drain() returns.
+      job = nullptr;
       {
         wt::MutexLock lk(w.mu);
         w.running = false;

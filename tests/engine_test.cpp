@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -742,6 +744,28 @@ TEST(EngineRecovery, SalvageRetiresDamagedGenerationsOnEveryShard) {
   EXPECT_EQ(eng->size(), values.size());
   ASSERT_TRUE(eng->Flush().ok());
   ExpectMatchesOracle(eng->GetSnapshot(), values, 107);
+}
+
+// ------------------------------------------------------------- thread pool
+
+TEST(ThreadPool, DrainWaitsForTheFinishedJobToBeDestroyed) {
+  // A freeze's closure holds the last reference to the rotated memtable, so
+  // destroying the closure frees the memtable. Drain() (behind Flush())
+  // must not return before that, or the destructor runs on the worker
+  // while the caller's next jobs (Compact()'s) wait behind it.
+  struct SlowToDestroy {
+    explicit SlowToDestroy(std::atomic<bool>* d) : destroyed(d) {}
+    ~SlowToDestroy() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      destroyed->store(true);
+    }
+    std::atomic<bool>* destroyed;
+  };
+  std::atomic<bool> destroyed{false};
+  engine::ThreadPool pool(1);
+  pool.Submit(0, [held = std::make_shared<SlowToDestroy>(&destroyed)] {});
+  pool.Drain();
+  EXPECT_TRUE(destroyed.load());
 }
 
 // ---------------------------------------------------------------- capacity

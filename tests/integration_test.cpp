@@ -1,9 +1,10 @@
 // Cross-representation integration tests: every indexed-sequence
-// representation in the library — the three Wavelet Trie variants behind
-// the wtrie::Sequence facade and the three related-work baselines —
-// answers the same queries on the same workloads. Any divergence between
-// two representations is a bug in one of them; the naive vector-of-strings
-// oracle arbitrates.
+// representation in the library — the four Wavelet Tries behind the
+// wtrie::Sequence facade (static, append-only, de-amortized append-only,
+// fully dynamic), which share one implementation of the queries, and the
+// three related-work baselines — answers the same queries on the same
+// workloads. Any divergence between two representations is a bug in one of
+// them; the naive vector-of-strings oracle arbitrates.
 //
 // Also covers lifecycle paths a database would exercise: streaming into an
 // append-only trie and snapshotting it into the static structure, and
@@ -79,6 +80,11 @@ class AllRepresentations : public ::testing::TestWithParam<WorkloadParam> {
       ASSERT_TRUE(append_trie_.Append(s).ok());
       ASSERT_TRUE(deam_trie_.Append(s).ok());
     }
+    // The fully-dynamic trie is built front-first by Insert, so its node
+    // splits and bitvectors come from the update path, not from appends.
+    for (size_t i = seq_.size(); i-- > 0;) {
+      ASSERT_TRUE(dyn_trie_.Insert(seq_[i], 0).ok());
+    }
     lex_ = LexMappedSequence(seq_);
     text_ = TextCollection(seq_);
     btree_ = BTreeIndexedSequence(seq_);
@@ -98,6 +104,7 @@ class AllRepresentations : public ::testing::TestWithParam<WorkloadParam> {
   wtrie::Sequence<wtrie::Static> static_trie_;
   wtrie::Sequence<wtrie::AppendOnly> append_trie_;
   wtrie::Sequence<Deamortized> deam_trie_;
+  wtrie::Sequence<wtrie::Dynamic> dyn_trie_;
   LexMappedSequence lex_;
   TextCollection text_;
   BTreeIndexedSequence btree_;
@@ -109,6 +116,7 @@ TEST_P(AllRepresentations, AccessAgreesEverywhere) {
     ASSERT_EQ(static_trie_.Access(i).value(), expect) << i;
     ASSERT_EQ(append_trie_.Access(i).value(), expect) << i;
     ASSERT_EQ(deam_trie_.Access(i).value(), expect) << i;
+    ASSERT_EQ(dyn_trie_.Access(i).value(), expect) << i;
     ASSERT_EQ(lex_.Access(i), expect) << i;
     ASSERT_EQ(text_.Access(i), expect) << i;
     ASSERT_EQ(btree_.Access(i), expect) << i;
@@ -125,6 +133,7 @@ TEST_P(AllRepresentations, RankAgreesEverywhere) {
           << probe << "@" << i;
       ASSERT_EQ(append_trie_.Rank(probe, i).value(), count);
       ASSERT_EQ(deam_trie_.Rank(probe, i).value(), count);
+      ASSERT_EQ(dyn_trie_.Rank(probe, i).value(), count);
       ASSERT_EQ(lex_.Rank(probe, i), count);
       ASSERT_EQ(text_.Rank(probe, i), count);
       ASSERT_EQ(btree_.Rank(probe, i), count);
@@ -146,6 +155,7 @@ TEST_P(AllRepresentations, SelectAgreesEverywhere) {
           << probe << " k=" << k;
       ASSERT_EQ(Opt(append_trie_.Select(probe, k)), expect);
       ASSERT_EQ(Opt(deam_trie_.Select(probe, k)), expect);
+      ASSERT_EQ(Opt(dyn_trie_.Select(probe, k)), expect);
       ASSERT_EQ(lex_.Select(probe, k), expect);
       ASSERT_EQ(text_.Select(probe, k), expect);
       ASSERT_EQ(btree_.Select(probe, k), expect);
@@ -167,6 +177,8 @@ TEST_P(AllRepresentations, PrefixOpsAgreeEverywhere) {
       ASSERT_EQ(static_trie_.RankPrefix(p, i).value(), count)
           << p << "@" << i;
       ASSERT_EQ(append_trie_.RankPrefix(p, i).value(), count);
+      ASSERT_EQ(deam_trie_.RankPrefix(p, i).value(), count);
+      ASSERT_EQ(dyn_trie_.RankPrefix(p, i).value(), count);
       ASSERT_EQ(lex_.RankPrefix(p, i), count);
       ASSERT_EQ(text_.RankPrefix(p, i), count);
       ASSERT_EQ(btree_.RankPrefix(p, i), count);
@@ -183,6 +195,8 @@ TEST_P(AllRepresentations, PrefixOpsAgreeEverywhere) {
       ASSERT_EQ(Opt(static_trie_.SelectPrefix(p, k)), expect)
           << p << " k=" << k;
       ASSERT_EQ(Opt(append_trie_.SelectPrefix(p, k)), expect);
+      ASSERT_EQ(Opt(deam_trie_.SelectPrefix(p, k)), expect);
+      ASSERT_EQ(Opt(dyn_trie_.SelectPrefix(p, k)), expect);
       ASSERT_EQ(lex_.SelectPrefix(p, k), expect);
       ASSERT_EQ(text_.SelectPrefix(p, k), expect);
       ASSERT_EQ(btree_.SelectPrefix(p, k), expect);
@@ -197,6 +211,7 @@ TEST_P(AllRepresentations, DistinctCountsAgree) {
   EXPECT_EQ(static_trie_.NumDistinct(), sorted.size());
   EXPECT_EQ(append_trie_.NumDistinct(), sorted.size());
   EXPECT_EQ(deam_trie_.NumDistinct(), sorted.size());
+  EXPECT_EQ(dyn_trie_.NumDistinct(), sorted.size());
   EXPECT_EQ(lex_.NumDistinct(), sorted.size());
 }
 
@@ -229,6 +244,57 @@ TEST_P(AllRepresentations, PrefixRestrictedDistinctMatchesNaive) {
         << "static, prefix '" << p << "'";
     ASSERT_EQ(ToMap(append_trie_.DistinctWithPrefix(p, l, r)), expect)
         << "append-only, prefix '" << p << "'";
+    ASSERT_EQ(ToMap(deam_trie_.DistinctWithPrefix(p, l, r)), expect)
+        << "de-amortized, prefix '" << p << "'";
+    ASSERT_EQ(ToMap(dyn_trie_.DistinctWithPrefix(p, l, r)), expect)
+        << "dynamic, prefix '" << p << "'";
+  }
+}
+
+// Section 5 on every trie: Majority, Frequent (t = 1, 2, 5) and Scan against
+// the naive vector over the whole range, a middle window, a one-position
+// window (its string is always the majority) and an empty window.
+TEST_P(AllRepresentations, RangeAnalyticsAgree) {
+  const size_t n = seq_.size();
+  const std::vector<std::pair<size_t, size_t>> windows{
+      {0, n}, {n / 3, n - n / 4}, {n / 2, n / 2 + 1}, {n / 2, n / 2}};
+  for (const auto& [l, r] : windows) {
+    std::map<std::string, size_t> counts;
+    for (size_t i = l; i < r; ++i) ++counts[seq_[i]];
+    std::optional<std::pair<std::string, size_t>> majority;
+    for (const auto& [s, c] : counts) {
+      if (2 * c > r - l) majority = std::make_pair(s, c);
+    }
+    const auto check = [&](const auto& trie, const char* name) {
+      const auto m = trie.Majority(l, r);
+      if (majority) {
+        ASSERT_TRUE(m.ok()) << name << " [" << l << ", " << r << ")";
+        ASSERT_EQ(m.value(), *majority) << name;
+      } else {
+        ASSERT_EQ(m.code(), wtrie::ErrorCode::kNotFound)
+            << name << " [" << l << ", " << r << ")";
+      }
+      for (const size_t t : {1, 2, 5}) {
+        std::map<std::string, size_t> expect;
+        for (const auto& [s, c] : counts) {
+          if (c >= t) expect[s] = c;
+        }
+        ASSERT_EQ(ToMap(trie.Frequent(l, r, t)), expect)
+            << name << " t=" << t << " [" << l << ", " << r << ")";
+      }
+      auto cur = trie.Scan(l, r).value();
+      size_t i = l;
+      while (cur.Next()) {
+        ASSERT_EQ(cur.position(), i) << name;
+        ASSERT_EQ(cur.value(), seq_[i]) << name << " @" << i;
+        ++i;
+      }
+      ASSERT_EQ(i, r) << name;
+    };
+    check(static_trie_, "static");
+    check(append_trie_, "append-only");
+    check(deam_trie_, "de-amortized");
+    check(dyn_trie_, "dynamic");
   }
 }
 
