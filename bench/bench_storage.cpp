@@ -1,4 +1,4 @@
-// Storage-layer acceptance bench (DESIGN.md #8): how fast the v4 image —
+// Storage-layer acceptance bench (DESIGN.md #8): how fast the v5 image —
 // the library's one persisted format — opens on the 1M Zipf-URL workload,
 // written to BENCH_storage.json.
 //
@@ -29,6 +29,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/sequence.hpp"
@@ -289,6 +290,8 @@ bool WriteAcceptanceJson() {
   FILE* f = std::fopen("BENCH_storage.json", "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"workload\": \"url_log_zipf\", \"num_strings\": %zu,\n", g.n);
   std::fprintf(f, "  \"image_bytes\": %zu,\n", g.image_bytes);
   std::fprintf(f, "  \"cold_open_ms\": {\n");

@@ -1,4 +1,4 @@
-// Fuzz target: the v4 image parse path — storage/image.hpp
+// Fuzz target: the v5 image parse path — storage/image.hpp
 // ImageReader::Parse plus core/wavelet_trie.hpp WaveletTrie::LoadImage
 // borrowing a trie out of the blob. The image is the one persisted format:
 // engine segments and Sequence::Save files both parse through here.

@@ -12,6 +12,9 @@
 //   corrupt-*   the same bytes with one byte flipped inside the payload —
 //               required REJECTED (checksum/bounds must catch the flip);
 //   raw-*       edge shapes with no expectation beyond "don't crash".
+// The image family also keeps two seeds this tool no longer writes:
+// corrupt-v4-flat-headers*.img, images of the retired v4 format (flat
+// node headers), which must be refused as a version mismatch.
 
 #include <cstdint>
 #include <cstdio>

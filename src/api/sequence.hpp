@@ -27,7 +27,7 @@
 //     AppendDict — with no hashing and no per-string copy; Concat() joins
 //     static sequences the same way;
 //   * whole-structure persistence for ALL policies in one format: Save/Load
-//     stream the hash-checked v4 image (storage/image.hpp). Mutable
+//     stream the hash-checked v5 image (storage/image.hpp). Mutable
 //     policies persist through their canonical static image and thaw on
 //     load, so a file written by any policy can be loaded into any other.
 #pragma once
@@ -553,7 +553,7 @@ class Sequence {
   }
 
   // ------------------------------------------------------------ persistence
-  // One format (DESIGN.md #8): the v4 flat image. It persists ALL derived
+  // One format (DESIGN.md #8): the v5 flat image. It persists ALL derived
   // state at aligned, offset-addressed positions, so loading borrows
   // straight into the blob with no per-element work — and the blob can be
   // a mapped file, so the engine's restart is O(#segments), not O(data).
@@ -583,8 +583,8 @@ class Sequence {
       return Status::Error(ErrorCode::kTruncatedStream,
                            "Load: stream ended inside the image header");
     }
-    if (h.magic != stor::kImageMagic) {
-      return Status::Error(ErrorCode::kCorruptStream, "Load: not a v4 image");
+    if (!stor::IsImageMagic(h.magic)) {
+      return Status::Error(ErrorCode::kCorruptStream, "Load: not an image");
     }
     const size_t rest = sizeof(h) - sizeof(h.magic);
     in.read(reinterpret_cast<char*>(&h) + sizeof(h.magic),
@@ -659,7 +659,7 @@ class Sequence {
         break;
       case stor::ImageError::kBadMagic:
         return Status::Error(ErrorCode::kCorruptStream,
-                             "LoadImage: not a v4 image");
+                             "LoadImage: not an image");
       case stor::ImageError::kBadVersion:
         return Status::Error(ErrorCode::kVersionMismatch,
                              "LoadImage: image version not supported");

@@ -333,7 +333,7 @@ class Rrr {
   size_t num_ones() const { return num_ones_; }
   size_t num_zeros() const { return n_ - num_ones_; }
 
-  /// v4 flat image: the interleaved superblock directory and both select
+  /// v5 flat image: the interleaved superblock directory and both select
   /// sample arrays are persisted with the payload, so LoadImage borrows
   /// everything — no class-stream scan, no sample rebuild. Array lengths
   /// are derived from (n, num_ones, num_blocks), never read from the blob.

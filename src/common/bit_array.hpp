@@ -3,7 +3,7 @@
 // This is the raw storage type every bitvector in the library is built from.
 // It deliberately has no rank/select support; see bitvector/ for indexed
 // structures. The word storage goes through storage::Vec, so a BitArray can
-// borrow its words straight out of a mapped v4 image (DESIGN.md #8);
+// borrow its words straight out of a mapped v5 image (DESIGN.md #8);
 // borrowed arrays are read-only.
 #pragma once
 
@@ -131,7 +131,7 @@ class BitArray {
   /// Releases slack capacity; call once a structure becomes static.
   void ShrinkToFit() { words_.shrink_to_fit(); }
 
-  /// v4 flat image: the words are persisted verbatim and borrowed back on
+  /// v5 flat image: the words are persisted verbatim and borrowed back on
   /// load — zero copies, no rebuild (DESIGN.md #8).
   void SaveImage(storage::ImageWriter& w) const {
     w.Pod<uint64_t>(size_);

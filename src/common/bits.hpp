@@ -200,6 +200,17 @@ inline uint64_t LoadBits(const uint64_t* words, size_t start, size_t len) {
   return res & LowMask(len);
 }
 
+/// The 64 bits starting at absolute bit `start`, first logical bit in the
+/// LSB, read from two words with no branch on whether the window crosses a
+/// word boundary (the packed node directory's field decode). Precondition:
+/// words[start / 64 + 1] exists, which the directory's arrays guarantee by
+/// padding (storage::PackedWords).
+inline uint64_t LoadWindow(const uint64_t* words, size_t start) {
+  const uint64_t* w = words + (start >> 6);
+  const unsigned off = start & 63;
+  return (w[0] >> off) | ((w[1] << 1) << (63 - off));
+}
+
 /// Write `len` (<= 64) bits of `value` at absolute bit `start` in `words`.
 inline void StoreBits(uint64_t* words, size_t start, size_t len, uint64_t value) {
   WT_DASSERT(len <= 64);

@@ -1,7 +1,7 @@
 // Compile-time contracts for every serialized layout and static interface
 // in the library (DESIGN.md #10).
 //
-// The binary formats — v4 image headers, WAL record framing, versioned
+// The binary formats — v5 image headers, WAL record framing, versioned
 // envelopes, manifest fields — are defined by C++ structs (or field
 // sequences) whose exact byte layout IS the on-disk format. A well-meaning
 // edit that reorders a member, widens a type, or lets padding creep in
@@ -30,7 +30,6 @@
 #include "common/bit_string.hpp"
 #include "common/serialize.hpp"
 #include "core/codec.hpp"
-#include "core/wavelet_trie.hpp"
 #include "engine/manifest.hpp"
 #include "engine/wal.hpp"
 #include "net/frame.hpp"
@@ -143,7 +142,7 @@ static_assert(SequencePolicy<wtrie::Static>);
 static_assert(SequencePolicy<wtrie::AppendOnly>);
 static_assert(SequencePolicy<wtrie::Dynamic>);
 
-// -------------------------------------------------- v4 image (image.hpp)
+// -------------------------------------------------- v5 image (image.hpp)
 
 static_assert(PinnedLayout<wt::storage::ImageHeader, 56, 8>());
 WT_PIN_FIELD(wt::storage::ImageHeader, magic, 0, 8);
@@ -162,13 +161,19 @@ WT_PIN_FIELD(wt::storage::SectionEntry, reserved, 4, 4);
 WT_PIN_FIELD(wt::storage::SectionEntry, offset, 8, 8);
 WT_PIN_FIELD(wt::storage::SectionEntry, bytes, 16, 8);
 
-// The kSecHeaders section body: the flat per-node query headers, persisted
-// verbatim — one 16-byte load per traversal level (DESIGN.md #6/#8).
-static_assert(PinnedLayout<wt::WaveletTrie::NodeHeader, 16, 4>());
-WT_PIN_FIELD(wt::WaveletTrie::NodeHeader, label_end, 0, 4);
-WT_PIN_FIELD(wt::WaveletTrie::NodeHeader, right, 4, 4);
-WT_PIN_FIELD(wt::WaveletTrie::NodeHeader, beta_start, 8, 4);
-WT_PIN_FIELD(wt::WaveletTrie::NodeHeader, ones_start, 12, 4);
+// The kSecDirectory section's scalars: the packed node directory's counts
+// and field widths, followed by its two padded word arrays (DESIGN.md
+// #6/#8). wt_inspect reads them as this POD.
+static_assert(PinnedLayout<wt::storage::DirectoryHeader, 40, 8>());
+WT_PIN_FIELD(wt::storage::DirectoryHeader, nodes, 0, 8);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, label_ends, 8, 8);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, records, 16, 8);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, label_end_bits, 24, 4);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, k_bits, 28, 4);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, beta_start_bits, 32, 4);
+WT_PIN_FIELD(wt::storage::DirectoryHeader, ones_start_bits, 36, 4);
+static_assert(wt::storage::kSecDirectory == 9);
+static_assert(wt::storage::PackedWords(7, 3) == 3);
 
 // --------------------------------------- versioned envelope (serialize.hpp)
 
@@ -276,8 +281,8 @@ static_assert(std::is_same_v<decltype(wtrie::engine::ShardMeta::frozen_through),
 // Format constants are part of the contract too: a changed magic or a
 // version bump must be deliberate (new readers, compat plan), never a
 // stray edit.
-static_assert(wt::storage::kImageMagic == 0x3476474D49545721ull);
-static_assert(wt::storage::kImageVersion == 4);
+static_assert(wt::storage::kImageMagic == 0x3576474D49545721ull);
+static_assert(wt::storage::kImageVersion == 5);
 static_assert(wtrie::engine::Manifest::kMagic == 0x5754454E47494E31ull);
 static_assert(wtrie::engine::Manifest::kVersion == 2);
 

@@ -1,6 +1,6 @@
 // Minimal binary serialization helpers for small metadata files (codec
 // state, the engine manifest, the WAL), plus the versioned envelope that
-// frames the manifest. Static succinct structures persist through the v4
+// frames the manifest. Static succinct structures persist through the v5
 // image instead (storage/image.hpp).
 //
 // Format: little-endian PODs.

@@ -426,8 +426,8 @@ class TrieQueries {
   /// pruning branches with fewer than t positions (t = 1 enumerates every
   /// distinct string). `prefix` holds the string above v's label.
   template <typename Walker, typename NodeRef, typename DistinctFn>
-  static void Enumerate(Walker w, NodeRef v, size_t l, size_t r, size_t t,
-                        BitString* prefix, const DistinctFn& fn) {
+  static void Enumerate(const Walker& w, NodeRef v, size_t l, size_t r,
+                        size_t t, BitString* prefix, const DistinctFn& fn) {
     const size_t mark = prefix->size();
     const BitSpan label = w.Label(v);
     prefix->Append(label);
@@ -450,7 +450,7 @@ class TrieQueries {
   }
 
   template <typename Walker, typename NodeRef>
-  static size_t HeightBelow(Walker w, NodeRef v) {
+  static size_t HeightBelow(const Walker& w, NodeRef v) {
     if (w.IsLeaf(v)) return 0;
     return 1 + std::max(HeightBelow(w, w.Child(v, false)),
                         HeightBelow(w, w.Child(v, true)));

@@ -8,31 +8,41 @@
 //   * betas:   all internal-node bitvectors concatenated in preorder into ONE
 //              RRR vector — per-node Rank/Select are O(1) queries on the
 //              global RRR;
-//   * headers: the node directory (DESIGN.md #6), one flat 16-byte header
-//              per node in preorder — label end, right-child id, beta
-//              start, ones before beta start — written by the build pass
-//              and persisted in the image. The left child of v is v + 1, so
-//              a traversal level is one header load plus one fused RRR
-//              operation.
+//   * directory: the node directory (DESIGN.md #6), two bit-packed arrays
+//              whose field widths the builder picks per trie: `label_ends`,
+//              a zero field then one field per preorder node (the label of
+//              p spans [label_end(p-1), label_end(p))), and `records`, one
+//              entry per internal node in preorder: k (the leaves of its
+//              left subtree), beta start, and ones before beta start. A node
+//              handle {p, r, leaves} (preorder id, internal nodes before p,
+//              leaves below p) reaches both children by arithmetic —
+//              {p+1, r+1, k} and {p+2k, r+k, leaves-k} — and is a leaf iff
+//              leaves == 1, so the directory stores no child id, no leaf
+//              flag and no rank structure. Each level decodes its fields
+//              from branch-free two-word windows (LoadWindow), then runs
+//              one fused RRR operation.
 // Section 3's succinct directory (a preorder shape bitmap plus Elias--Fano
-// label and beta delimiters) would cost tens of bits per node instead of
-// 128, at several times the per-level query cost.
+// label and beta delimiters) would cost fewer bits per node again, at
+// several times the per-level query cost.
 // Batched AccessBatch/RankBatch/SelectBatch amortize one traversal per
 // touched node per batch, mirroring what AppendBatch did for ingestion.
 //
-// Space: LT(Sset) + nH0(S) + o(~h n) bits (Theorem 3.7) plus O(|Sset|)
-// words of headers. Queries: Access/Rank/Select/RankPrefix/SelectPrefix in
-// O(|s| + h_s).
+// Space: LT(Sset) + nH0(S) + o(~h n) bits (Theorem 3.7) plus the directory:
+// per distinct string two label ends and one record, each field as wide as
+// its largest value in this trie. Queries: Access/Rank/Select/RankPrefix/
+// SelectPrefix in O(|s| + h_s).
 //
 // Those queries and the Section 5 range analytics (sequential access,
 // distinct values, majority, frequent elements) are inherited from
 // internal::TrieQueries (core/trie_queries.hpp), written once for both
-// wavelet tries; this file supplies their Walker over the flat headers, the
-// builders, the batched kernels and the image.
+// wavelet tries; this file supplies their Walker over the packed directory,
+// the builders, the batched kernels and the image.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -47,16 +57,38 @@
 #include "storage/vec.hpp"
 
 namespace wt {
+namespace internal {
+
+/// A node of the static trie's packed directory: preorder id p, internal
+/// nodes before p (p's record index when p is internal), and leaves below
+/// p (1 for a leaf). p alone identifies the node.
+struct PackedNodeRef {
+  uint32_t p, r, leaves;
+  friend bool operator==(const PackedNodeRef&, const PackedNodeRef&) = default;
+};
+
+}  // namespace internal
+}  // namespace wt
+
+template <>
+struct std::hash<wt::internal::PackedNodeRef> {
+  size_t operator()(const wt::internal::PackedNodeRef& v) const noexcept {
+    return v.p;
+  }
+};
+
+namespace wt {
 
 class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
  public:
   /// Capacity of one static trie: the concatenated per-node branch
   /// bitvectors share a single Rrr, whose 32+32 packed directory caps it at
-  /// 2^32-1 total beta bits (DESIGN.md #6), and the 32-bit node headers cap
-  /// the concatenated labels the same way. Each stored string contributes
-  /// one beta bit per internal node on its path, and each label bit belongs
-  /// to some distinct string, so both totals are <= the sum of encoded
-  /// string lengths — about 150M strings at trie height 30. Both
+  /// 2^32-1 total beta bits (DESIGN.md #6), and the node directory's fields,
+  /// at most 32 bits wide, cap the concatenated labels the same way. Each
+  /// stored string contributes one beta bit per internal node on its path,
+  /// and each label bit belongs to some distinct string, so both totals are
+  /// <= the sum of encoded string lengths — about 150M strings at trie
+  /// height 30. Both
   /// construction paths check this and abort with a clean message; the
   /// engine layer (src/engine/) is the supported way to grow past it
   /// (shard, then freeze per-shard segments).
@@ -75,15 +107,17 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
 
     BitArray beta_bits;
     size_t ones = 0;  // 1s in beta_bits so far
+    DirectoryBuild dir;
 
     // Explicit-stack preorder construction over [begin, end) ranges of ids.
     struct Frame {
       size_t begin, end;
-      size_t offset;    // bits of every string in the range already consumed
-      uint32_t parent;  // parent node id (unused for the root)
-      bool right;       // the range is its parent's right subtree
+      size_t offset;      // bits of every string in the range already consumed
+      uint32_t parent_p;  // parent's preorder id (unused for the root)
+      uint32_t parent_r;  // parent's record index (unused for the root)
+      bool right;         // the range is its parent's right subtree
     };
-    std::vector<Frame> stack{{0, n_, 0, 0, false}};
+    std::vector<Frame> stack{{0, n_, 0, 0, 0, false}};
     std::vector<uint32_t> scratch;
     while (!stack.empty()) {
       const Frame f = stack.back();
@@ -99,7 +133,9 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       }
       // Append the label alpha.
       labels_.AppendRange(seq[ids[f.begin]].bits(), f.offset, lcp);
-      const uint32_t v = AddNode(f.parent, f.right);
+      const uint32_t p = dir.AddNode(labels_.size());
+      // A right child closes its parent's left subtree: 2k - 1 nodes.
+      if (f.right) dir.records[f.parent_r][0] = (p - f.parent_p) / 2;
       const size_t split = f.offset + lcp;
       if (split == first.size() + f.offset) {
         // The first string ends here; by prefix-freeness all must.
@@ -109,8 +145,9 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
         }
         continue;  // leaf
       }
-      headers_[v].beta_start = static_cast<uint32_t>(beta_bits.size());
-      headers_[v].ones_start = static_cast<uint32_t>(ones);
+      const auto r = static_cast<uint32_t>(dir.records.size());
+      dir.records.push_back({0, static_cast<uint32_t>(beta_bits.size()),
+                             static_cast<uint32_t>(ones)});
       // Emit beta and stably partition the range by the branching bit.
       scratch.clear();
       size_t w = f.begin;
@@ -129,10 +166,10 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       for (uint32_t id : scratch) ids[w++] = id;
       const size_t mid = f.end - scratch.size();
       // Preorder: left subtree first, so push right first.
-      stack.push_back({mid, f.end, split + 1, v, true});
-      stack.push_back({f.begin, mid, split + 1, v, false});
+      stack.push_back({mid, f.end, split + 1, p, r, true});
+      stack.push_back({f.begin, mid, split + 1, p, r, false});
     }
-    FinishBuild(beta_bits);
+    FinishBuild(beta_bits, dir);
   }
 
   /// Word-parallel bulk construction (the DESIGN.md #4 fast path). Produces
@@ -174,17 +211,17 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
 
     BitArray beta_bits;
     size_t ones = 0;  // 1s in beta_bits so far
-    out.headers_.reserve(2 * dn - 1);  // a full binary tree over dn leaves
+    DirectoryBuild dir;
+    dir.label_ends.reserve(2 * dn - 1);  // a full binary tree over dn leaves
+    dir.records.reserve(dn - 1);
 
     struct Frame {
       uint32_t *dbegin, *dend;  // distinct ids in this subtree
       uint32_t *obegin, *oend;  // occurrence sequence (distinct ids), in order
       size_t offset;            // bits of every string already consumed
-      uint32_t parent;          // parent node id (unused for the root)
-      bool right;               // this subtree is its parent's right one
     };
-    std::vector<Frame> stack{{darr.data(), darr.data() + dn, oarr.data(),
-                              oarr.data() + n, 0, 0, false}};
+    std::vector<Frame> stack{
+        {darr.data(), darr.data() + dn, oarr.data(), oarr.data() + n, 0}};
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
@@ -198,7 +235,7 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       }
       const BitSpan rep = dstr[*f.dbegin];
       out.labels_.AppendWords(rep.words(), rep.start_bit() + f.offset, lcp);
-      const uint32_t v = out.AddNode(f.parent, f.right);
+      dir.AddNode(out.labels_.size());
       const size_t split = f.offset + lcp;
       if (lcp == first.size()) {
         // The first suffix ends here; all routed strings must equal it.
@@ -209,8 +246,8 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       WT_ASSERT_MSG(std::all_of(f.dbegin, f.dend,
                                 [&](uint32_t d) { return dstr[d].size() > split; }),
                     "WaveletTrie: input set is not prefix-free");
-      out.headers_[v].beta_start = static_cast<uint32_t>(beta_bits.size());
-      out.headers_[v].ones_start = static_cast<uint32_t>(ones);
+      const auto beta_start = static_cast<uint32_t>(beta_bits.size());
+      const auto ones_start = static_cast<uint32_t>(ones);
       // Branch bit per distinct id, then one stable partition of both the
       // distinct set and the occurrence sequence, packing beta words.
       for (const uint32_t* it = f.dbegin; it != f.dend; ++it) {
@@ -228,6 +265,9 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       }
       uint32_t* dmid = d0;
       std::copy(dscratch.data(), dscratch.data() + dn1, d0);
+      // k: the distinct strings routed left are the left subtree's leaves.
+      dir.records.push_back({static_cast<uint32_t>(dmid - f.dbegin),
+                             beta_start, ones_start});
       uint32_t* o0 = f.obegin;
       size_t on1 = 0;
       // 64-item blocks: gather bits into a word (pipelined loads), then
@@ -257,25 +297,26 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       uint32_t* omid = o0;
       std::copy(oscratch.data(), oscratch.data() + on1, o0);
       // Preorder: left subtree first, so push right first.
-      stack.push_back({dmid, f.dend, omid, f.oend, split + 1, v, true});
-      stack.push_back({f.dbegin, dmid, f.obegin, omid, split + 1, v, false});
+      stack.push_back({dmid, f.dend, omid, f.oend, split + 1});
+      stack.push_back({f.dbegin, dmid, f.obegin, omid, split + 1});
     }
-    out.FinishBuild(beta_bits);
+    out.FinishBuild(beta_bits, dir);
     return out;
   }
 
   size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
   /// Number of distinct strings |Sset|.
-  size_t NumDistinct() const { return (headers_.size() + 1) / 2; }
+  size_t NumDistinct() const { return (dir_.nodes + 1) / 2; }
 
   // ------------------------------------------------------- batched queries
   //
   // One node-grouped traversal per batch (DESIGN.md #6): queries are
   // partitioned across the trie exactly like strings during BulkBuild, so
-  // each touched node's header, directory lines and decoded beta blocks are
-  // loaded once per batch instead of once per query, with the next level's
-  // headers prefetched while the current node's positions are ranked.
+  // each touched node's directory fields, RRR directory lines and decoded
+  // beta blocks are loaded once per batch instead of once per query, with
+  // the right child's fields prefetched while the current node's positions
+  // are ranked.
   // Results are identical to the per-query loops (differential-tested).
 
   /// out[i] == Access(positions[i]); positions in any order, duplicates ok.
@@ -296,7 +337,9 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     std::vector<BitString> leaf_vals;
     leaf_vals.reserve(256);
     std::vector<uint32_t> leaf_of(m);
-    AccessBatchRec(0, 0, m, &st, &cursor, &prefix, &leaf_vals, &leaf_of);
+    const Walker w = Walk();
+    AccessBatchRec(w, w.Root(), 0, m, &st, &cursor, &prefix, &leaf_vals,
+                   &leaf_of);
     for (size_t i = 0; i < m; ++i) out[i] = leaf_vals[leaf_of[i]];
     return out;
   }
@@ -324,7 +367,8 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     SortByPosition(positions, &sb.st);
     for (size_t i = 0; i < m; ++i) sb.did[i] = sb.dict.id_of[QidOf(sb.st.q[i])];
     Rrr::RankCursor cursor(&beta_);
-    RankBatchRec(0, 0, 0, m, 0, sb.darr.size(), &sb, &cursor, &out);
+    const Walker w = Walk();
+    RankBatchRec(w, w.Root(), 0, 0, m, 0, sb.darr.size(), &sb, &cursor, &out);
     return out;
   }
 
@@ -348,16 +392,17 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     }
     Rrr::RankCursor cursor(&beta_);
     Rrr::SelectCursor scursor(&beta_);
-    const size_t end = SelectBatchRec(0, 0, n_, 0, w, 0, sb.darr.size(), &sb,
-                                      &cursor, &scursor);
+    const Walker walk = Walk();
+    const size_t end = SelectBatchRec(walk, walk.Root(), 0, n_, 0, w, 0,
+                                      sb.darr.size(), &sb, &cursor, &scursor);
     for (size_t i = 0; i < end; ++i) out[QidOf(sb.st.q[i])] = PosOf(sb.st.q[i]);
     return out;
   }
 
-  /// v4 flat image (DESIGN.md #8): one section per component, the RRR
-  /// directories *and the node headers* persisted, so LoadImage borrows the
-  /// whole trie out of the blob with no rebuild pass — the structure is
-  /// query-ready the moment the bytes are visible.
+  /// v5 flat image (DESIGN.md #8): one section per component, the RRR
+  /// directories *and the packed node directory* persisted, so LoadImage
+  /// borrows the whole trie out of the blob with no rebuild pass — the
+  /// structure is query-ready the moment the bytes are visible.
   void SaveImage(storage::ImageWriter& w) const {
     w.BeginSection(storage::kSecTrie);
     w.Pod<uint64_t>(n_);
@@ -369,17 +414,16 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     w.BeginSection(storage::kSecBeta);
     beta_.SaveImage(w);
     w.EndSection();
-    w.BeginSection(storage::kSecHeaders);
-    w.Pod<uint64_t>(headers_.size());
-    w.Array(headers_.data(), headers_.size());
+    w.BeginSection(storage::kSecDirectory);
+    w.Pod(dir_);
+    w.Array(label_ends_.data(), label_ends_.size());
+    w.Array(records_.data(), records_.size());
     w.EndSection();
   }
 
   /// Borrows a trie out of a parsed image. Never aborts: every bounds or
   /// consistency failure returns false (the caller translates it into a
-  /// clean Status). The blob must stay alive as long as the trie. Sections
-  /// this version does not read (the retired tags of SectionTag) are
-  /// skipped, so images written before their retirement still load.
+  /// clean Status). The blob must stay alive as long as the trie.
   bool LoadImage(storage::ImageReader& r) {
     if (!r.OpenSection(storage::kSecTrie)) return false;
     uint64_t n = 0;
@@ -396,30 +440,49 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     if (!r.OpenSection(storage::kSecBeta) || !out.beta_.LoadImage(r)) {
       return false;
     }
-    if (!r.OpenSection(storage::kSecHeaders)) return false;
-    uint64_t nodes = 0;
-    const NodeHeader* h = nullptr;
-    if (!r.Pod(&nodes) || !r.Array(&h, nodes)) return false;
-    // The node count is the one length the image states (Array bounded it
-    // by the section). O(1) checks that it closes a full binary tree over
-    // these labels and this beta: an odd count, a leaf last in preorder
-    // ending the labels, a root beta at the origin, and a beta exactly
-    // when the root is internal. n < 2^32 as every builder guarantees.
-    if (n >= (uint64_t(1) << 32) || nodes % 2 == 0 ||
-        h[nodes - 1].right != 0 ||
-        h[nodes - 1].label_end != out.labels_.size() ||
-        h[0].beta_start != 0 || h[0].ones_start != 0 ||
-        (nodes == 1) != (out.beta_.size() == 0)) {
+    storage::DirectoryHeader& dir = out.dir_;
+    if (!r.OpenSection(storage::kSecDirectory) || !r.Pod(&dir)) return false;
+    // The directory states its counts and widths. O(1) checks that they
+    // close a full binary tree over these labels and this beta (an odd node
+    // count, a label end per node, a record per internal node, no field
+    // wider than 32 bits, a beta exactly when the root is internal), and
+    // Array bounds each array by its section. n < 2^32 as every builder
+    // guarantees.
+    const uint64_t d = (dir.nodes + 1) / 2;
+    if (n >= (uint64_t(1) << 32) || dir.nodes >= (uint64_t(1) << 32) ||
+        dir.nodes % 2 == 0 || d > n || dir.label_ends != dir.nodes ||
+        dir.records != d - 1 || dir.label_end_bits > 32 || dir.k_bits > 32 ||
+        dir.beta_start_bits > 32 || dir.ones_start_bits > 32 ||
+        (dir.nodes == 1) != (out.beta_.size() == 0)) {
       return false;
     }
-    out.headers_ = storage::Vec<NodeHeader>::Borrow(h, nodes);
+    const uint64_t* ends = nullptr;
+    const uint64_t* recs = nullptr;
+    const size_t end_words =
+        storage::PackedWords(dir.nodes + 1, dir.label_end_bits);
+    const size_t rec_words = storage::PackedWords(
+        dir.records, dir.k_bits + dir.beta_start_bits + dir.ones_start_bits);
+    if (!r.Array(&ends, end_words) || !r.Array(&recs, rec_words)) return false;
+    out.label_ends_ = storage::Vec<uint64_t>::Borrow(ends, end_words);
+    out.records_ = storage::Vec<uint64_t>::Borrow(recs, rec_words);
+    // The last label end closes the labels; the root's beta starts at the
+    // origin, and its left subtree holds some but not all of the leaves.
+    const Walker w = out.Walk();
+    if (w.LabelEnd(dir.nodes - 1) != out.labels_.size()) return false;
+    if (dir.records > 0) {
+      const auto root = w.Record(0);
+      if (root.beta_start != 0 || root.ones_start != 0 || root.k < 1 ||
+          root.k >= d) {
+        return false;
+      }
+    }
     *this = std::move(out);
     return true;
   }
 
   size_t SizeInBits() const {
     return labels_.SizeInBits() + beta_.SizeInBits() +
-           8 * sizeof(NodeHeader) * headers_.capacity();
+           kWordBits * (label_ends_.capacity() + records_.capacity());
   }
 
   /// Per-node debug view (preorder), used to reproduce the paper's Figure 2.
@@ -429,69 +492,103 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     bool is_leaf;
   };
   std::vector<NodeDebug> DebugNodes() const {
-    std::vector<NodeDebug> out(headers_.size());
-    // Betas are concatenated in preorder, so each ends where the next
-    // internal node's begins.
-    size_t end = beta_.size();
-    for (size_t v = headers_.size(); v-- > 0;) {
-      NodeDebug& d = out[v];
-      d.alpha = Label(v).ToString();
-      d.is_leaf = !IsInternalNode(v);
+    std::vector<NodeDebug> out(dir_.nodes);
+    if (n_ == 0) return out;
+    const Walker w = Walk();
+    std::vector<Walker::NodeRef> stack{w.Root()};
+    while (!stack.empty()) {
+      const Walker::NodeRef v = stack.back();
+      stack.pop_back();
+      NodeDebug& d = out[v.p];
+      d.alpha = w.Label(v).ToString();
+      d.is_leaf = w.IsLeaf(v);
       if (d.is_leaf) continue;
-      const size_t start = headers_[v].beta_start;
+      // Betas are concatenated in preorder, so each ends where the next
+      // internal node's begins.
+      const size_t start = w.Record(v.r).beta_start;
+      const size_t end =
+          v.r + 1 < dir_.records ? w.Record(v.r + 1).beta_start : beta_.size();
       for (size_t i = start; i < end; ++i) d.beta.push_back(beta_.Get(i) ? '1' : '0');
-      end = start;
+      stack.push_back(w.Child(v, true));
+      stack.push_back(w.Child(v, false));
     }
     return out;
   }
 
- public:
-  /// Flat per-node query header (DESIGN.md #6): everything a traversal
-  /// level needs in one 16-byte load. `right == 0` marks a leaf (the root
-  /// is never anyone's child). The label of node v spans
-  /// [headers_[v-1].label_end, headers_[v].label_end) — labels are
-  /// concatenated in preorder, so the previous node's end is this node's
-  /// start. For internal nodes, the beta segment starts at beta_start and
-  /// ones_start caches beta_.Rank1(beta_start), halving the RRR work of
-  /// every per-node rank and select.
-  struct NodeHeader {
-    uint32_t label_end;
-    uint32_t right;
-    uint32_t beta_start;
-    uint32_t ones_start;
-  };
-
  private:
   friend class internal::TrieQueries<WaveletTrie>;
 
-  /// The shared queries' view of this layout (core/trie_queries.hpp): node
-  /// ids in preorder, v's left child is v + 1, and every beta operation is
-  /// one header load plus one RRR operation on the global beta.
+  /// The shared queries' view of this layout (core/trie_queries.hpp) and
+  /// the batched kernels' decoder of the packed directory. It copies the
+  /// arrays and widths once per query, so the per-level decode reads no
+  /// trie member. Every field is at most 32 bits wide, so two label ends
+  /// (or a record's k and beta start) fit one 64-bit window.
   struct Walker {
-    using NodeRef = size_t;
+    using NodeRef = internal::PackedNodeRef;
+    /// Internal node r's directory record. ones_start caches
+    /// beta_.Rank1(beta_start), halving the RRR work of every per-node rank
+    /// and select.
+    struct Rec {
+      size_t k, beta_start, ones_start;
+    };
+
     const WaveletTrie* t;
-    NodeRef Root() const { return 0; }
-    BitSpan Label(NodeRef v) const { return t->Label(v); }
-    bool IsLeaf(NodeRef v) const { return !t->IsInternalNode(v); }
-    NodeRef Child(NodeRef v, bool b) const {
-      return b ? t->RightChildOf(v) : v + 1;
+    const uint64_t* ends;  // label_ends_ words
+    const uint64_t* recs;  // records_ words
+    unsigned wl, wk, wb, wo;  // label end, k, beta start and ones start bits
+
+    static uint64_t Mask(unsigned width) { return (uint64_t(1) << width) - 1; }
+
+    NodeRef Root() const {
+      return {0, 0, static_cast<uint32_t>(t->NumDistinct())};
     }
-    /// One RRR rank (the rank at the segment start is in the header).
+    /// Both label ends from one window: the array opens with a zero field,
+    /// so node p's label end is field p + 1 and its start field p.
+    BitSpan Label(NodeRef v) const {
+      const uint64_t win = LoadWindow(ends, size_t(v.p) * wl);
+      const size_t start = win & Mask(wl), end = (win >> wl) & Mask(wl);
+      return BitSpan(t->labels_.data(), start, end - start);
+    }
+    size_t LabelEnd(size_t p) const {
+      return LoadWindow(ends, (p + 1) * wl) & Mask(wl);
+    }
+    /// k and beta start from one window, ones start from a second.
+    Rec Record(size_t r) const {
+      const size_t at = r * (wk + wb + wo);
+      const uint64_t head = LoadWindow(recs, at);
+      return {head & Mask(wk), (head >> wk) & Mask(wb),
+              LoadWindow(recs, at + wk + wb) & Mask(wo)};
+    }
+    bool IsLeaf(NodeRef v) const { return v.leaves == 1; }
+    /// Internal node v's b-child, v's left subtree holding k leaves:
+    /// {p+1, r+1, k} or {p+2k, r+k, leaves-k}, picked by a mask, not a
+    /// branch, since b is a data bit that would mispredict half the time.
+    static NodeRef ChildOf(NodeRef v, bool b, size_t k) {
+      const auto k32 = static_cast<uint32_t>(k);
+      const uint32_t m = 0u - uint32_t{b};
+      return {v.p + 1 + ((2 * k32 - 1) & m), v.r + 1 + ((k32 - 1) & m),
+              k32 + ((v.leaves - 2 * k32) & m)};
+    }
+    NodeRef Child(NodeRef v, bool b) const {
+      return ChildOf(v, b, Record(v.r).k);
+    }
+    /// One RRR rank (the rank at the segment start is in the record).
     size_t Rank(NodeRef v, bool b, size_t pos) const {
-      const auto [start, ones_start] = t->BetaLoc(v);
-      const size_t ones = t->beta_.Rank1(start + pos) - ones_start;
+      const Rec rec = Record(v.r);
+      const size_t ones = t->beta_.Rank1(rec.beta_start + pos) - rec.ones_start;
       return b ? ones : pos - ones;
     }
     size_t Select(NodeRef v, bool b, size_t k) const {
-      const auto [start, ones_start] = t->BetaLoc(v);
-      if (b) return t->beta_.Select1(ones_start + k) - start;
-      return t->beta_.Select0((start - ones_start) + k) - start;
+      const Rec rec = Record(v.r);
+      if (b) return t->beta_.Select1(rec.ones_start + k) - rec.beta_start;
+      return t->beta_.Select0((rec.beta_start - rec.ones_start) + k) -
+             rec.beta_start;
     }
     /// One fused RRR rank-and-get.
     std::pair<bool, size_t> Route(NodeRef v, size_t pos) const {
-      const auto [start, ones_start] = t->BetaLoc(v);
-      const auto [ones_abs, bit] = t->beta_.RankGet(start + pos);
-      const size_t ones = ones_abs - ones_start;
+      const Rec rec = Record(v.r);
+      const auto [ones_abs, bit] = t->beta_.RankGet(rec.beta_start + pos);
+      const size_t ones = ones_abs - rec.ones_start;
       return {bit, bit ? ones : pos - ones};
     }
     /// No subtree sizes are stored: a rank.
@@ -499,49 +596,78 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       return Rank(v, b, len);
     }
     Rrr::Iterator Beta(NodeRef v, size_t pos) const {
-      return Rrr::Iterator(&t->beta_, t->BetaLoc(v).first + pos);
+      return Rrr::Iterator(&t->beta_, Record(v.r).beta_start + pos);
     }
-    void Prefetch(NodeRef v) const { PrefetchRead(&t->headers_[v]); }
+    /// v's label ends and record.
+    void Prefetch(NodeRef v) const {
+      PrefetchRead(ends + ((size_t(v.p) * wl) >> 6));
+      PrefetchRead(recs + ((size_t(v.r) * (wk + wb + wo)) >> 6));
+    }
   };
-  Walker Walk() const { return {this}; }
-
-  /// Preorder build step shared by both constructors: appends the header
-  /// of the node whose label was just appended (a leaf until its beta is
-  /// set) and links it as its parent's right child when it is one.
-  uint32_t AddNode(uint32_t parent, bool right) {
-    const auto v = static_cast<uint32_t>(headers_.size());
-    if (right) headers_[parent].right = v;
-    headers_.push_back({static_cast<uint32_t>(labels_.size()), 0, 0, 0});
-    return v;
+  Walker Walk() const {
+    return {this,
+            label_ends_.data(),
+            records_.data(),
+            dir_.label_end_bits,
+            dir_.k_bits,
+            dir_.beta_start_bits,
+            dir_.ones_start_bits};
   }
 
+  /// The directory as both builders emit it, in preorder; FinishBuild
+  /// packs it.
+  struct DirectoryBuild {
+    std::vector<uint32_t> label_ends;  // one per node
+    /// One per internal node: k, beta start, ones start.
+    std::vector<std::array<uint32_t, 3>> records;
+
+    /// Adds the node whose label was just appended, ending at `label_end`;
+    /// returns its preorder id.
+    uint32_t AddNode(size_t label_end) {
+      label_ends.push_back(static_cast<uint32_t>(label_end));
+      return static_cast<uint32_t>(label_ends.size() - 1);
+    }
+  };
+
   /// Shared tail of both constructors: the capacity check (kMaxBetaBits),
-  /// then the global RRR over the emitted beta bits.
-  void FinishBuild(const BitArray& beta_bits) {
+  /// the global RRR over the emitted beta bits, and the directory packed at
+  /// the narrowest width that holds each field's largest value.
+  void FinishBuild(const BitArray& beta_bits, const DirectoryBuild& build) {
     WT_ASSERT_MSG(labels_.size() <= kMaxBetaBits &&
                       beta_bits.size() <= kMaxBetaBits,
                   "WaveletTrie: total label or beta bits exceed 2^32-1 (the "
-                  "node-header and packed RRR directory limit); split the "
-                  "sequence across tries (src/engine/) instead");
+                  "32-bit directory field and packed RRR directory limit); "
+                  "split the sequence across tries (src/engine/) instead");
     labels_.ShrinkToFit();
-    headers_.shrink_to_fit();
     beta_ = Rrr(beta_bits);
-  }
-
-  bool IsInternalNode(size_t v) const { return headers_[v].right != 0; }
-
-  size_t RightChildOf(size_t v) const { return headers_[v].right; }
-
-  BitSpan Label(size_t v) const {
-    const size_t start = v == 0 ? 0 : headers_[v - 1].label_end;
-    return BitSpan(labels_.data(), start, headers_[v].label_end - start);
-  }
-
-  /// Location of internal node v's beta in the global RRR: (start bit,
-  /// ones before start). One header load.
-  std::pair<size_t, size_t> BetaLoc(size_t v) const {
-    const NodeHeader& h = headers_[v];
-    return {h.beta_start, h.ones_start};
+    std::array<uint32_t, 3> max{};
+    for (const auto& rec : build.records) {
+      for (size_t f = 0; f < 3; ++f) max[f] = std::max(max[f], rec[f]);
+    }
+    dir_.nodes = dir_.label_ends = build.label_ends.size();
+    dir_.records = build.records.size();
+    dir_.label_end_bits = BitWidth(labels_.size());
+    dir_.k_bits = BitWidth(max[0]);
+    dir_.beta_start_bits = BitWidth(max[1]);
+    dir_.ones_start_bits = BitWidth(max[2]);
+    const unsigned wl = dir_.label_end_bits;
+    label_ends_.assign(storage::PackedWords(dir_.nodes + 1, wl), 0);
+    for (size_t p = 0; p < dir_.nodes; ++p) {
+      StoreBits(label_ends_.mutable_data(), (p + 1) * wl, wl,
+                build.label_ends[p]);
+    }
+    const unsigned widths[3] = {dir_.k_bits, dir_.beta_start_bits,
+                                dir_.ones_start_bits};
+    records_.assign(
+        storage::PackedWords(dir_.records, widths[0] + widths[1] + widths[2]),
+        0);
+    size_t at = 0;
+    for (const auto& rec : build.records) {
+      for (size_t f = 0; f < 3; ++f) {
+        StoreBits(records_.mutable_data(), at, widths[f], rec[f]);
+        at += widths[f];
+      }
+    }
   }
 
   // ------------------------------------------------ batched traversal core
@@ -626,9 +752,20 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     }
   }
 
-  void PrefetchChildren(size_t v, size_t right) const {
-    PrefetchRead(&headers_[v + 1]);
-    PrefetchRead(&headers_[right]);
+  /// One record decode per touched node: v's beta location and both
+  /// children. The right child's directory fields are prefetched while v's
+  /// positions are ranked; the left child's follow v's own in both arrays.
+  struct Split {
+    Walker::NodeRef left, right;
+    size_t beta_start, ones_start;
+  };
+  static Split SplitOf(const Walker& w, Walker::NodeRef v) {
+    const Walker::Rec rec = w.Record(v.r);
+    const Split s{Walker::ChildOf(v, false, rec.k),
+                  Walker::ChildOf(v, true, rec.k), rec.beta_start,
+                  rec.ones_start};
+    w.Prefetch(s.right);
+    return s;
   }
 
   /// Per-query rank step of the batched traversals: a cursor walk (cache
@@ -656,22 +793,20 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     return cursor->Rank1(gpos);
   }
 
-  void AccessBatchRec(size_t v, size_t lo, size_t hi, BatchState* st,
-                      Rrr::RankCursor* cursor, BitString* prefix,
-                      std::vector<BitString>* leaf_vals,
+  void AccessBatchRec(const Walker& walk, Walker::NodeRef v, size_t lo,
+                      size_t hi, BatchState* st, Rrr::RankCursor* cursor,
+                      BitString* prefix, std::vector<BitString>* leaf_vals,
                       std::vector<uint32_t>* leaf_of) const {
     const size_t mark = prefix->size();
-    prefix->Append(Label(v));
-    if (!IsInternalNode(v)) {
+    prefix->Append(walk.Label(v));
+    if (walk.IsLeaf(v)) {
       const uint32_t leaf_id = static_cast<uint32_t>(leaf_vals->size());
       leaf_vals->push_back(*prefix);
       for (size_t i = lo; i < hi; ++i) (*leaf_of)[QidOf(st->q[i])] = leaf_id;
       prefix->Truncate(mark);
       return;
     }
-    const size_t right = RightChildOf(v);
-    PrefetchChildren(v, right);
-    const auto [start, ones_start] = BetaLoc(v);
+    const auto [left, right, start, ones_start] = SplitOf(walk, v);
     size_t w = lo, n1 = 0;
     for (size_t i = lo; i < hi; ++i) {
       const uint64_t key = st->q[i];
@@ -689,12 +824,12 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     const size_t lab_end = prefix->size();
     if (lo < w) {
       prefix->PushBack(false);
-      AccessBatchRec(v + 1, lo, w, st, cursor, prefix, leaf_vals, leaf_of);
+      AccessBatchRec(walk, left, lo, w, st, cursor, prefix, leaf_vals, leaf_of);
       prefix->Truncate(lab_end);
     }
     if (w < hi) {
       prefix->PushBack(true);
-      AccessBatchRec(right, w, hi, st, cursor, prefix, leaf_vals, leaf_of);
+      AccessBatchRec(walk, right, w, hi, st, cursor, prefix, leaf_vals, leaf_of);
     }
     prefix->Truncate(mark);
   }
@@ -705,10 +840,9 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
   /// point of the distinct ids so the caller-level arrays stay in lockstep.
   enum : uint8_t { kRouteDrop = 0, kRouteLeft = 1, kRouteRight = 2, kRouteMatch = 3 };
 
-  void RouteDistinct(size_t v, const BitSpan& label, size_t depth, size_t d2,
+  void RouteDistinct(const BitSpan& label, size_t depth, size_t d2,
                      bool internal_node, size_t dlo, size_t dhi,
                      StringBatch* sb) const {
-    (void)v;
     for (size_t j = dlo; j < dhi; ++j) {
       const uint32_t d = sb->darr[j];
       const BitSpan s = sb->dict.distinct[d];
@@ -742,13 +876,14 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     return {dw, dn1};
   }
 
-  void RankBatchRec(size_t v, size_t depth, size_t lo, size_t hi, size_t dlo,
-                    size_t dhi, StringBatch* sb, Rrr::RankCursor* cursor,
+  void RankBatchRec(const Walker& walk, Walker::NodeRef v, size_t depth,
+                    size_t lo, size_t hi, size_t dlo, size_t dhi,
+                    StringBatch* sb, Rrr::RankCursor* cursor,
                     std::vector<size_t>* out) const {
-    const BitSpan label = Label(v);
+    const BitSpan label = walk.Label(v);
     const size_t d2 = depth + label.size();
-    const bool internal_node = IsInternalNode(v);
-    RouteDistinct(v, label, depth, d2, internal_node, dlo, dhi, sb);
+    const bool internal_node = !walk.IsLeaf(v);
+    RouteDistinct(label, depth, d2, internal_node, dlo, dhi, sb);
     if (!internal_node) {
       for (size_t i = lo; i < hi; ++i) {
         const uint64_t key = sb->st.q[i];
@@ -758,10 +893,8 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       }
       return;
     }
-    const size_t right = RightChildOf(v);
-    PrefetchChildren(v, right);
+    const auto [left, right, start, ones_start] = SplitOf(walk, v);
     const auto [dw, dn1] = PartitionDistinct(dlo, dhi, sb);
-    const auto [start, ones_start] = BetaLoc(v);
     size_t w = lo, n1 = 0;
     for (size_t i = lo; i < hi; ++i) {
       const uint32_t d = sb->did[i];
@@ -786,10 +919,10 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     std::copy_n(sb->st.scratch.data(), n1, sb->st.q.data() + w);
     std::copy_n(sb->did_scratch.data(), n1, sb->did.data() + w);
     if (lo < w) {
-      RankBatchRec(v + 1, d2 + 1, lo, w, dlo, dw, sb, cursor, out);
+      RankBatchRec(walk, left, d2 + 1, lo, w, dlo, dw, sb, cursor, out);
     }
     if (n1 > 0) {
-      RankBatchRec(right, d2 + 1, w, w + n1, dw, dw + dn1, sb, cursor, out);
+      RankBatchRec(walk, right, d2 + 1, w, w + n1, dw, dw + dn1, sb, cursor, out);
     }
   }
 
@@ -802,14 +935,14 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
   /// arrive rank-sorted at every node and the select cursor walks each
   /// node's beta forward instead of re-searching per query. Returns the end
   /// of the compacted survivor range (dropped queries stay nullopt).
-  size_t SelectBatchRec(size_t v, size_t depth, size_t len, size_t lo,
-                        size_t hi, size_t dlo, size_t dhi, StringBatch* sb,
-                        Rrr::RankCursor* cursor,
+  size_t SelectBatchRec(const Walker& walk, Walker::NodeRef v, size_t depth,
+                        size_t len, size_t lo, size_t hi, size_t dlo,
+                        size_t dhi, StringBatch* sb, Rrr::RankCursor* cursor,
                         Rrr::SelectCursor* scursor) const {
-    const BitSpan label = Label(v);
+    const BitSpan label = walk.Label(v);
     const size_t d2 = depth + label.size();
-    const bool internal_node = IsInternalNode(v);
-    RouteDistinct(v, label, depth, d2, internal_node, dlo, dhi, sb);
+    const bool internal_node = !walk.IsLeaf(v);
+    RouteDistinct(label, depth, d2, internal_node, dlo, dhi, sb);
     if (!internal_node) {
       size_t keep = lo;
       for (size_t i = lo; i < hi; ++i) {
@@ -821,10 +954,8 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
       std::sort(sb->st.q.begin() + lo, sb->st.q.begin() + keep);
       return keep;
     }
-    const size_t right = RightChildOf(v);
-    PrefetchChildren(v, right);
+    const auto [left, right, start, ones_start] = SplitOf(walk, v);
     const auto [dw, dn1] = PartitionDistinct(dlo, dhi, sb);
-    const auto [start, ones_start] = BetaLoc(v);
     const size_t ones_total = cursor->Rank1(start + len) - ones_start;
     size_t w = lo, n1 = 0;
     for (size_t i = lo; i < hi; ++i) {
@@ -845,11 +976,11 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
     std::copy_n(sb->st.scratch.data(), n1, sb->st.q.data() + w);
     std::copy_n(sb->did_scratch.data(), n1, sb->did.data() + w);
     const size_t left_end =
-        lo < w ? SelectBatchRec(v + 1, d2 + 1, len - ones_total, lo, w, dlo,
-                                dw, sb, cursor, scursor)
+        lo < w ? SelectBatchRec(walk, left, d2 + 1, len - ones_total, lo, w,
+                                dlo, dw, sb, cursor, scursor)
                : lo;
     const size_t right_end =
-        n1 > 0 ? SelectBatchRec(right, d2 + 1, ones_total, w, w + n1, dw,
+        n1 > 0 ? SelectBatchRec(walk, right, d2 + 1, ones_total, w, w + n1, dw,
                                 dw + dn1, sb, cursor, scursor)
                : w;
     const size_t zeros_start = start - ones_start;
@@ -876,7 +1007,11 @@ class WaveletTrie : public internal::TrieQueries<WaveletTrie> {
   size_t n_ = 0;
   BitArray labels_;  // concatenated alpha labels, preorder
   Rrr beta_;         // concatenated internal-node bitvectors, preorder
-  storage::Vec<NodeHeader> headers_;  // the node directory, preorder
+  // The node directory (DESIGN.md #6): counts and field widths, one
+  // label-end field per node and one record per internal node, preorder.
+  storage::DirectoryHeader dir_;
+  storage::Vec<uint64_t> label_ends_;
+  storage::Vec<uint64_t> records_;
 };
 
 }  // namespace wt

@@ -101,7 +101,7 @@ class Engine {
     /// fsync each WAL record (durability against OS crashes, not just
     /// process crashes). Off by default: a research-bench default.
     bool sync_wal = false;
-    /// Serve frozen segments from memory-mapped v4 images (DESIGN.md #8):
+    /// Serve frozen segments from memory-mapped v5 images (DESIGN.md #8):
     /// Open() borrows straight into the mapped manifest segments instead
     /// of deserializing them, and a freshly saved freeze/compaction output
     /// is remapped so steady-state serving reads the page cache, not a
@@ -786,7 +786,7 @@ class Engine {
 
   // ---------------------------------------------------------- persistence
 
-  /// Writes the segment as a v4 flat image, durably: tmp write, file
+  /// Writes the segment as a v5 flat image, durably: tmp write, file
   /// fsync, rename, directory fsync — a power cut at any step leaves
   /// either no segment (recovery replays the WAL) or a complete one;
   /// without the fsyncs a journaling filesystem could commit the rename
@@ -803,7 +803,7 @@ class Engine {
                                           final_path, seg.SerializeImage());
   }
 
-  /// Loads a segment file: the v4 image is borrowed in place from a mapped
+  /// Loads a segment file: the v5 image is borrowed in place from a mapped
   /// (or heap) blob. Anything that is not an image fails cleanly with
   /// kCorruptStream.
   Result<Segment> LoadSegmentFile(const std::string& path) {

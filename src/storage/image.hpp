@@ -1,10 +1,10 @@
-// Flat image format v4 — the library's one persistence format for static
+// Flat image format v5 — the library's one persistence format for static
 // structures (DESIGN.md #8): engine segments and Sequence::Save both write
 // it.
 //
-// A v4 image is ONE relocatable blob holding a frozen structure with *all*
+// A v5 image is ONE relocatable blob holding a frozen structure with *all*
 // derived state persisted — RRR interleaved superblocks and select
-// samples, the trie's flat node headers, codec state, encoded-bits
+// samples, the trie's packed node directory, codec state, encoded-bits
 // budget — at offset-addressed, 8-byte-aligned positions. Nothing is
 // rebuilt on open: the structure borrows (storage/vec.hpp) straight into
 // the blob, so a segment is query-ready the instant its bytes are visible
@@ -28,8 +28,10 @@
 // extends that trust to the whole file and is only for storage you
 // control.
 //
-// Version policy: v4 is the only version read or written; any other
-// version or format is a clean error.
+// Version policy: v5 is the only version read or written. The magic's
+// first seven bytes ("!WTIMGv") mark an image of any version, so a v4 file
+// (flat 16-byte node headers, section tag 8) or a future one is a clean
+// kBadVersion, and any other file a clean kBadMagic.
 #pragma once
 
 #include <cstddef>
@@ -42,21 +44,26 @@
 
 namespace wt::storage {
 
-inline constexpr uint64_t kImageMagic = 0x3476474D49545721ull;  // "!WTIMGv4"
-inline constexpr uint32_t kImageVersion = 4;
+inline constexpr uint64_t kImageMagic = 0x3576474D49545721ull;  // "!WTIMGv5"
+inline constexpr uint32_t kImageVersion = 5;
 inline constexpr uint32_t kMaxSections = 64;
 
+/// True for the magic of an image of any version: all but its last byte,
+/// the version digit, must match.
+inline constexpr bool IsImageMagic(uint64_t magic) {
+  return ((magic ^ kImageMagic) << 8) == 0;
+}
+
 /// Section tags of the static wavelet-trie image (wt_inspect prints them).
-/// Tags 3, 5 and 7 are retired (a succinct shape and two Elias–Fano
-/// delimiters, superseded by the node headers) and must not be reused:
-/// readers find sections by tag, so older images that still carry them
-/// load with those sections skipped.
+/// Retired tags must not be reused, since readers find sections by tag:
+/// 3, 5 and 7 (a succinct shape and two Elias–Fano delimiters) and 8 (the
+/// v4 flat 16-byte node headers, replaced by kSecDirectory).
 enum SectionTag : uint32_t {
   kSecCodecState = 1,  // opaque codec SaveState bytes
   kSecTrie = 2,        // WaveletTrie scalars (n)
   kSecLabels = 4,      // concatenated labels BitArray
   kSecBeta = 6,        // global RRR (classes, offsets, superblocks, samples)
-  kSecHeaders = 8,     // flat 16-byte node headers: the node directory
+  kSecDirectory = 9,   // the packed node directory: DirectoryHeader + arrays
 };
 
 inline const char* SectionTagName(uint32_t tag) {
@@ -65,9 +72,32 @@ inline const char* SectionTagName(uint32_t tag) {
     case kSecTrie: return "trie-meta";
     case kSecLabels: return "labels";
     case kSecBeta: return "beta-rrr";
-    case kSecHeaders: return "node-headers";
+    case kSecDirectory: return "node-directory";
   }
   return "unknown";
+}
+
+/// The scalars that open a kSecDirectory section (DESIGN.md #6): node and
+/// field counts and the four field widths the builder picked for this
+/// trie. Two word arrays follow: the label ends, PackedWords(label_ends +
+/// 1, label_end_bits) words since a zero field (the root label's start)
+/// precedes them, then the records, PackedWords(records, k_bits +
+/// beta_start_bits + ones_start_bits) words.
+struct DirectoryHeader {
+  uint64_t nodes = 0;       // preorder nodes: 2d - 1 for d distinct strings
+  uint64_t label_ends = 0;  // label-end fields, one per node
+  uint64_t records = 0;     // records, one per internal node: (nodes - 1) / 2
+  uint32_t label_end_bits = 0;  // the four field widths, each <= 32
+  uint32_t k_bits = 0;
+  uint32_t beta_start_bits = 0;
+  uint32_t ones_start_bits = 0;
+};
+static_assert(sizeof(DirectoryHeader) == 40);
+
+/// Words holding `count` fields of `width` bits plus two words of padding,
+/// so that a 64-bit window at any field start reads inside the array.
+inline constexpr uint64_t PackedWords(uint64_t count, uint64_t width) {
+  return (count * width + 63) / 64 + 2;
 }
 
 struct ImageHeader {
@@ -140,7 +170,7 @@ inline uint64_t HashImageBytes(const uint8_t* base, size_t len) {
 
 // ----------------------------------------------------------------- writer
 
-/// Builds a v4 image in memory: BeginSection/Pod/Array/EndSection, then
+/// Builds a v5 image in memory: BeginSection/Pod/Array/EndSection, then
 /// Finish() lays out header + table + body and seals the hash. Arrays are
 /// 8-byte aligned (zero padding, covered by the hash); scalars are packed.
 class ImageWriter {
@@ -220,8 +250,8 @@ enum class VerifyMode {
 
 enum class ImageError {
   kOk,
-  kBadMagic,    // not a v4 image
-  kBadVersion,  // v4 magic but a version this reader does not understand
+  kBadMagic,    // not an image
+  kBadVersion,  // an image, but of a version this reader does not understand
   kTruncated,   // blob shorter than the header/table/total_bytes claim
   kBadLayout,   // section table inconsistent with the blob bounds
   kChecksumMismatch,
@@ -244,11 +274,13 @@ class ImageReader {
     uint64_t magic = 0;
     if (len < sizeof(magic)) return ImageError::kTruncated;
     std::memcpy(&magic, base, sizeof(magic));
-    if (magic != kImageMagic) return ImageError::kBadMagic;
+    if (!IsImageMagic(magic)) return ImageError::kBadMagic;
     if (len < sizeof(ImageHeader)) return ImageError::kTruncated;
     ImageHeader h;
     std::memcpy(&h, base, sizeof(h));
-    if (h.version != kImageVersion) return ImageError::kBadVersion;
+    if (h.magic != kImageMagic || h.version != kImageVersion) {
+      return ImageError::kBadVersion;
+    }
     if (h.total_bytes != len) return ImageError::kTruncated;
     if (h.section_count > kMaxSections) return ImageError::kBadLayout;
     const size_t table_end =

@@ -7,7 +7,7 @@
 //   * owned    — a growable heap buffer (a minimal vector for trivial T),
 //                what every construction produces;
 //   * borrowed — a (const T*, count) window over bytes somebody else keeps
-//                alive (a mapped v4 image or its heap-loaded twin). Zero
+//                alive (a mapped v5 image or its heap-loaded twin). Zero
 //                copies, zero allocation; the structure is query-ready the
 //                instant the bytes are visible.
 //

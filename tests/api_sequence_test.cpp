@@ -338,7 +338,7 @@ TEST(ApiPersistence, EmptySequenceRoundTrip) {
   EXPECT_EQ(loaded->Rank("anything", 0).value(), 0u);
 }
 
-// Offset of the codec-state section body in a v4 image: a u64 length,
+// Offset of the codec-state section body in a v5 image: a u64 length,
 // then the codec's SaveState bytes.
 size_t CodecStateOffset(const std::string& img) {
   storage::ImageHeader h;

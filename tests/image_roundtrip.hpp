@@ -1,4 +1,4 @@
-// Test helper: round-trips one succinct component through a v4 image
+// Test helper: round-trips one succinct component through a v5 image
 // (storage/image.hpp), the library's only persisted format.
 #pragma once
 

@@ -1,7 +1,7 @@
 // Tests for the zero-copy storage subsystem (src/storage/, DESIGN.md #8):
 //   * image plumbing: writer/reader alignment and bounds discipline;
 //   * the corruption property suite: a byte-flip sweep and a truncation
-//     sweep over a saved v4 image, asserting every mutation yields a clean
+//     sweep over a saved v5 image, asserting every mutation yields a clean
 //     Status (never an abort or an out-of-bounds read — CI runs this file
 //     under ASan/UBSan), mirroring the WAL robustness suite;
 //   * the mapped-vs-heap-vs-stream differential: Access/Rank/Select,
@@ -171,7 +171,7 @@ TEST(StorageImage, OversizedSectionTableIsRejected) {
 
 // ------------------------------------------------------ corruption sweeps
 
-/// Every single-byte flip over a full v4 image must surface as a clean
+/// Every single-byte flip over a full v5 image must surface as a clean
 /// Status error — the whole-image hash leaves no undetected byte, and the
 /// bounds discipline means even the pre-hash header/table parse never
 /// reads outside the blob (ASan-verified in CI).
@@ -227,6 +227,35 @@ TEST(StorageCorruption, WrongCodecAndWrongFormatAreCleanErrors) {
   Result<StrSequence> newer = StrSequence::LoadImage(BlobOf(future));
   ASSERT_FALSE(newer.ok());
   EXPECT_EQ(newer.code(), ErrorCode::kVersionMismatch);
+}
+
+// v4 images (flat 16-byte node headers in section 8) are not read: there is
+// one format and no second loader. Their magic still names an image, so
+// both load paths refuse them as a clean version mismatch, never as
+// garbage and never by aborting.
+TEST(StorageCorruption, V4ImagesAreAVersionMismatch) {
+  const StrSequence seq(UrlWorkload(50, 7));
+  std::string v4 = seq.SerializeImage();
+  const uint64_t magic = 0x3476474D49545721ull;  // "!WTIMGv4"
+  const uint32_t version = 4;
+  ASSERT_TRUE(stor::IsImageMagic(magic));
+  std::memcpy(v4.data() + offsetof(stor::ImageHeader, magic), &magic,
+              sizeof(magic));
+  std::memcpy(v4.data() + offsetof(stor::ImageHeader, version), &version,
+              sizeof(version));
+  Result<StrSequence> mapped = StrSequence::LoadImage(BlobOf(v4));
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.code(), ErrorCode::kVersionMismatch);
+  std::istringstream in(v4);
+  Result<StrSequence> streamed = StrSequence::Load(in);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.code(), ErrorCode::kVersionMismatch);
+  // The version field alone says so too.
+  std::string v4_field_only = seq.SerializeImage();
+  std::memcpy(v4_field_only.data() + offsetof(stor::ImageHeader, version),
+              &version, sizeof(version));
+  EXPECT_EQ(StrSequence::LoadImage(BlobOf(v4_field_only)).code(),
+            ErrorCode::kVersionMismatch);
 }
 
 // ----------------------------------------- mapped / heap / stream equivalence
@@ -447,7 +476,7 @@ TEST(StorageEngine, RestartServesMappedSegmentsIdentically) {
       expect_answers.push_back(snap.Access(i).value());
     }
   }
-  // Segment files on disk are v4 images.
+  // Segment files on disk are v5 images.
   size_t seg_files = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
     const std::string name = e.path().filename().string();
@@ -618,7 +647,7 @@ TEST(StorageEngine, SnapshotPinsMappingAcrossCompactionDeletion) {
 }
 
 // Builds a small flushed durable store at $WT_DEMO_STORE_DIR (and leaves
-// it there) so CI can point wt_inspect at a real manifest + v4 segment
+// it there) so CI can point wt_inspect at a real manifest + v5 segment
 // images. A plain no-op without the env var.
 TEST(StorageEngine, BuildDemoStoreForInspect) {
   const char* dest = std::getenv("WT_DEMO_STORE_DIR");

@@ -9,10 +9,13 @@
 //                                   and print it as Prometheus-style text
 //                                   (DESIGN.md #12; Linux only)
 //
-// For a v4 image it prints the header (strings, encoded bits, codec id,
-// checksum state) and the per-section table: tag, offset, size — the
-// offset-addressed layout a mapped open borrows from. Any other file is
-// reported as not an image.
+// For a v5 image it prints the header (strings, encoded bits, codec id,
+// checksum state), the per-section table: tag, offset, size — the
+// offset-addressed layout a mapped open borrows from — and, from the
+// node-directory section's scalars, the trie's space view: n, distinct
+// strings, the directory's four field widths, and bits per string of the
+// directory, the labels and the beta. Any other file is reported as not an
+// image.
 //
 // --fsck cross-checks manifest <-> segments <-> WAL without opening an
 // engine, running the same decision logic recovery runs
@@ -75,21 +78,37 @@ int InspectFile(const fs::path& path, const char* indent) {
                                         stor::VerifyMode::kNone, &r);
   }
   if (verified != stor::ImageError::kOk) {
-    std::printf("%s%s: %zu bytes — not a valid v4 image (error %d)\n", indent,
+    std::printf("%s%s: %zu bytes — not a valid v5 image (error %d)\n", indent,
                 path.filename().c_str(), blob->size(),
                 static_cast<int>(verified));
     return 1;
   }
   const stor::ImageHeader& h = r.header();
-  std::printf("%s%s: v4 image, %" PRIu64
+  std::printf("%s%s: v5 image, %" PRIu64
               " bytes, %" PRIu64 " strings, %" PRIu64
               " encoded bits, codec id %u, checksum %s\n",
               indent, path.filename().c_str(), h.total_bytes, h.n,
               h.encoded_bits, h.codec_id & 0xFF, checksum);
   std::printf("%s  %-14s %10s %12s\n", indent, "section", "offset", "bytes");
+  uint64_t labels_bytes = 0, beta_bytes = 0, dir_bytes = 0;
   for (const stor::SectionEntry& s : r.sections()) {
     std::printf("%s  %-14s %10" PRIu64 " %12" PRIu64 "\n", indent,
                 stor::SectionTagName(s.tag), s.offset, s.bytes);
+    if (s.tag == stor::kSecLabels) labels_bytes = s.bytes;
+    if (s.tag == stor::kSecBeta) beta_bytes = s.bytes;
+    if (s.tag == stor::kSecDirectory) dir_bytes = s.bytes;
+  }
+  stor::DirectoryHeader dir;
+  if (h.n > 0 && r.OpenSection(stor::kSecDirectory) && r.Pod(&dir)) {
+    const double n = static_cast<double>(h.n);
+    std::printf("%s  node-directory: n %" PRIu64 ", %" PRIu64
+                " distinct, field bits label_end %u k %u beta_start %u "
+                "ones_start %u; bits/string directory %.1f labels %.1f "
+                "beta %.1f\n",
+                indent, h.n, (dir.nodes + 1) / 2, dir.label_end_bits,
+                dir.k_bits, dir.beta_start_bits, dir.ones_start_bits,
+                8.0 * dir_bytes / n, 8.0 * labels_bytes / n,
+                8.0 * beta_bytes / n);
   }
   return std::strcmp(checksum, "ok") == 0 ? 0 : 1;
 }
@@ -138,7 +157,7 @@ int InspectDir(const fs::path& dir) {
 // ------------------------------------------------------------------- fsck
 
 // Verifies one manifest-referenced segment file: it must exist, parse as a
-// v4 image, hash-verify, and hold exactly the string count the manifest
+// v5 image, hash-verify, and hold exactly the string count the manifest
 // records. Returns true when the segment would load.
 bool FsckSegment(const fs::path& path, uint64_t expected_count) {
   std::string err;
@@ -162,7 +181,7 @@ bool FsckSegment(const fs::path& path, uint64_t expected_count) {
                 path.filename().c_str(), r.header().n, expected_count);
     return false;
   }
-  std::printf("  %s: v4 image, %" PRIu64 " strings, checksum ok\n",
+  std::printf("  %s: v5 image, %" PRIu64 " strings, checksum ok\n",
               path.filename().c_str(), r.header().n);
   return true;
 }
