@@ -1,7 +1,7 @@
 // Fuzz target: the WAL record parser (engine/wal.hpp ParseWalBytes).
 //
 // ParseWalBytes is the exact function recovery runs over whatever bytes a
-// crash left in a shard's log, so its contract is the harness's assertion
+// crash left in a WAL generation, so its contract is the harness's assertion
 // budget: never abort, never read outside [data, data+size), stop cleanly
 // at the first torn/corrupt record. The harness walks every parsed record
 // and touches every bit length so ASan sees any out-of-bounds backing
@@ -23,7 +23,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   wt_fuzz_accepted = !records.empty();
   uint64_t sink = 0;
   for (const wtrie::engine::WalRecord& r : records) {
-    sink += r.batch_id ^ r.batch_shards;
+    sink += r.first;
     for (const wt::BitString& s : r.strings) {
       sink += s.size();
       if (s.size() > 0) sink += s.Get(s.size() - 1) ? 1 : 0;

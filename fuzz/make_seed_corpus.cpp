@@ -12,10 +12,14 @@
 //   corrupt-*   the same bytes with one byte flipped inside the payload —
 //               required REJECTED (checksum/bounds must catch the flip);
 //   raw-*       edge shapes with no expectation beyond "don't crash".
-// The image family also keeps two seeds this tool no longer writes:
-// corrupt-v4-flat-headers*.img, images of the retired v4 format (flat
-// node headers), which must be refused as a version mismatch.
+// Some families also keep seeds this tool no longer writes, files of
+// retired formats that must now be refused: corrupt-v4-flat-headers*.img
+// (v4 images, flat node headers: a version mismatch), and
+// corrupt-v2-two-records.log and corrupt-v2-manifest.env (the per-shard
+// WAL records, whose checksum covered the payload only, and the v2
+// manifest).
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -79,17 +83,13 @@ std::string WalSeed() {
              .ok()) {
       std::exit(1);
     }
-    std::vector<wt::BitString> owned;
+    std::vector<wt::BitString> batch;
     for (const char* s : {"alpha", "beta", "gamma"}) {
-      owned.push_back(wt::ByteCodec::Encode(s));
+      batch.push_back(wt::ByteCodec::Encode(s));
     }
-    std::vector<wt::BitSpan> spans(owned.begin(), owned.end());
-    if (!w.Append(/*batch_id=*/1, /*batch_shards=*/2, spans).ok()) {
-      std::exit(1);
-    }
-    if (!w.Append(/*batch_id=*/2, /*batch_shards=*/1, {spans[0]}).ok()) {
-      std::exit(1);
-    }
+    // Two batches of one log: positions [0, 3), then [3, 4).
+    if (!w.Append(/*first=*/0, batch).ok()) std::exit(1);
+    if (!w.Append(/*first=*/3, {batch.data(), 1}).ok()) std::exit(1);
     if (!w.Close().ok()) std::exit(1);
   }
   std::ifstream in(tmp, std::ios::binary);
@@ -116,11 +116,8 @@ std::string EnvelopeSeed() {
   fs::create_directories(dir);
   wtrie::engine::Manifest m;
   m.num_shards = 2;
-  m.next_batch_id = 7;
   m.shards.resize(2);
-  m.shards[0].wal_floor = 1;
   m.shards[0].next_seg_seq = 2;
-  m.shards[0].frozen_through = 5;
   m.shards[0].segments.push_back({/*seq=*/1, /*count=*/40});
   m.shards[1].next_seg_seq = 1;
   if (!wtrie::engine::WriteManifest(dir.string(), m).ok()) std::exit(1);
@@ -260,6 +257,13 @@ int main(int argc, char** argv) {
   WriteFile(root / "wal" / "ok-two-records.log", wal);
   WriteFile(root / "wal" / "corrupt-payloadflip.log",
             FlipByte(wal, sizeof(wtrie::engine::WalRecordHeader) + 4));
+  // A flipped bit in the first record's position: the checksum covers the
+  // header fields too, so the record (and the one behind it) is refused.
+  {
+    std::string flipped = wal;
+    flipped.at(offsetof(wtrie::engine::WalRecordHeader, first)) ^= 0x01;
+    WriteFile(root / "wal" / "corrupt-position-flip.log", flipped);
+  }
   WriteFile(root / "wal" / "raw-torn-tail.log",
             wal.substr(0, wal.size() - 7));
 

@@ -193,18 +193,9 @@ class Sequence {
 
   /// Zero-copy variant: the spans must stay valid for the duration of the
   /// call. The engine's ingest path splits one batch across shards as
-  /// spans over the caller's buffer, so nothing is moved or re-owned.
-  Status AppendEncodedSpans(std::span<const wt::BitSpan> enc)
-    requires kMutable
-  {
-    uint64_t bits = 0;
-    for (const wt::BitSpan& s : enc) bits += s.size();
-    return AppendEncodedSpans(enc, bits);
-  }
-
-  /// As above with the summed span bits precomputed by the caller (the
-  /// engine accumulates them while splitting a batch, saving a pass over
-  /// the spans). `total_bits` must equal the sum of the span lengths.
+  /// spans over the caller's buffer, so nothing is moved or re-owned, and
+  /// sums each slice's bits while splitting: `total_bits` must equal the
+  /// sum of the span lengths.
   Status AppendEncodedSpans(std::span<const wt::BitSpan> enc,
                             uint64_t total_bits)
     requires kMutable

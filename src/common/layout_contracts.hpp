@@ -187,11 +187,13 @@ WT_PIN_FIELD(wt::EnvelopeHeader, checksum, 24, 8);
 // ------------------------------------------------- WAL framing (wal.hpp)
 
 static_assert(PinnedLayout<wtrie::engine::WalRecordHeader, 32, 8>());
-WT_PIN_FIELD(wtrie::engine::WalRecordHeader, batch_id, 0, 8);
-WT_PIN_FIELD(wtrie::engine::WalRecordHeader, batch_shards, 8, 4);
-WT_PIN_FIELD(wtrie::engine::WalRecordHeader, string_count, 12, 4);
+WT_PIN_FIELD(wtrie::engine::WalRecordHeader, first, 0, 8);
+WT_PIN_FIELD(wtrie::engine::WalRecordHeader, string_count, 8, 8);
 WT_PIN_FIELD(wtrie::engine::WalRecordHeader, payload_len, 16, 8);
 WT_PIN_FIELD(wtrie::engine::WalRecordHeader, checksum, 24, 8);
+// The checksum covers every header field before it, so the fields above
+// cannot move past it unnoticed.
+static_assert(wtrie::engine::kWalChecksummedHeaderBytes == 24);
 
 // ---------------------------------------------- wire framing (net/frame.hpp)
 //
@@ -269,13 +271,7 @@ WT_PIN_FIELD(wtrie::engine::SegmentMeta, count, 8, 8);
 
 static_assert(std::is_same_v<decltype(wtrie::engine::Manifest::num_shards),
                              uint32_t>);
-static_assert(std::is_same_v<decltype(wtrie::engine::Manifest::next_batch_id),
-                             uint64_t>);
-static_assert(std::is_same_v<decltype(wtrie::engine::ShardMeta::wal_floor),
-                             uint64_t>);
 static_assert(std::is_same_v<decltype(wtrie::engine::ShardMeta::next_seg_seq),
-                             uint64_t>);
-static_assert(std::is_same_v<decltype(wtrie::engine::ShardMeta::frozen_through),
                              uint64_t>);
 
 // Format constants are part of the contract too: a changed magic or a
@@ -284,6 +280,6 @@ static_assert(std::is_same_v<decltype(wtrie::engine::ShardMeta::frozen_through),
 static_assert(wt::storage::kImageMagic == 0x3576474D49545721ull);
 static_assert(wt::storage::kImageVersion == 5);
 static_assert(wtrie::engine::Manifest::kMagic == 0x5754454E47494E31ull);
-static_assert(wtrie::engine::Manifest::kVersion == 2);
+static_assert(wtrie::engine::Manifest::kVersion == 3);
 
 }  // namespace wt::contracts

@@ -57,9 +57,9 @@ inline bool TryReadBytes(std::istream& in, uint64_t len, std::string* out) {
 }
 
 /// FNV-1a over a byte range — the integrity check of the versioned envelope.
-inline uint64_t Fnv1a(const void* data, size_t len) {
+inline uint64_t Fnv1a(const void* data, size_t len,
+                      uint64_t h = 0xCBF29CE484222325ull) {
   const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xCBF29CE484222325ull;
   for (size_t i = 0; i < len; ++i) {
     h ^= p[i];
     h *= 0x100000001B3ull;

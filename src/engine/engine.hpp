@@ -21,20 +21,21 @@
 // history while ingest and freezing proceed. Snapshots do not see the
 // memtable; call Flush() for read-your-writes.
 //
-// Durability (optional, `Options::dir`): every batch is logged to per-shard
-// WALs before touching a memtable (engine/wal.hpp; complete-batches-only
-// replay makes batches crash-atomic), segments and the manifest are
-// persisted with tmp-file+rename, and WAL generations are deleted only
-// after a successful manifest write records them as subsumed. A segment
-// whose save fails is served from memory but never referenced by the
-// manifest (nor is anything stacked after it), and the WAL floor stays
-// below its generations until a later freeze retries the save or a
-// compaction subsumes it — the log remains the durable copy throughout.
-// Open() replays the WAL tail into fresh memtables, so a crashed engine
-// resumes exactly at its last complete batch; if out-of-order page
-// persistence (possible with sync_wal=false) left a mid-history batch
-// incomplete, recovery degrades to the longest consistent prefix instead
-// of refusing to open.
+// Durability (optional, `Options::dir`): every batch is logged as one
+// record of the write-ahead log, in global position order, before touching
+// a memtable (engine/wal.hpp; the record's checksum makes the batch
+// crash-atomic). Segments and the manifest are persisted with
+// tmp-file+rename, and a WAL generation is deleted only after a successful
+// manifest write shows that every shard's saved segments hold everything
+// before its successor's start. A segment whose save fails is served from
+// memory but never referenced by the manifest (nor is anything stacked
+// after it), so the prefix the manifest shows stays below its data and the
+// log keeps the durable copy until a later freeze retries the save or a
+// compaction subsumes it. Open() replays the log past that prefix into
+// fresh memtables (engine/recovery_invariants.hpp), so a crashed engine
+// resumes exactly at its last complete batch; if a generation file went
+// missing, recovery salvages the prefix before the hole instead of
+// refusing to open.
 //
 // Threading model (see also engine/shard.hpp):
 //   * any number of writer threads — serialized by one ingest mutex;
@@ -47,10 +48,10 @@
 //     pinned immutable views with no synchronization at all.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -128,8 +129,8 @@ class Engine {
   };
 
   /// Creates or reopens an engine. With a durable directory, loads the
-  /// manifest's segments and replays the WAL tail (complete batches only)
-  /// into fresh memtables before returning.
+  /// manifest's segments and replays the WAL tail into fresh memtables
+  /// before returning.
   static Result<std::unique_ptr<Engine>> Open(Options opt, Codec codec = {}) {
     if (opt.num_shards == 0) {
       return Status::Error(ErrorCode::kInvalidArgument,
@@ -185,8 +186,8 @@ class Engine {
   }
 
   /// The memtable path proper: strings already encoded by (an equal
-  /// instantiation of) this engine's codec. One WAL record and one
-  /// word-parallel AppendBatch per touched shard; the batch is atomic
+  /// instantiation of) this engine's codec. One WAL record for the batch and
+  /// one word-parallel AppendBatch per touched shard; the batch is atomic
   /// under crashes (all visible after recovery, or none). The strings are
   /// only borrowed — everything downstream works on spans over them.
   Status AppendEncodedBatch(const std::vector<wt::BitString>& enc) {
@@ -207,6 +208,7 @@ class Engine {
     }
     // Capacity pre-check on every touched memtable before any state
     // (durable or in-memory) changes, so a refusal cannot desync shards.
+    uint64_t batch_bits = 0;
     for (size_t s = 0; s < n; ++s) {
       if (internal::CapacityWouldOverflow(shards_[s].memtable.EncodedBits(),
                                           slice_bits[s],
@@ -216,42 +218,26 @@ class Engine {
             "Engine: batch would overflow a shard memtable; lower "
             "memtable_limit or split the batch");
       }
+      batch_bits += slice_bits[s];
     }
-    uint32_t touched = 0;
-    for (const auto& v : slice) touched += v.empty() ? 0 : 1;
-    const uint64_t batch_id =
-        next_batch_id_.fetch_add(1, std::memory_order_relaxed);
     if (durable()) {
-      for (size_t s = 0; s < n; ++s) {
-        if (slice[s].empty()) continue;
-        // A previous failure may have left this writer closed (even
-        // opening the replacement generation failed). One transient error
-        // must not wedge the shard until reopen: try a fresh generation
-        // before giving up on the batch.
-        if (!shards_[s].wal.is_open()) AbandonWalGenerationLocked(s);
-        const uint64_t t0 = wt::obs::TimerStart();
-        Status append_st = shards_[s].wal.Append(batch_id, touched, slice[s]);
-        h_wal_append_us_->Record(wt::obs::ElapsedUs(t0));
-        h_wal_bytes_->Record(slice_bits[s] / 8);
-        c_wal_appends_->Increment();
-        if (Status st = std::move(append_st); !st.ok()) {
-          // No memtable was touched yet; the partially-logged batch is
-          // incomplete on disk and recovery discards it whole. The failed
-          // generation may end in torn bytes, and recovery stops reading a
-          // file at its first corrupt record — so records appended after
-          // the tear would be silently unreachable. Abandon the
-          // generation: later batches go to a fresh file (separate files
-          // replay independently, in generation order).
-          AbandonWalGenerationLocked(s);
-          // The failed slice may nonetheless be durable and complete — a
-          // write that landed whose *fsync* failed. Without a revocation,
-          // recovery would replay this dropped batch; stacked after later
-          // acknowledged batches it breaks round-robin placement and can
-          // cost them their salvage. Log the revocation so the batch can
-          // never be complete.
-          RevokeBatchLocked(s, batch_id);
-          return st;
-        }
+      // A previous failure may have left the writer closed (opening the
+      // current generation failed). One transient error must not wedge
+      // ingest until reopen: retry the open before giving up.
+      if (!wal_.is_open()) (void)OpenWalLocked();
+      const uint64_t t0 = wt::obs::TimerStart();
+      Status append_st = wal_.Append(base, enc);
+      h_wal_append_us_->Record(wt::obs::ElapsedUs(t0));
+      h_wal_bytes_->Record(batch_bits / 8);
+      c_wal_appends_->Increment();
+      if (Status st = std::move(append_st); !st.ok()) {
+        // No memtable was touched. The failed record may be torn, or on
+        // disk whole (a write that landed whose fsync failed). A fresh
+        // generation starting at this batch's position retires it either
+        // way — recovery lets the later start win — and keeps later
+        // records clear of a torn tail. (A closed writer wrote nothing.)
+        if (wal_.is_open()) (void)RollWalLocked(base);
+        return st;
       }
     }
     for (size_t sh = 0; sh < n; ++sh) {
@@ -261,11 +247,17 @@ class Engine {
       WT_ASSERT_MSG(st.ok(), "Engine: memtable append failed after pre-check");
     }
     total_.store(base + enc.size(), std::memory_order_relaxed);
+    bool rotated = false;
     for (size_t s = 0; s < n; ++s) {
       if (shards_[s].memtable.size() >= opt_.memtable_limit) {
         RotateShardLocked(s);
+        rotated = true;
       }
     }
+    // The rotated memtables' saves will let cleaning retire the log up to
+    // here, once every shard has saved that far: give it a generation
+    // boundary to retire up to.
+    if (rotated && durable()) (void)RollWalLocked(base + enc.size());
     c_appends_->Add(enc.size());
     for (size_t s = 0; s < n; ++s) {
       if (!slice[s].empty()) UpdateMemtableGaugesLocked(s);
@@ -295,11 +287,8 @@ class Engine {
     for (const auto& sh : shards_) {
       view->shards.push_back(sh.view.Load());
     }
-    uint64_t g = view->shards[0]->total() * n;
-    for (size_t s = 1; s < n; ++s) {
-      g = std::min(g, view->shards[s]->total() * n + s);
-    }
-    view->visible = g;
+    view->visible = engine::DurablePrefix(
+        n, [&](size_t s) { return view->shards[s]->total(); });
     return SnapshotT(std::move(view));
   }
 
@@ -313,28 +302,34 @@ class Engine {
     {
       wt::MutexLock lk(ingest_mu_);
       for (size_t s = 0; s < shards_.size(); ++s) RotateShardLocked(s);
+      // Start a generation where the flushed data ends, so the freezes'
+      // manifest writes retire every generation before it.
+      const uint64_t total = total_.load(std::memory_order_relaxed);
+      if (durable() && wal_gens_.back().first < total) {
+        (void)RollWalLocked(total);
+      }
     }
     pool_->Drain();
     return BackgroundError();
   }
 
-  /// Fsyncs every shard's current WAL generation — the serving layer's
-  /// shutdown barrier: after a graceful drain, every acknowledged append
-  /// is durable against OS crashes too, even when the engine runs with
+  /// Fsyncs the current WAL generation — the serving layer's shutdown
+  /// barrier: after a graceful drain, every acknowledged append is durable
+  /// against OS crashes too, even when the engine runs with
   /// sync_wal=false. (Against process crashes the records are already
-  /// safe: Append flushes them to the OS before the memtable is touched.)
+  /// safe: Append flushes them to the OS before the memtable is touched,
+  /// and every earlier generation was fsynced when the engine rolled past
+  /// it.)
   Status SyncWal() {
     wt::MutexLock lk(ingest_mu_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      wt::obs::ScopedSpan span(wt::obs::Tracer::Get(),
-                               wt::obs::TraceName::kWalFsync, s);
-      const uint64_t t0 = wt::obs::TimerStart();
-      Status st = shards_[s].wal.SyncFile();
-      h_wal_fsync_us_->Record(wt::obs::ElapsedUs(t0));
-      c_wal_fsyncs_->Increment();
-      if (!st.ok()) return st;
-    }
-    return Status::Ok();
+    wt::obs::ScopedSpan span(wt::obs::Tracer::Get(),
+                             wt::obs::TraceName::kWalFsync,
+                             total_.load(std::memory_order_relaxed));
+    const uint64_t t0 = wt::obs::TimerStart();
+    Status st = wal_.SyncFile();
+    h_wal_fsync_us_->Record(wt::obs::ElapsedUs(t0));
+    c_wal_fsyncs_->Increment();
+    return st;
   }
 
   /// Merges every shard's stack down to one segment (after finishing
@@ -508,92 +503,53 @@ class Engine {
 
   // ------------------------------------------------------------- rotation
 
-  /// Switches a shard to a fresh WAL generation after an append failure
-  /// (caller holds ingest_mu_). The memtable keeps accumulating across the
-  /// switch — rotation's floor bookkeeping already covers every generation
-  /// the memtable drew from. If even the fresh file cannot be opened the
-  /// writer stays closed and subsequent appends fail with a clean Status.
-  void AbandonWalGenerationLocked(size_t s) WT_REQUIRES(ingest_mu_) {
-    engine::Shard<Codec>& sh = shards_[s];
-    // The closing generation's intact records may be the durable complement
-    // of another shard's segments once a manifest publishes a watermark
-    // over them (frozen_through forgiveness) — fsync before walking away.
-    // Best-effort: this path already runs under an I/O failure.
-    (void)sh.wal.SyncFile();
-    sh.wal_gen += 1;
-    if (Status st =
-            sh.wal.Open(vfs(), PathOf(engine::WalFileName(s, sh.wal_gen)).string(),
-                        opt_.sync_wal);
-        !st.ok()) {
-      RecordBackgroundError(st);
+  /// Closes the current WAL generation, fsynced first, and opens the next,
+  /// starting at global position `first`. Caller holds ingest_mu_. The
+  /// generation joins the live list even when its open fails — the file
+  /// may exist, and cleaning deletes it like any other — and the next
+  /// append retries the open. Returns the open's status.
+  Status RollWalLocked(uint64_t first) WT_REQUIRES(ingest_mu_) {
+    wt::obs::ScopedSpan rotate_span(wt::obs::Tracer::Get(),
+                                    wt::obs::TraceName::kWalRotate, first);
+    {
+      wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
+                                     wt::obs::TraceName::kWalFsync, first);
+      if (Status st = wal_.SyncFile(); !st.ok()) RecordBackgroundError(st);
     }
+    wal_gens_.push_back(
+        {wal_gens_.empty() ? 0 : wal_gens_.back().gen + 1, first});
+    return OpenWalLocked();
   }
 
-  /// Marks a batch undead in the log: an empty record with the
-  /// kRevokedBatchShards marker makes its slice counts permanently
-  /// disagree, so recovery can never consider the batch complete even if
-  /// the slice whose append failed actually reached the disk. Best effort
-  /// on the freshly opened generation; if even the revocation write fails
-  /// the generation is abandoned again (its tear must not hide later
-  /// records) and the residual risk — the dropped batch resurfacing on a
-  /// disk that kept the failed slice — is accepted: nothing can be logged
-  /// on a device that fails every write. Caller holds ingest_mu_.
-  void RevokeBatchLocked(size_t s, uint64_t batch_id) WT_REQUIRES(ingest_mu_) {
-    if (!shards_[s].wal.is_open()) return;
-    if (Status st =
-            shards_[s].wal.Append(batch_id, engine::kRevokedBatchShards, {});
-        !st.ok()) {
-      AbandonWalGenerationLocked(s);
-    }
+  /// Opens the current (last) generation for appending, recording a
+  /// failure as a background error. After a failed open nothing has been
+  /// appended since the roll, so the generation's file is absent or empty
+  /// and still starts where the log ends.
+  Status OpenWalLocked() WT_REQUIRES(ingest_mu_) {
+    Status st = wal_.Open(vfs(), WalPath(wal_gens_.back()), opt_.sync_wal);
+    if (!st.ok()) RecordBackgroundError(st);
+    return st;
+  }
+
+  std::string WalPath(const engine::WalGeneration& g) const {
+    return PathOf(engine::WalFileName(g.gen, g.first)).string();
   }
 
   /// Moves the memtable out to a background freeze job and installs a
-  /// fresh one (plus a fresh WAL generation). Caller holds ingest_mu_.
+  /// fresh one. Caller holds ingest_mu_.
   void RotateShardLocked(size_t s) WT_REQUIRES(ingest_mu_) {
     engine::Shard<Codec>& sh = shards_[s];
     if (sh.memtable.size() == 0) return;
     auto mem = std::make_shared<Memtable>(std::move(sh.memtable));
     sh.memtable = Memtable(codec_);
-    uint64_t floor_after = sh.wal_gen;
-    uint64_t frozen_upto = 0;
-    if (durable()) {
-      wt::obs::ScopedSpan rotate_span(wt::obs::Tracer::Get(),
-                                      wt::obs::TraceName::kWalRotate, s);
-      // Everything this shard holds of batches below the current id is in
-      // the departing memtable or older entries; once this entry is
-      // durably saved, the manifest may publish the bound as
-      // `frozen_through` and recovery may lean on it (see shard.hpp).
-      frozen_upto = next_batch_id_.load(std::memory_order_relaxed);
-      // The generation being closed feeds that same forgiveness on sibling
-      // shards: its records must be durable before any manifest publishes
-      // a watermark over them. Sync failure is recorded, not fatal —
-      // the manifest writer re-syncs the current generation and vetoes on
-      // failure, and this closed file's records are additionally covered
-      // by sync_wal when the caller asked for OS-crash durability.
-      {
-        wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
-                                       wt::obs::TraceName::kWalFsync, s);
-        if (Status st = sh.wal.SyncFile(); !st.ok()) {
-          RecordBackgroundError(st);
-        }
-      }
-      sh.wal_gen += 1;
-      floor_after = sh.wal_gen;
-      if (Status st =
-              sh.wal.Open(vfs(), PathOf(engine::WalFileName(s, sh.wal_gen)).string(),
-                          opt_.sync_wal);
-          !st.ok()) {
-        RecordBackgroundError(st);
-      }
-    }
     UpdateMemtableGaugesLocked(s);  // fresh (empty) memtable installed
     g_freeze_queue_->Add(1);
     // The freeze job nests under whatever span scheduled it (a serving
     // engine-batch span when ingest triggered the rotation) — captured
     // here, carried through the closure across the pool boundary.
     const uint64_t parent_span = wt::obs::Tracer::Get().CurrentSpan();
-    pool_->Submit(s, [this, s, mem, floor_after, frozen_upto, parent_span] {
-      FreezeJob(s, mem, floor_after, frozen_upto, parent_span);
+    pool_->Submit(s, [this, s, mem, parent_span] {
+      FreezeJob(s, mem, parent_span);
       g_freeze_queue_->Add(-1);
     });
   }
@@ -601,11 +557,11 @@ class Engine {
   // ------------------------------------------------------ background jobs
 
   /// Freezes one rotated-out memtable into a static segment, persists it,
-  /// publishes the new stack, advances the WAL floor, and lets the
-  /// size-tiered policy compact the tail. Jobs of one shard run FIFO on
+  /// publishes the new stack and the manifest, and lets the size-tiered
+  /// policy compact the tail. Jobs of one shard run FIFO on
   /// one pool stripe, so stack mutations here need no cross-job ordering.
-  void FreezeJob(size_t s, std::shared_ptr<Memtable> mem, uint64_t floor_after,
-                 uint64_t frozen_upto, uint64_t parent_span = 0) {
+  void FreezeJob(size_t s, std::shared_ptr<Memtable> mem,
+                 uint64_t parent_span = 0) {
     // The freeze span stays open across the tail-compaction loop below,
     // so those MergeTail runs nest under it implicitly (same thread) —
     // the parentage `wt_trace --validate` asserts.
@@ -625,11 +581,10 @@ class Engine {
     if (durable()) {
       if (Status st = SaveSegment(s, seq, *seg); !st.ok()) {
         // Keep serving the segment from memory, but remember it is not on
-        // disk: the manifest lists only the all-saved prefix of the stack
-        // and RecomputeWalFloorLocked keeps the floor below this
-        // segment's generations, so the data stays recoverable from the
-        // log until a later freeze retries the save or a compaction
-        // durably subsumes it.
+        // disk: the manifest lists only the all-saved prefix of the stack,
+        // so the durable prefix stays below this segment's data and
+        // cleaning keeps the generations that hold it until a later freeze
+        // retries the save or a compaction durably subsumes it.
         RecordBackgroundError(st);
         saved = false;
       } else if (auto mapped = RemapSavedSegment(s, seq, *seg)) {
@@ -640,13 +595,12 @@ class Engine {
     }
     {
       wt::MutexLock lk(sh.publish_mu);
-      sh.entries.push_back({seq, seg, saved, floor_after, frozen_upto});
-      sh.RecomputeWalFloorLocked();
+      sh.entries.push_back({seq, seg, saved});
       sh.PublishLocked();
     }
     publish_epoch_.fetch_add(1, std::memory_order_release);
     last_publish_ns_.store(wt::obs::TimerStart(), std::memory_order_relaxed);
-    if (durable() && PersistManifest().ok()) CleanWal(s);
+    if (durable()) (void)PersistManifest();
     h_freeze_ms_->Record(wt::obs::ElapsedMs(t0));
     c_freezes_->Increment();
     // Size-tiered tail compaction: merge while the penultimate segment is
@@ -693,7 +647,6 @@ class Engine {
         if (e.seq == seq) e.saved = true;
       }
     }
-    sh.RecomputeWalFloorLocked();
   }
 
   /// Merges the last `k` (>= 2) segments of shard s into one, preserving
@@ -753,13 +706,9 @@ class Engine {
       wt::MutexLock lk(sh.publish_mu);
       sh.entries.resize(sh.entries.size() - k);
       // The merged segment durably subsumes its victims — including any
-      // whose own save had failed — so it carries the newest victim's
-      // floor and may unblock a clamped WAL floor.
-      // (`frozen_upto` is monotone along the stack, so the newest victim's
-      // bound covers them all.)
-      sh.entries.push_back({seq, merged, true, victims.back().floor_after,
-                            victims.back().frozen_upto});
-      sh.RecomputeWalFloorLocked();
+      // whose own save had failed — so the manifest may list it and the
+      // durable prefix may move past them.
+      sh.entries.push_back({seq, merged, /*saved=*/true});
       sh.PublishLocked();
     }
     publish_epoch_.fetch_add(1, std::memory_order_release);
@@ -767,10 +716,9 @@ class Engine {
     h_compaction_ms_->Record(wt::obs::ElapsedMs(t0));
     c_compactions_->Increment();
     if (durable() && PersistManifest().ok()) {
-      // Victim files (and newly-subsumed WAL generations) are deleted
-      // only once the manifest no longer references the victims; a crash
-      // before the rename replays from the previous manifest, which still
-      // has every file it needs.
+      // Victim files are deleted only once the manifest no longer
+      // references them; a crash before the rename replays from the
+      // previous manifest, which still has every file it needs.
       for (const auto& v : victims) {
         const std::string p = PathOf(engine::SegmentFileName(s, v.seq)).string();
         (void)vfs().Remove(p);  // best-effort: an orphan is re-deleted later
@@ -779,7 +727,6 @@ class Engine {
         // the dead path.
         pager_.Drop(p);
       }
-      CleanWal(s);
     }
     return true;
   }
@@ -847,9 +794,10 @@ class Engine {
     return std::make_shared<const Segment>(std::move(mapped).value());
   }
 
-  /// Snapshots every shard's publish-side state into a Manifest and
-  /// rewrites MANIFEST atomically. manifest_mu_ orders concurrent writers;
-  /// it is always taken before (never inside) a shard publish lock. The
+  /// Snapshots every shard's publish-side state into a Manifest, rewrites
+  /// MANIFEST atomically, and then deletes the WAL generations the new
+  /// manifest retires. manifest_mu_ orders concurrent writers; it is always
+  /// taken before (never inside) a shard publish lock or ingest_mu_. The
   /// returned Status gates cleanup: callers may delete files the new
   /// manifest no longer needs only when the write succeeded — on failure
   /// the previous manifest stays authoritative and still references them.
@@ -858,77 +806,82 @@ class Engine {
                              wt::obs::TraceName::kManifestPersist,
                              shards_.size());
     wt::MutexLock mlk(manifest_mu_);
+    const size_t n = shards_.size();
     engine::Manifest m;
-    m.num_shards = static_cast<uint32_t>(shards_.size());
-    m.next_batch_id = next_batch_id_.load(std::memory_order_relaxed);
-    m.shards.resize(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    m.num_shards = static_cast<uint32_t>(n);
+    m.shards.resize(n);
+    std::vector<uint64_t> counts(n, 0);
+    for (size_t s = 0; s < n; ++s) {
       engine::ShardMeta& sm = m.shards[s];
       wt::MutexLock lk(shards_[s].publish_mu);
-      sm.wal_floor = shards_[s].wal_floor;
       sm.next_seg_seq = shards_[s].next_seg_seq;
       sm.segments.reserve(shards_[s].entries.size());
       for (const auto& e : shards_[s].entries) {
         // Only the all-saved prefix of the stack: an unsaved segment has
         // no file, and entries stacked after it must stay out too so the
         // listed segments remain a contiguous prefix of the shard's
-        // history — recovery re-reads everything past the prefix from the
-        // WAL, whose floor RecomputeWalFloorLocked clamps below it. The
-        // shard's frozen_through watermark covers exactly that prefix.
+        // history — recovery re-reads everything past it from the log,
+        // which cleaning keeps.
         if (!e.saved) break;
         sm.segments.push_back({e.seq, e.segment->size()});
-        sm.frozen_through = std::max(sm.frozen_through, e.frozen_upto);
+        counts[s] += e.segment->size();
       }
     }
-    // The watermarks just snapshotted let recovery treat sibling shards'
-    // surviving WAL records as the only copy of a staggered-freeze batch
-    // (frozen_through forgiveness) — so those records must be durable
-    // before this manifest can legally name the watermarks. Fsync every
-    // current writer; closed generations were synced at rotation/abandon.
-    // The order matters: any record a snapshotted watermark depends on was
-    // appended before that entry's rotation, hence before the snapshot
-    // above, hence before this sync. A failed sync vetoes the manifest —
-    // the previous one stays authoritative and promises nothing new.
+    // A listed segment may reach past the durable prefix (shards freeze
+    // independently), and recovery then fills in the other shards' part of
+    // that stretch from the log — so those records must be durable before
+    // this manifest may list the segment. Each was appended before the
+    // segment's rotation, hence before the snapshot above: generations the
+    // engine rolled past were fsynced then, and the current one is fsynced
+    // here. A failed sync vetoes the manifest — the previous one stays
+    // authoritative and promises nothing new.
     {
       wt::MutexLock ilk(ingest_mu_);
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
-                                       wt::obs::TraceName::kWalFsync, s);
-        if (Status st = shards_[s].wal.SyncFile(); !st.ok()) {
-          RecordBackgroundError(st);
-          return st;
-        }
+      wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
+                                     wt::obs::TraceName::kWalFsync, n);
+      if (Status st = wal_.SyncFile(); !st.ok()) {
+        RecordBackgroundError(st);
+        return st;
       }
     }
-    Status st = engine::WriteManifest(opt_.dir, m, vfs());
-    if (!st.ok()) RecordBackgroundError(st);
-    return st;
+    if (Status st = engine::WriteManifest(opt_.dir, m, vfs()); !st.ok()) {
+      RecordBackgroundError(st);
+      return st;
+    }
+    CleanWal(engine::DurablePrefix(counts));
+    return Status::Ok();
   }
 
-  /// Deletes WAL generations below the shard's floor (their contents are
-  /// in durably-saved segments the manifest already lists). `wal_cleaned`
-  /// remembers how far previous passes got, so each freeze deletes only
-  /// the newly-subsumed generations instead of re-scanning from zero.
-  void CleanWal(size_t s) {
-    uint64_t from, to;
+  /// Deletes the WAL generations that a durable manifest showing every
+  /// shard's segments to hold [0, durable) retires: each whose successor
+  /// starts at or below `durable`. Such a generation's records all lie
+  /// below its successor's start (later ones were retired by it), hence
+  /// inside the segments. Best-effort, with no directory fsync: a deletion
+  /// that un-happens after a crash leaves a generation below the durable
+  /// prefix, which replay passes over and cleaning deletes again.
+  void CleanWal(uint64_t durable) {
+    std::vector<engine::WalGeneration> retired;
     {
-      wt::MutexLock lk(shards_[s].publish_mu);
-      from = shards_[s].wal_cleaned;
-      to = shards_[s].wal_floor;
+      wt::MutexLock lk(ingest_mu_);
+      retired = TakeRetiredGenerationsLocked(durable);
     }
     wt::obs::ScopedSpan span(wt::obs::Tracer::Get(),
-                             wt::obs::TraceName::kWalClean,
-                             to > from ? to - from : 0);
-    for (uint64_t gen = from; gen < to; ++gen) {
-      // Best-effort, no directory fsync: a deletion that un-happens after
-      // a crash only leaves a stale generation below the floor, which
-      // recovery ignores and re-deletes.
-      (void)vfs().Remove(PathOf(engine::WalFileName(s, gen)).string());
+                             wt::obs::TraceName::kWalClean, retired.size());
+    for (const engine::WalGeneration& g : retired) {
+      (void)vfs().Remove(WalPath(g));
     }
-    if (to > from) {
-      wt::MutexLock lk(shards_[s].publish_mu);
-      shards_[s].wal_cleaned = std::max(shards_[s].wal_cleaned, to);
-    }
+  }
+
+  /// Unlinks from the live list the generations whose successor starts at
+  /// or below `durable`. The current generation (the last) always stays.
+  std::vector<engine::WalGeneration> TakeRetiredGenerationsLocked(
+      uint64_t durable) WT_REQUIRES(ingest_mu_) {
+    size_t k = 0;
+    while (k + 1 < wal_gens_.size() && wal_gens_[k + 1].first <= durable) ++k;
+    std::vector<engine::WalGeneration> retired(wal_gens_.begin(),
+                                               wal_gens_.begin() + k);
+    wal_gens_.erase(wal_gens_.begin(), wal_gens_.begin() + k);
+    return retired;
   }
 
   // -------------------------------------------------------------- recovery
@@ -938,18 +891,15 @@ class Engine {
     const size_t n = shards_.size();
 
     // 1. Load the manifest's segments, in stack order.
+    std::vector<uint64_t> counts(n, 0);
     if (manifest != nullptr) {
-      next_batch_id_.store(manifest->next_batch_id, std::memory_order_relaxed);
       for (size_t s = 0; s < n; ++s) {
         const engine::ShardMeta& sm = manifest->shards[s];
         engine::Shard<Codec>& sh = shards_[s];
-        sh.wal_gen = sm.wal_floor;
         // Recovery is single-threaded (the pool has no jobs yet), but the
         // publish-side fields are guarded and the discipline is uniform:
         // hold the lock here like everywhere else.
         wt::MutexLock lk(sh.publish_mu);
-        sh.wal_floor = sm.wal_floor;
-        sh.wal_cleaned = sm.wal_floor;  // the scan below deletes the rest
         sh.next_seg_seq = sm.next_seg_seq;
         for (const engine::SegmentMeta& seg : sm.segments) {
           // Images are mapped and borrowed (no per-element work: Open
@@ -961,31 +911,30 @@ class Engine {
             return Status::Error(ErrorCode::kCorruptStream,
                                  "Engine: segment size disagrees with manifest");
           }
-          // Loaded entries inherit the shard watermark, so the next
-          // manifest this process writes never regresses frozen_through.
           sh.entries.push_back(
               {seg.seq,
                std::make_shared<const Segment>(std::move(loaded).value()),
-               /*saved=*/true, /*floor_after=*/0,
-               /*frozen_upto=*/sm.frozen_through});
+               /*saved=*/true});
+          counts[s] += seg.count;
         }
       }
     }
 
     // 2. Scan the directory: delete orphans (segments the manifest does not
-    // reference, WAL generations below the floor, stale tmp files), and
-    // catalog live WAL files per shard in generation order. All through
-    // the VFS, so the torture harness sees (and can fault) every step.
-    std::vector<std::map<uint64_t, std::string>> wal_files(n);
+    // reference, stale tmp files) and catalog the WAL generations in
+    // generation order. All through the VFS, so the torture harness sees
+    // (and can fault) every step.
+    std::vector<engine::WalGeneration> gens;
     Result<std::vector<std::string>> listing = vfs().ListDir(opt_.dir);
     if (!listing.ok()) return listing.status();
     for (const std::string& name : *listing) {
       const std::string path = PathOf(name).string();
       size_t shard = 0;
       uint64_t num = 0;
+      engine::WalGeneration gen;
       // Deletions best-effort (status discarded): an undeletable orphan
-      // must not abort recovery — seg seqs and WAL generations are never
-      // reused, so a leftover cannot collide with future files.
+      // must not abort recovery — seg seqs are never reused, so a leftover
+      // cannot collide with future files.
       if (engine::ParseEngineFileName(name, "seg-", ".wt", &shard, &num) &&
           shard < n) {
         bool live = false;
@@ -994,146 +943,73 @@ class Engine {
           for (const auto& e : shards_[shard].entries) live |= (e.seq == num);
         }
         if (!live) (void)vfs().Remove(path);
-      } else if (engine::ParseEngineFileName(name, "wal-", ".log", &shard,
-                                             &num) &&
-                 shard < n) {
-        uint64_t floor;
-        {
-          wt::MutexLock lk(shards_[shard].publish_mu);
-          floor = shards_[shard].wal_floor;
-        }
-        if (num < floor) {
-          (void)vfs().Remove(path);
-        } else {
-          wal_files[shard][num] = path;
-        }
+      } else if (engine::ParseWalFileName(name, &gen)) {
+        gens.push_back(gen);
       } else if (name != "MANIFEST") {
         (void)vfs().Remove(path);  // MANIFEST.tmp and other leftovers
       }
     }
+    std::sort(gens.begin(), gens.end(),
+              [](const engine::WalGeneration& a,
+                 const engine::WalGeneration& b) { return a.gen < b.gen; });
 
-    // 3. Read the WAL tails and tabulate batch completeness: a batch is
-    // replayable iff every one of its `batch_shards` slices is accounted
-    // for — surviving in a log, or forgiven because the slice-lacking
-    // shard's manifest watermark (frozen_through) proves its part is
-    // already inside the segments loaded above (the staggered-freeze
-    // staircase; see engine/recovery_invariants.hpp). Torn tails and
-    // zombie slices of previously-discarded batches stay incomplete
-    // forever (batch ids are never reused), so this one rule covers first
-    // and repeated crashes alike.
-    std::vector<std::vector<engine::WalRecord>> records(n);
-    std::vector<uint64_t> max_gen(n, 0);
+    // 3. Replay the log past the durable prefix (engine/
+    // recovery_invariants.hpp): later starts cut the tail back, a start
+    // past its end is a hole, and each string goes to its round-robin
+    // shard unless that shard's segments already hold it. Foreign or
+    // tampered files fail here because the shards' counts cannot line up.
+    Result<engine::WalReplay> replay = engine::ReplayWal(
+        counts, gens, [&](const engine::WalGeneration& g) {
+          return engine::ReadWalFile(vfs(), WalPath(g));
+        });
+    if (!replay.ok()) return replay.status();
+    const uint64_t durable = replay->tail.durable();
+    const bool salvaged = replay->hole;
+    std::vector<std::vector<wt::BitString>> routed(n);
+    uint64_t g = durable;
+    for (wt::BitString& str : replay->tail.strings()) {
+      if (!engine::SegmentsHold(counts, g)) {
+        routed[g % n].push_back(std::move(str));
+      }
+      ++g;
+    }
     for (size_t s = 0; s < n; ++s) {
-      for (const auto& [gen, path] : wal_files[s]) {
-        std::vector<engine::WalRecord> recs = engine::ReadWalFile(vfs(), path);
-        for (auto& r : recs) records[s].push_back(std::move(r));
-        max_gen[s] = std::max(max_gen[s], gen);
-      }
-    }
-    const engine::BatchTable batches = engine::BuildBatchTable(records);
-    uint64_t max_seen_id = 0;
-    for (const auto& [id, b] : batches) {
-      (void)b;
-      max_seen_id = std::max(max_seen_id, id);
-    }
-
-    // 4. Decide which batches to replay (engine/recovery_invariants.hpp):
-    // normally every complete batch. With sync_wal=false an OS crash can
-    // persist WAL pages out of order across shard files, leaving a
-    // mid-history batch incomplete — or wholly absent — while later
-    // batches are complete; replaying those later batches breaks the
-    // round-robin placement, so PlanReplay salvages the longest id-prefix
-    // that satisfies it. Data past the chosen cut is lost — the
-    // documented sync_wal=false tradeoff; genuinely foreign or tampered
-    // files still fail because no prefix lines up.
-    std::vector<uint64_t> base_counts(n, 0);
-    std::vector<uint64_t> frozen_through(n, 0);
-    for (size_t s = 0; s < n; ++s) {
-      {
-        wt::MutexLock lk(shards_[s].publish_mu);
-        for (const auto& e : shards_[s].entries) {
-          base_counts[s] += e.segment->size();
-        }
-      }
-      if (manifest != nullptr) {
-        frozen_through[s] = manifest->shards[s].frozen_through;
-      }
-    }
-    const std::optional<engine::ReplayPlan> plan =
-        engine::PlanReplay(base_counts, frozen_through, records, batches);
-    if (!plan.has_value()) {
-      return Status::Error(ErrorCode::kCorruptStream,
-                           "Engine: shard counts break the round-robin "
-                           "placement invariant");
-    }
-    const uint64_t cut = plan->cut;
-    const bool salvaged = plan->salvaged();
-
-    // 5. Replay once, per shard, in log order (batch ids are assigned and
-    // logged monotonically, so "id below the cut" is a per-shard log
-    // prefix), moving the strings out of the decoded records.
-    for (size_t s = 0; s < n; ++s) {
-      std::vector<wt::BitString> replay;
-      for (auto& r : records[s]) {
-        if (r.batch_id >= cut ||
-            !engine::BatchReplayable(batches, frozen_through, r.batch_id)) {
-          continue;
-        }
-        for (auto& str : r.strings) replay.push_back(std::move(str));
-      }
-      if (replay.empty()) continue;
-      if (Status st = shards_[s].memtable.AppendEncodedBatch(replay);
+      if (routed[s].empty()) continue;
+      if (Status st = shards_[s].memtable.AppendEncodedBatch(routed[s]);
           !st.ok()) {
         return st;
       }
     }
-    total_.store(plan->total, std::memory_order_relaxed);
-    if (!batches.empty()) {
-      next_batch_id_.store(
-          std::max(next_batch_id_.load(std::memory_order_relaxed),
-                   max_seen_id + 1),
-          std::memory_order_relaxed);
-    }
+    routed.clear();
+    total_.store(replay->total, std::memory_order_relaxed);
 
-    // 6. Open a fresh WAL generation per shard (never append to a possibly
-    // torn file) and publish the recovered views.
+    // 4. Open a fresh generation at the recovered end (never append to a
+    // possibly torn file) and publish the recovered views.
+    {
+      wt::MutexLock lk(ingest_mu_);
+      wal_gens_ = gens;
+      if (Status st = RollWalLocked(replay->total); !st.ok()) return st;
+    }
     for (size_t s = 0; s < n; ++s) {
-      engine::Shard<Codec>& sh = shards_[s];
-      uint64_t floor;
-      {
-        wt::MutexLock lk(sh.publish_mu);
-        floor = sh.wal_floor;
-      }
-      sh.wal_gen =
-          std::max(floor, max_gen[s] + (wal_files[s].empty() ? 0 : 1));
-      if (Status st = sh.wal.Open(
-              vfs(), PathOf(engine::WalFileName(s, sh.wal_gen)).string(),
-              opt_.sync_wal);
-          !st.ok()) {
-        return st;
-      }
-      wt::MutexLock lk(sh.publish_mu);
-      sh.PublishLocked();
+      wt::MutexLock lk(shards_[s].publish_mu);
+      shards_[s].PublishLocked();
     }
     publish_epoch_.fetch_add(1, std::memory_order_release);
     last_publish_ns_.store(wt::obs::TimerStart(), std::memory_order_relaxed);
 
-    // 7. Oversized recovered memtables go straight to the freeze queue.
+    // 5. Oversized recovered memtables go straight to the freeze queue.
     // A salvaged replay instead settles synchronously before Open
-    // returns: every non-empty memtable is frozen (the floor advance
-    // cleans the generations it drew from), then every generation read
-    // above is deleted on every shard — on shards with nothing salvaged
-    // the files hold only dropped batches, since their surviving data is
-    // already in segments. Were a dropped batch left behind, it would
-    // resurface complete on the next recovery and shadow — or render
-    // unsalvageable — batches acknowledged after this open.
+    // returns: every non-empty memtable is frozen, then every generation
+    // present before this open is deleted. Were one left behind, its start
+    // past the hole would cut the next recovery short of the writes
+    // acknowledged after this open.
     std::optional<wt::obs::ScopedSpan> salvage_span;
     if (salvaged) {
       // The settle below (freezes + WAL generation deletion) runs under a
       // salvage span so a trace of a degraded open shows the repair work;
-      // the counter tells an operator that data past the cut was dropped.
+      // the counter tells an operator that data past the hole was dropped.
       salvage_span.emplace(wt::obs::Tracer::Get(),
-                           wt::obs::TraceName::kSalvage, cut);
+                           wt::obs::TraceName::kSalvage, replay->total);
       c_wal_salvages_->Increment();
     }
     {
@@ -1146,16 +1022,23 @@ class Engine {
         UpdateMemtableGaugesLocked(s);  // replayed tails count too
       }
     }
-    if (salvaged) {
-      pool_->Drain();
-      if (Status st = BackgroundError(); !st.ok()) return st;
-      for (size_t s = 0; s < n; ++s) {
-        for (const auto& [gen, path] : wal_files[s]) {
-          (void)vfs().Remove(path);
-        }
-      }
+    if (!salvaged) {
+      CleanWal(durable);  // generations the loaded manifest already retires
+      return Status::Ok();
     }
-    return Status::Ok();
+    pool_->Drain();
+    if (Status st = BackgroundError(); !st.ok()) return st;
+    std::vector<engine::WalGeneration> present;
+    {
+      wt::MutexLock lk(ingest_mu_);
+      present = TakeRetiredGenerationsLocked(UINT64_MAX);
+    }
+    for (const engine::WalGeneration& gen : present) {
+      (void)vfs().Remove(WalPath(gen));
+    }
+    // The deletions must outlast a crash too, or a resurrected generation
+    // past the hole would do the damage this settle prevents.
+    return vfs().SyncDir(opt_.dir);
   }
 
   void RecordBackgroundError(const Status& st) {
@@ -1196,23 +1079,27 @@ class Engine {
   // Segment blob cache: one live mapping per file however many snapshots
   // pin it; weak entries, so the pager never delays an unmap.
   wt::storage::Pager pager_;
-  // Serializes writers. Also guards every shard's ingest side (memtable,
-  // wal, wal_gen) — those fields live in Shard, where this mutex cannot be
-  // named by a WT_GUARDED_BY, so the discipline is enforced one level up:
-  // the *Locked helpers that touch them are WT_REQUIRES(ingest_mu_).
+  // Serializes writers. Also guards every shard's memtable — a field of
+  // Shard, where this mutex cannot be named by a WT_GUARDED_BY, so the
+  // discipline is enforced one level up: the *Locked helpers that touch it
+  // are WT_REQUIRES(ingest_mu_).
   mutable wt::Mutex ingest_mu_;
+  // The write-ahead log: the current generation's writer, and every live
+  // generation in order (the current one last). Pool workers reach the
+  // list only to clean it, under the lock.
+  engine::WalWriter wal_ WT_GUARDED_BY(ingest_mu_);
+  std::vector<engine::WalGeneration> wal_gens_ WT_GUARDED_BY(ingest_mu_);
   // Sequencing state, not telemetry: these atomics order ingest and
   // snapshot publication, so they stay bespoke rather than registry
   // counters (RefreshMetrics mirrors what exposition needs).
   std::atomic<uint64_t> total_{0};  // wt-lint: allow(bare-atomic-counter)
   std::atomic<uint64_t> publish_epoch_{0};  // wt-lint: allow(bare-atomic-counter)
-  std::atomic<uint64_t> next_batch_id_{0};  // wt-lint: allow(bare-atomic-counter)
   // Steady-clock stamp of the last view publication, feeding the
   // snapshot-epoch-age gauge. 0 until the first publish.
   std::atomic<uint64_t> last_publish_ns_{0};  // wt-lint: allow(bare-atomic-counter)
   std::vector<engine::Shard<Codec>> shards_;
   // Orders concurrent manifest writers; always taken before (never inside)
-  // a shard publish lock.
+  // a shard publish lock or ingest_mu_.
   wt::Mutex manifest_mu_;
   mutable wt::Mutex bg_error_mu_;
   Status bg_error_ WT_GUARDED_BY(bg_error_mu_);

@@ -8,9 +8,11 @@
 //
 //   * segment files `seg-<shard>-<seq>.wt`  — listed per shard, in stack
 //     order (seq numbers only name files; order comes from the list);
-//   * WAL files `wal-<shard>-<gen>.log`     — NOT listed; recovery replays
-//     every generation >= the shard's `wal_floor` and deletes the rest.
+//   * WAL generations `wal-<gen>-<first>.log` — NOT listed; recovery reads
+//     every generation present, in generation order (engine/wal.hpp).
 //
+// The manifest names no WAL position: the prefix the segments hold follows
+// from the segment counts alone (recovery_invariants.hpp DurablePrefix).
 // Files present on disk but not reachable from the manifest (a crash
 // between writing a segment and publishing it, or between publishing a
 // compaction and deleting its inputs) are garbage; recovery removes them.
@@ -35,25 +37,17 @@ struct SegmentMeta {
 };
 
 struct ShardMeta {
-  uint64_t wal_floor = 0;     // lowest WAL generation not yet frozen+saved
   uint64_t next_seg_seq = 0;  // never reused, so orphan files cannot collide
-  /// Exclusive batch-id bound of the data inside the listed segments: any
-  /// slice this shard held of a batch with a smaller id is durably in a
-  /// segment below, not in the WAL. Recovery uses it to accept batches
-  /// whose records survive only on *other* shards — the routine state a
-  /// crash between two shards' freezes leaves behind (see
-  /// engine/recovery_invariants.hpp).
-  uint64_t frozen_through = 0;
   std::vector<SegmentMeta> segments;  // stack order: oldest first
 };
 
 struct Manifest {
   static constexpr uint64_t kMagic = 0x5754454E47494E31ull;  // "WTENGIN1"
-  // v2 added ShardMeta::frozen_through; v1 manifests are rejected cleanly.
-  static constexpr uint32_t kVersion = 2;
+  // Every envelope reader accepts exactly one version: older manifests are
+  // refused as a version mismatch, with no second loader.
+  static constexpr uint32_t kVersion = 3;
 
   uint32_t num_shards = 0;
-  uint64_t next_batch_id = 0;  // ids below this may have had their WAL deleted
   std::vector<ShardMeta> shards;
 };
 
@@ -61,13 +55,16 @@ inline std::string SegmentFileName(size_t shard, uint64_t seq) {
   return "seg-" + std::to_string(shard) + "-" + std::to_string(seq) + ".wt";
 }
 
-inline std::string WalFileName(size_t shard, uint64_t gen) {
-  return "wal-" + std::to_string(shard) + "-" + std::to_string(gen) + ".log";
+/// Generation `gen` of the write-ahead log, whose first record starts at
+/// global position `first`.
+inline std::string WalFileName(uint64_t gen, uint64_t first) {
+  return "wal-" + std::to_string(gen) + "-" + std::to_string(first) + ".log";
 }
 
-/// Parses `<prefix><shard>-<num><suffix>` (the SegmentFileName/WalFileName
-/// shapes). Strict: both components must be all-digits with nothing left
-/// over. Shared by recovery's orphan scan and wt_inspect --fsck.
+/// Parses `<prefix><a>-<b><suffix>` (the SegmentFileName shard and seq, or
+/// the WalFileName generation and start). Strict: both components must be
+/// all-digits with nothing left over. Shared by recovery's directory scan
+/// and wt_inspect.
 inline bool ParseEngineFileName(const std::string& name, const char* prefix,
                                 const char* suffix, size_t* shard,
                                 uint64_t* num) {
@@ -96,6 +93,21 @@ inline bool ParseEngineFileName(const std::string& name, const char* prefix,
   return true;
 }
 
+/// One generation of the write-ahead log, as its file name gives it.
+struct WalGeneration {
+  uint64_t gen = 0;
+  uint64_t first = 0;  // global position of its first record
+};
+
+inline bool ParseWalFileName(const std::string& name, WalGeneration* g) {
+  size_t gen = 0;
+  if (!ParseEngineFileName(name, "wal-", ".log", &gen, &g->first)) {
+    return false;
+  }
+  g->gen = gen;
+  return true;
+}
+
 /// Atomically replaces MANIFEST, durably: payload fsynced before the
 /// rename publishes it, directory fsynced before the caller may depend on
 /// the new manifest (e.g. delete the WAL generations it supersedes). A
@@ -105,11 +117,8 @@ inline Status WriteManifest(const std::string& dir, const Manifest& m,
   namespace fs = std::filesystem;
   std::ostringstream payload;
   wt::WritePod<uint32_t>(payload, m.num_shards);
-  wt::WritePod<uint64_t>(payload, m.next_batch_id);
   for (const ShardMeta& sh : m.shards) {
-    wt::WritePod<uint64_t>(payload, sh.wal_floor);
     wt::WritePod<uint64_t>(payload, sh.next_seg_seq);
-    wt::WritePod<uint64_t>(payload, sh.frozen_through);
     wt::WritePod<uint64_t>(payload, sh.segments.size());
     for (const SegmentMeta& seg : sh.segments) {
       wt::WritePod<uint64_t>(payload, seg.seq);
@@ -148,8 +157,7 @@ inline Result<Manifest> ReadManifest(
   std::istringstream body(payload);
   Manifest m;
   uint64_t num_segments = 0;
-  if (!wt::TryReadPod(body, &m.num_shards) ||
-      !wt::TryReadPod(body, &m.next_batch_id)) {
+  if (!wt::TryReadPod(body, &m.num_shards)) {
     return Status::Error(ErrorCode::kCorruptStream, "manifest: truncated body");
   }
   // A checksummed-but-absurd shard count is still rejected before the
@@ -160,9 +168,7 @@ inline Result<Manifest> ReadManifest(
   }
   m.shards.resize(m.num_shards);
   for (ShardMeta& sh : m.shards) {
-    if (!wt::TryReadPod(body, &sh.wal_floor) ||
-        !wt::TryReadPod(body, &sh.next_seg_seq) ||
-        !wt::TryReadPod(body, &sh.frozen_through) ||
+    if (!wt::TryReadPod(body, &sh.next_seg_seq) ||
         !wt::TryReadPod(body, &num_segments)) {
       return Status::Error(ErrorCode::kCorruptStream,
                            "manifest: truncated shard");

@@ -1,49 +1,45 @@
-// The engine's recovery invariants, as standalone checkable logic
-// (DESIGN.md #7, #9).
+// The engine's recovery rule, as standalone checkable logic (DESIGN.md #7,
+// #9).
 //
-// Recovery answers three questions from nothing but the manifest's segment
-// counts and the surviving WAL records:
+// Recovery has two inputs: the manifest's per-shard segment counts and the
+// surviving WAL generations. Strings are placed round-robin, so shard s of
+// N holds global position q*N + s as its local position q; with c_s
+// strings in its listed segments it holds every one of its positions below
+// c_s*N + s.
 //
-//   1. Which logged batches are replayable? A batch was written as one
-//      record per touched shard, tagged with the number of shards it
-//      touched; it replays iff every slice is accounted for — surviving in
-//      a log, or provably inside a shard's segments already. The second
-//      case is routine, not exotic: shards freeze independently, so a
-//      crash between two shards' freezes leaves a "staircase" where a
-//      batch's shard-A slice is baked into a durable segment (and A's WAL
-//      generation deleted) while its shard-B slice still lives only in B's
-//      log. The manifest's per-shard `frozen_through` watermark recognizes
-//      exactly those batches: a missing slice is forgiven when enough
-//      record-lacking shards have frozen past the batch's id. Torn tails
-//      and zombie slices of previously-discarded batches stay
-//      unreplayable forever (batch ids are never reused, and a revocation
-//      record poisons a dropped batch's slice count), so one rule covers
-//      first and repeated crashes.
-//   2. Which replay prefix is consistent? Strings are placed round-robin,
-//      so shard s of N must hold exactly RoundRobinCount(T, s, N) strings
-//      when the engine holds T. With sync_wal=false an OS crash can
-//      persist WAL pages out of order across shard files, leaving a
-//      mid-history batch incomplete (or a gap in the id sequence) while
-//      later batches are complete; replaying those later batches would
-//      break placement. PlanReplay picks the longest id-prefix that lines
-//      up — full history when possible, otherwise the largest suspicious
-//      cut that does.
-//   3. Does anything line up at all? When no prefix satisfies placement the
-//      files are foreign or tampered, and recovery must refuse.
+//   * The durable prefix G is the minimum over s of c_s*N + s: every
+//     shard's segments hold [0, G). (GetSnapshot derives its visible prefix
+//     the same way from the published views.)
+//   * The replay tail covers [G, end). Generations are read in generation
+//     order. A generation's start, and each record's first position, cut
+//     the tail back to that position: the later write wins. A generation
+//     opened after a failed append starts at the failed batch's position,
+//     so it retires that batch's record even when its bytes reached the
+//     disk whole.
+//   * A start past the tail's end is a hole (a generation lost whole);
+//     replay stops there and the caller salvages what it has.
+//   * A string at position g >= G goes to shard g mod N, unless that
+//     shard's segments already hold its local position g div N. Shards
+//     freeze independently, so one shard's saved segments may reach past G
+//     (a staggered freeze); the log then fills in only what the others
+//     lack.
+//   * The recovered size is what the shards then hold. A shard holding
+//     more than its round-robin share of it means foreign or tampered
+//     files, and the store is refused.
 //
 // Engine<>::Recover consumes this to rebuild state; `wt_inspect --fsck`
-// consumes it read-only to audit a store without opening it. Keeping the
-// logic here, free of the Engine template, guarantees the auditor and the
+// runs it read-only to audit a store without opening it. Keeping the logic
+// here, free of the Engine template, guarantees the auditor and the
 // recoverer cannot drift apart.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "api/result.hpp"
+#include "engine/manifest.hpp"
 #include "engine/wal.hpp"
 
 namespace wtrie::engine {
@@ -54,138 +50,114 @@ inline uint64_t RoundRobinCount(uint64_t prefix, size_t s, size_t num_shards) {
   return prefix > s ? (prefix - s + num_shards - 1) / num_shards : 0;
 }
 
-/// Per-batch slice accounting. `want` is the slice count the batch's
-/// records claim — UINT32_MAX when surviving records disagree (a torn
-/// zombie, or a revocation record poisoning a dropped batch); such a batch
-/// can never replay. `have` counts surviving slices and `shards` names the
-/// shards that contributed them.
-struct BatchSlices {
-  uint32_t want = 0;
-  uint32_t have = 0;
-  std::vector<uint32_t> shards;
-
-  bool FromShard(size_t s) const {
-    return std::find(shards.begin(), shards.end(),
-                     static_cast<uint32_t>(s)) != shards.end();
+/// The first global position some shard lacks when shard s of n holds its
+/// first `count(s)` strings: the minimum over s of count(s)*n + s.
+template <typename CountFn>
+uint64_t DurablePrefix(size_t n, CountFn&& count) {
+  uint64_t g = UINT64_MAX;
+  for (size_t s = 0; s < n; ++s) {
+    g = std::min<uint64_t>(g, static_cast<uint64_t>(count(s)) * n + s);
   }
+  return g;
+}
+
+inline uint64_t DurablePrefix(const std::vector<uint64_t>& counts) {
+  return DurablePrefix(counts.size(), [&](size_t s) { return counts[s]; });
+}
+
+/// Whether the segments of shard g mod N, holding counts[g mod N] strings,
+/// already hold global position g.
+inline bool SegmentsHold(const std::vector<uint64_t>& counts, uint64_t g) {
+  const size_t n = counts.size();
+  return g / n < counts[g % n];
+}
+
+/// The replay tail: the strings the log holds at positions [durable, end),
+/// cut back and extended in log order.
+class ReplayTail {
+ public:
+  explicit ReplayTail(uint64_t durable) : durable_(durable), end_(durable) {}
+
+  uint64_t durable() const { return durable_; }
+  uint64_t end() const { return end_; }
+  std::vector<wt::BitString>& strings() { return strings_; }
+
+  /// Cuts the tail back to `first`, a generation's start or a record's
+  /// first position. False, changing nothing, when `first` lies past the
+  /// end: a hole.
+  bool CutTo(uint64_t first) {
+    if (first > end_) return false;
+    end_ = std::max(first, durable_);
+    strings_.resize(end_ - durable_);
+    return true;
+  }
+
+  /// Cuts the tail back to the record's first position, then appends the
+  /// record's strings. False at a hole.
+  bool Add(WalRecord&& r) {
+    if (!CutTo(r.first)) return false;
+    uint64_t g = r.first;
+    for (wt::BitString& s : r.strings) {
+      if (g++ >= durable_) strings_.push_back(std::move(s));
+    }
+    end_ = std::max(end_, g);
+    return true;
+  }
+
+ private:
+  uint64_t durable_;
+  uint64_t end_;
+  std::vector<wt::BitString> strings_;  // position durable_ + i at [i]
 };
 
-using BatchTable = std::map<uint64_t, BatchSlices>;
-
-inline BatchTable BuildBatchTable(
-    const std::vector<std::vector<WalRecord>>& records) {
-  BatchTable batches;
-  for (size_t s = 0; s < records.size(); ++s) {
-    for (const WalRecord& r : records[s]) {
-      BatchSlices& b = batches[r.batch_id];
-      if (b.have != 0 && b.want != r.batch_shards) {
-        b.want = UINT32_MAX;  // inconsistent slices: never replayable
-      } else if (b.want != UINT32_MAX) {
-        b.want = r.batch_shards;
-      }
-      b.have += 1;
-      if (!b.FromShard(s)) b.shards.push_back(static_cast<uint32_t>(s));
-    }
-  }
-  return batches;
-}
-
-/// Every slice survived in a log (no segment subsumption involved).
-inline bool SlicesComplete(const BatchSlices& b) {
-  return b.want != UINT32_MAX && b.have == b.want;
-}
-
-/// Whether a batch may replay given the manifest's per-shard
-/// `frozen_through` watermarks (pass an all-zero vector when there is no
-/// manifest — forgiveness then never fires and the rule degenerates to
-/// strict completeness, the pre-watermark behavior). A missing slice is
-/// forgiven when enough shards that contributed no record have frozen this
-/// batch into their segments; the forgiveness is optimistic about *which*
-/// shard held the missing slice, which is safe because PlanReplay's
-/// placement check rejects any replay whose counts do not line up — and a
-/// batch that needed forgiveness is always also a salvage-cut candidate.
-inline bool BatchReplayable(const BatchTable& batches,
-                            const std::vector<uint64_t>& frozen_through,
-                            uint64_t id) {
-  const auto it = batches.find(id);
-  if (it == batches.end()) return false;
-  const BatchSlices& b = it->second;
-  if (b.want == UINT32_MAX || b.have > b.want) return false;
-  if (b.have == b.want) return true;
-  uint32_t frozen_absent = 0;
-  for (size_t s = 0; s < frozen_through.size(); ++s) {
-    if (id < frozen_through[s] && !b.FromShard(s)) ++frozen_absent;
-  }
-  return frozen_absent >= b.want - b.have;
-}
-
-/// The replay decision: complete batches with id < cut restore a store of
-/// `total` strings that satisfies the placement invariant.
-struct ReplayPlan {
-  uint64_t cut = UINT64_MAX;  // UINT64_MAX: the full history replays
-  uint64_t total = 0;         // recovered engine size
-  bool salvaged() const { return cut != UINT64_MAX; }
+/// What recovery replays, and what it recovers.
+struct WalReplay {
+  ReplayTail tail;
+  bool hole = false;   // replay stopped at a hole: the store is salvaged
+  uint64_t total = 0;  // the recovered engine size
 };
 
-/// Chooses the replay prefix. `base_counts[s]` is the string count already
-/// durable in shard s's segments and `frozen_through[s]` the manifest's
-/// per-shard watermark over that data; `records[s]` the surviving WAL
-/// records of shard s. nullopt when no prefix satisfies placement (foreign
-/// or tampered files — the caller must refuse the store). Candidate cuts
-/// are every suspicious id — a batch some of whose slices did not survive
-/// in a log (even when the watermarks would forgive them), or the first id
-/// an inner gap swallowed — tried largest first so the most data survives.
-/// Gaps below the smallest surviving id are normal (cleaned generations
-/// subsumed by segments), so only inner gaps count.
-inline std::optional<ReplayPlan> PlanReplay(
-    const std::vector<uint64_t>& base_counts,
-    const std::vector<uint64_t>& frozen_through,
-    const std::vector<std::vector<WalRecord>>& records,
-    const BatchTable& batches) {
-  const size_t n = base_counts.size();
-  // Returns the recovered total when replaying replayable batches with
-  // id < limit would satisfy the placement invariant: shard s must hold
-  // exactly the strings of prefix T that map to it.
-  const auto counts_total = [&](uint64_t limit) -> std::optional<uint64_t> {
-    std::vector<uint64_t> count(base_counts);
-    uint64_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      for (const WalRecord& r : records[s]) {
-        if (r.batch_id < limit &&
-            BatchReplayable(batches, frozen_through, r.batch_id)) {
-          count[s] += r.strings.size();
-        }
+/// Runs the replay rule over `gens` (ascending generation numbers) on top
+/// of shards whose segments hold `counts` strings. `read(gen)` returns the
+/// generation's intact records, or an error that stops recovery (an
+/// unreadable file must not pass for lost records). kCorruptStream when the
+/// recovered size leaves some shard holding more than its round-robin
+/// share.
+template <typename ReadFn>
+Result<WalReplay> ReplayWal(const std::vector<uint64_t>& counts,
+                            const std::vector<WalGeneration>& gens,
+                            ReadFn&& read) {
+  const size_t n = counts.size();
+  WalReplay r{ReplayTail(DurablePrefix(counts))};
+  for (const WalGeneration& g : gens) {
+    if (!r.tail.CutTo(g.first)) {
+      r.hole = true;
+      break;
+    }
+    Result<std::vector<WalRecord>> records = read(g);
+    if (!records.ok()) return records.status();
+    for (WalRecord& rec : *records) {
+      if (!r.tail.Add(std::move(rec))) {
+        r.hole = true;
+        break;
       }
-      total += count[s];
     }
-    for (size_t s = 0; s < n; ++s) {
-      if (count[s] != RoundRobinCount(total, s, n)) return std::nullopt;
-    }
-    return total;
+    if (r.hole) break;
+  }
+  // Each shard ends with its segments plus the tail positions it lacks:
+  // max(c_s, its share of end).
+  const auto holds = [&](size_t s) {
+    return std::max(counts[s], RoundRobinCount(r.tail.end(), s, n));
   };
-
-  ReplayPlan plan;
-  if (std::optional<uint64_t> total = counts_total(UINT64_MAX)) {
-    plan.total = *total;
-    return plan;
-  }
-  std::vector<uint64_t> suspicious;  // ascending by construction
-  uint64_t prev = 0;
-  bool have_prev = false;
-  for (const auto& [id, b] : batches) {  // map: ascending ids
-    if (have_prev && id > prev + 1) suspicious.push_back(prev + 1);
-    if (!SlicesComplete(b)) suspicious.push_back(id);
-    prev = id;
-    have_prev = true;
-  }
-  for (auto it = suspicious.rbegin(); it != suspicious.rend(); ++it) {
-    if (std::optional<uint64_t> total = counts_total(*it)) {
-      plan.cut = *it;
-      plan.total = *total;
-      return plan;
+  for (size_t s = 0; s < n; ++s) r.total += holds(s);
+  for (size_t s = 0; s < n; ++s) {
+    if (holds(s) != RoundRobinCount(r.total, s, n)) {
+      return Status::Error(ErrorCode::kCorruptStream,
+                           "Engine: shard counts break the round-robin "
+                           "placement invariant");
     }
   }
-  return std::nullopt;
+  return r;
 }
 
 }  // namespace wtrie::engine

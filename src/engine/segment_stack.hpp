@@ -108,54 +108,30 @@ struct ShardView {
     return out;
   }
 
-  /// out[j] == Rank(enc[j], p[j]). Each segment answers its sub-batch with
-  /// one grouped traversal; per-query results sum across segments. With a
-  /// precomputed dedup dictionary (dict == DedupBatch(enc)), every segment
-  /// takes the whole batch (clamped positions; a position of 0 is a free
-  /// rank) so the one dictionary serves all segments of all shards.
+  /// out[j] == Rank(enc[j], p[j]), with dict == DedupBatch(enc). Every
+  /// segment takes the whole batch (clamped positions; a position of 0 is a
+  /// free rank), so the one dictionary serves all segments of all shards;
+  /// per-query results sum across segments.
   std::vector<uint64_t> RankBatch(const std::vector<wt::BitSpan>& enc,
                                   const std::vector<uint64_t>& p,
-                                  const wt::internal::BatchDict* dict =
-                                      nullptr) const {
+                                  const wt::internal::BatchDict& dict) const {
     WT_DASSERT(enc.size() == p.size());
     std::vector<uint64_t> out(p.size(), 0);
-    if (dict != nullptr) {
-      std::vector<size_t> pos(p.size());
-      for (size_t i = 0; i < segments.size(); ++i) {
-        bool any = false;
-        for (size_t j = 0; j < p.size(); ++j) {
-          pos[j] = p[j] <= cum[i]
-                       ? 0
-                       : static_cast<size_t>(std::min(p[j], cum[i + 1]) -
-                                             cum[i]);
-          any = any || pos[j] > 0;
-        }
-        if (!any) continue;
-        const std::vector<size_t> part = segments[i]->trie().RankBatch(
-            std::span<const wt::BitSpan>(enc), std::span<const size_t>(pos),
-            *dict);
-        for (size_t j = 0; j < part.size(); ++j) out[j] += part[j];
-      }
-      return out;
-    }
-    std::vector<wt::BitSpan> sub_enc;
-    std::vector<size_t> sub_pos, sub_origin;
+    std::vector<size_t> pos(p.size());
     for (size_t i = 0; i < segments.size(); ++i) {
-      sub_enc.clear();
-      sub_pos.clear();
-      sub_origin.clear();
+      bool any = false;
       for (size_t j = 0; j < p.size(); ++j) {
-        if (p[j] <= cum[i]) continue;
-        sub_enc.push_back(enc[j]);
-        sub_pos.push_back(
-            static_cast<size_t>(std::min(p[j], cum[i + 1]) - cum[i]));
-        sub_origin.push_back(j);
+        pos[j] = p[j] <= cum[i]
+                     ? 0
+                     : static_cast<size_t>(std::min(p[j], cum[i + 1]) -
+                                           cum[i]);
+        any = any || pos[j] > 0;
       }
-      if (sub_enc.empty()) continue;
+      if (!any) continue;
       const std::vector<size_t> part = segments[i]->trie().RankBatch(
-          std::span<const wt::BitSpan>(sub_enc),
-          std::span<const size_t>(sub_pos));
-      for (size_t j = 0; j < part.size(); ++j) out[sub_origin[j]] += part[j];
+          std::span<const wt::BitSpan>(enc), std::span<const size_t>(pos),
+          dict);
+      for (size_t j = 0; j < part.size(); ++j) out[j] += part[j];
     }
     return out;
   }

@@ -3,12 +3,12 @@
 //
 // Concurrency contract (enforced by Engine, documented here):
 //
-//   * ingest side — `memtable`, `wal`, `wal_gen`: touched only while the
-//     engine's ingest mutex is held. Rotation moves the memtable out
+//   * ingest side — `memtable`: touched only while the engine's ingest
+//     mutex is held. Rotation moves the memtable out
 //     (handing exclusive ownership to the freeze job via shared_ptr) and
 //     installs a fresh one, so background freezing never shares a mutable
 //     structure with ingest.
-//   * publish side — `entries`, `wal_floor`, `next_seg_seq`: guarded by
+//   * publish side — `entries`, `next_seg_seq`: guarded by
 //     `publish_mu`. Only this shard's pool stripe mutates them (freeze and
 //     compaction jobs for one shard are serialized by the striped pool);
 //     the manifest writer on other stripes takes the lock to read.
@@ -19,7 +19,6 @@
 //     synchronization at all.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -28,7 +27,6 @@
 #include "api/sequence.hpp"
 #include "common/thread_annotations.hpp"
 #include "engine/segment_stack.hpp"
-#include "engine/wal.hpp"
 
 namespace wtrie::engine {
 
@@ -74,51 +72,23 @@ struct Shard {
   struct Entry {
     uint64_t seq = 0;  // segment file name component
     std::shared_ptr<const Segment> segment;
-    // Durability bookkeeping: `saved` goes false when SaveSegment failed
-    // (the segment is served from memory and its data is durable only in
-    // the WAL); `floor_after` is the WAL floor a durable save of this
-    // entry would justify; `frozen_upto` is the exclusive batch-id bound of
-    // the data this entry (and everything older) covers — captured at
-    // rotation, it feeds the manifest's per-shard `frozen_through`, which
-    // recovery uses to recognize WAL slices whose batch-mates were
-    // legitimately subsumed by this shard's segments. In-memory engines
-    // leave all three at the defaults.
+    // False when SaveSegment failed: the segment is served from memory, the
+    // manifest lists neither it nor anything stacked after it, and its data
+    // stays durable only in the WAL until a retry or a compaction saves it.
     bool saved = true;
-    uint64_t floor_after = 0;
-    uint64_t frozen_upto = 0;
   };
 
   // --- ingest side (engine ingest mutex) ---------------------------------
   Memtable memtable;
-  WalWriter wal;
-  uint64_t wal_gen = 0;
 
   // --- publish side (publish_mu) -----------------------------------------
   wt::Mutex publish_mu;
   // Stack order: oldest first.
   std::vector<Entry> entries WT_GUARDED_BY(publish_mu);
-  uint64_t wal_floor WT_GUARDED_BY(publish_mu) = 0;
-  // Generations below this are already deleted.
-  uint64_t wal_cleaned WT_GUARDED_BY(publish_mu) = 0;
   uint64_t next_seg_seq WT_GUARDED_BY(publish_mu) = 0;
 
   // --- read side ----------------------------------------------------------
   PublishedPtr<const ShardView<Codec>> view;
-
-  /// Re-derives the WAL floor from the stack: the floor may advance to an
-  /// entry's `floor_after` only when that entry and every older one are
-  /// durably saved. The generations feeding the oldest unsaved segment —
-  /// and everything after it, since replay must preserve append order —
-  /// hold the only durable copy of that data and must survive until a
-  /// retry or a compaction saves it. Caller holds publish_mu.
-  void RecomputeWalFloorLocked() WT_REQUIRES(publish_mu) {
-    uint64_t f = wal_floor;
-    for (const Entry& e : entries) {
-      if (!e.saved) break;
-      f = std::max(f, e.floor_after);
-    }
-    wal_floor = f;
-  }
 
   /// Rebuilds and publishes the ShardView from `entries`. Caller holds
   /// publish_mu.

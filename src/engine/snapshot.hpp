@@ -177,7 +177,9 @@ class Snapshot {
     std::vector<wt::BitSpan> spans;
     spans.reserve(enc.size());
     for (const auto& e : enc) spans.push_back(e.Span());
-    return RankBatchEncoded(spans, positions);
+    return RankBatchEncoded(
+        spans, positions,
+        wt::internal::DedupBatch(std::span<const wt::BitSpan>(spans)));
   }
 
   /// out[i] == Select(values[i], indices[i]), nullopt where the value
@@ -211,7 +213,7 @@ class Snapshot {
         wt::internal::DedupBatch(std::span<const wt::BitSpan>(spans));
     // Totals first: queries asking past the last occurrence drop out.
     std::vector<uint64_t> probe(m, size());
-    std::vector<uint64_t> ranks = RankBatchEncoded(spans, probe, &dict);
+    std::vector<uint64_t> ranks = RankBatchEncoded(spans, probe, dict);
     std::vector<uint64_t> lo(m, 0), hi(m, 0);
     bool any_active = false;
     for (size_t i = 0; i < m; ++i) {
@@ -229,7 +231,7 @@ class Snapshot {
       }
       // One batched cross-shard rank per lockstep iteration. Queries whose
       // search has converged probe position 0 (free: every rank is 0).
-      ranks = RankBatchEncoded(spans, probe, &dict);
+      ranks = RankBatchEncoded(spans, probe, dict);
       for (size_t i = 0; i < m; ++i) {
         if (lo[i] >= hi[i]) continue;
         const uint64_t mid = probe[i] - 1;
@@ -411,18 +413,13 @@ class Snapshot {
   }
 
   /// out[i] = global rank of spans[i] at global prefix pos[i] — one shard
-  /// RankBatch per shard, summed per query. The dedup dictionary is
-  /// computed once here (or passed in by SelectBatch, which probes
-  /// repeatedly with the same strings) and shared by every shard/segment.
+  /// RankBatch per shard, summed per query. The dedup dictionary
+  /// (DedupBatch(spans)) is built once by the caller — SelectBatch probes
+  /// repeatedly with the same strings — and shared by every shard and
+  /// segment.
   std::vector<uint64_t> RankBatchEncoded(
       const std::vector<wt::BitSpan>& spans, const std::vector<uint64_t>& pos,
-      const wt::internal::BatchDict* shared_dict = nullptr) const {
-    const wt::internal::BatchDict local_dict =
-        shared_dict == nullptr
-            ? wt::internal::DedupBatch(std::span<const wt::BitSpan>(spans))
-            : wt::internal::BatchDict{};
-    const wt::internal::BatchDict& dict =
-        shared_dict == nullptr ? local_dict : *shared_dict;
+      const wt::internal::BatchDict& dict) const {
     const size_t num_shards = NumShards();
     std::vector<uint64_t> out(spans.size(), 0);
     std::vector<uint64_t> prefix(spans.size());
@@ -431,7 +428,7 @@ class Snapshot {
         prefix[i] = RoundRobinCount(pos[i], s, num_shards);
       }
       const std::vector<uint64_t> part =
-          view_->shards[s]->RankBatch(spans, prefix, &dict);
+          view_->shards[s]->RankBatch(spans, prefix, dict);
       for (size_t i = 0; i < part.size(); ++i) out[i] += part[i];
     }
     return out;

@@ -1,29 +1,29 @@
-// Per-shard write-ahead log (DESIGN.md #7).
+// The engine's write-ahead log (DESIGN.md #7).
 //
-// Durability for the engine's memtables: every ingest batch is split
-// round-robin across shards, and each shard's slice is appended to that
-// shard's current WAL file as one length-prefixed, FNV-1a-checksummed
-// record *before* the slice reaches the memtable. WAL files are
-// generational: each memtable rotation opens a fresh `wal-<shard>-<gen>.log`,
-// and a generation is deleted once the memtable it fed has been frozen into
-// a durably-saved segment (the manifest's `wal_floor` advances first, so a
-// crash between the two steps only leaves a stale file that recovery
-// ignores and deletes).
+// Durability for the engine's memtables: every engine batch is appended to
+// the one log as one length-prefixed, FNV-1a-checksummed record *before*
+// any of its strings reaches a memtable. The log is a run of generations,
+// `wal-<gen>-<first>.log` (manifest.hpp WalFileName): the number orders
+// them and `first` is the global position the generation starts at. The
+// engine rolls to a fresh generation when a shard rotates its memtable, at
+// Flush, and after a failed append; a generation is deleted once its
+// successor starts inside the prefix every shard's saved segments hold.
 //
 // Record framing (little-endian):
 //
-//   u64 batch_id | u32 batch_shards | u32 string_count |
-//   u64 payload_len | u64 fnv1a(payload) | payload
+//   u64 first | u64 string_count | u64 payload_len | u64 checksum | payload
+//
+// `first` is the global position of the batch's first string. The checksum
+// is FNV-1a over the three header fields before it and then the payload,
+// so a flipped position bit fails the record exactly like a flipped
+// payload bit: a record can never place intact strings at wrong positions.
 //
 // payload: per string, u64 bit length + ceil(len/64) raw words (the
 // *encoded* string — values are binarized once at ingest and round-trip
 // through the log as bits, so replay needs no codec pass).
 //
-// `batch_id`/`batch_shards` make an engine batch crash-atomic: recovery
-// counts the slices it can read per batch id across all shard logs and
-// replays only batches whose every slice survived — a torn tail (the crash
-// happened mid-batch, some shard logs written, others not) is discarded
-// whole, on every shard. Reading stops at the first record that is
+// A record is the whole batch, so the checksum alone makes a batch
+// crash-atomic. Reading a generation stops at the first record that is
 // truncated or fails its checksum; everything before it is intact because
 // records are appended and flushed in order.
 //
@@ -35,10 +35,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <sstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,11 +50,10 @@
 
 namespace wtrie::engine {
 
-/// One decoded WAL record: the slice of one engine batch routed to one
-/// shard, in batch order.
+/// One decoded WAL record: one engine batch, whose strings sit at global
+/// positions [first, first + strings.size()).
 struct WalRecord {
-  uint64_t batch_id = 0;
-  uint32_t batch_shards = 0;  // shards the whole batch touched
+  uint64_t first = 0;
   std::vector<wt::BitString> strings;
 };
 
@@ -62,26 +62,25 @@ struct WalRecord {
 /// below IS the format; common/layout_contracts.hpp pins its size and every
 /// field offset, making an accidental reorder or retype a compile error.
 struct WalRecordHeader {
-  uint64_t batch_id = 0;
-  uint32_t batch_shards = 0;
-  uint32_t string_count = 0;
+  uint64_t first = 0;
+  uint64_t string_count = 0;
   uint64_t payload_len = 0;
-  uint64_t checksum = 0;  // FNV-1a over the payload bytes
+  uint64_t checksum = 0;  // FNV-1a over the fields above, then the payload
 };
 static_assert(sizeof(WalRecordHeader) == 32);
 
-/// `batch_shards` of a revocation record: after a mid-batch append failure
-/// the engine logs an empty record with this marker, so the batch's slice
-/// count can never agree across records and recovery discards the batch —
-/// even when the failed operation was only the fsync and the data slice
-/// itself reached the disk complete. (Recovery needs no special case:
-/// disagreeing slice counts already mean "never complete".)
-inline constexpr uint32_t kRevokedBatchShards = UINT32_MAX;
+/// Header bytes the checksum covers (every field before it).
+inline constexpr size_t kWalChecksummedHeaderBytes =
+    offsetof(WalRecordHeader, checksum);
 
-/// Appender for one shard's current WAL generation. Not thread-safe: the
-/// engine writes it only under its ingest lock.
+/// Appender for the current WAL generation. Not thread-safe: the engine
+/// writes it only under its ingest lock.
 class WalWriter {
  public:
+  /// The fixed staging buffer a record streams through: a batch is never
+  /// copied whole, however large.
+  static constexpr size_t kBufferBytes = size_t{1} << 16;
+
   WalWriter() = default;
   ~WalWriter() { (void)Close(); }
   WalWriter(const WalWriter&) = delete;
@@ -110,14 +109,12 @@ class WalWriter {
 
   bool is_open() const { return file_ != nullptr; }
 
-  /// Fsyncs the current generation — even when the writer runs with
-  /// sync_wal=false. Rotation calls this before switching generations and
-  /// the engine calls it on every shard before publishing a manifest,
-  /// because recovery may depend on these records as the durable
-  /// complement of *another* shard's segments (the manifest's
-  /// `frozen_through` forgiveness): a staggered freeze stores a batch's
-  /// shard-A slice in a segment while its shard-B slice still lives only
-  /// in B's log. No-op when the writer is closed.
+  /// Fsyncs the generation — even when the writer runs with
+  /// sync_wal=false. The engine calls this when it rolls past the
+  /// generation and before every manifest write: a listed segment may
+  /// reach past the prefix every shard has saved (shards freeze
+  /// independently), and recovery then needs the log to cover the rest of
+  /// that stretch for the other shards. No-op when the writer is closed.
   Status SyncFile() {
     if (file_ == nullptr) return Status::Ok();
     return file_->Sync();
@@ -131,49 +128,74 @@ class WalWriter {
     return f->Close();
   }
 
-  /// Appends one record and flushes it to the OS (plus fsync when the
-  /// engine was opened with sync_wal). The record is on disk before the
-  /// caller touches the memtable. Spans must be word-aligned (start bit 0)
-  /// — the engine always logs whole encoded strings. A closed writer (a
-  /// previous Open or Append failed) reports an error rather than
-  /// aborting: I/O trouble must surface as Status on the ingest path.
-  Status Append(uint64_t batch_id, uint32_t batch_shards,
-                const std::vector<wt::BitSpan>& strings) {
+  /// Appends one record — the batch `strings` at global positions
+  /// [first, first + strings.size()) — and flushes it to the OS (plus
+  /// fsync when the engine was opened with sync_wal). The record is on
+  /// disk before the caller touches a memtable. Two passes over the
+  /// strings: the checksum, then the bytes through the fixed buffer. A
+  /// record that fits the buffer goes down in ONE write, so a fault
+  /// injector (or a real short write) tears at most that buffer, which the
+  /// checksum catches. A closed writer (a previous Open failed) reports an
+  /// error rather than aborting: I/O trouble must surface as Status on the
+  /// ingest path.
+  Status Append(uint64_t first, std::span<const wt::BitString> strings) {
     if (file_ == nullptr) {
       return Status::Error(ErrorCode::kIoError, "wal: writer is not open");
     }
-    std::ostringstream payload;
-    for (const wt::BitSpan& s : strings) {
-      WT_DASSERT(s.start_bit() == 0);
-      wt::WritePod<uint64_t>(payload, s.size());
-      const size_t words = (s.size() + 63) / 64;
-      payload.write(reinterpret_cast<const char*>(s.words()),
-                    static_cast<std::streamsize>(words * sizeof(uint64_t)));
-    }
-    const std::string body = std::move(payload).str();
-
-    // Header and body go down in ONE write: a fault injector (or a real
-    // short write) then tears at most one buffer, which the checksum
-    // catches, instead of leaving a valid header over missing bytes.
     WalRecordHeader hdr;
-    hdr.batch_id = batch_id;
-    hdr.batch_shards = batch_shards;
-    hdr.string_count = static_cast<uint32_t>(strings.size());
-    hdr.payload_len = body.size();
-    hdr.checksum = wt::Fnv1a(body.data(), body.size());
-    std::ostringstream record;
-    wt::WritePod(record, hdr);
-    record.write(body.data(), static_cast<std::streamsize>(body.size()));
-    const std::string bytes = std::move(record).str();
+    hdr.first = first;
+    hdr.string_count = strings.size();
+    for (const wt::BitString& s : strings) {
+      hdr.payload_len += sizeof(uint64_t) + PayloadBytes(s);
+    }
+    uint64_t sum = wt::Fnv1a(&hdr, kWalChecksummedHeaderBytes);
+    for (const wt::BitString& s : strings) {
+      const uint64_t bits = s.size();
+      sum = wt::Fnv1a(&bits, sizeof(bits), sum);
+      sum = wt::Fnv1a(s.Span().words(), PayloadBytes(s), sum);
+    }
+    hdr.checksum = sum;
 
-    Status st = file_->Append(bytes.data(), bytes.size());
+    if (buf_ == nullptr) buf_ = std::make_unique<char[]>(kBufferBytes);
+    used_ = 0;
+    Status st = Put(&hdr, sizeof(hdr));
+    for (size_t i = 0; st.ok() && i < strings.size(); ++i) {
+      const wt::BitString& s = strings[i];
+      const uint64_t bits = s.size();
+      st = Put(&bits, sizeof(bits));
+      if (st.ok()) st = Put(s.Span().words(), PayloadBytes(s));
+    }
+    if (st.ok() && used_ > 0) st = file_->Append(buf_.get(), used_);
     if (st.ok() && sync_) st = file_->Sync();
     return st;
   }
 
  private:
+  static size_t PayloadBytes(const wt::BitString& s) {
+    return (s.size() + 63) / 64 * sizeof(uint64_t);
+  }
+
+  /// Copies bytes into the staging buffer, writing it out whenever full.
+  Status Put(const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    while (n > 0) {
+      const size_t take = std::min(n, kBufferBytes - used_);
+      std::memcpy(buf_.get() + used_, p, take);
+      used_ += take;
+      p += take;
+      n -= take;
+      if (used_ == kBufferBytes) {
+        if (Status st = file_->Append(buf_.get(), used_); !st.ok()) return st;
+        used_ = 0;
+      }
+    }
+    return Status::Ok();
+  }
+
   std::unique_ptr<wt::io::VfsFile> file_;
   bool sync_ = false;
+  std::unique_ptr<char[]> buf_;
+  size_t used_ = 0;
 };
 
 /// Parses every intact record out of one WAL file's bytes, stopping
@@ -186,74 +208,69 @@ inline std::vector<WalRecord> ParseWalBytes(const char* p, size_t size) {
   uint64_t remaining = size;
 
   for (;;) {
-    WalRecord rec;
     WalRecordHeader hdr;
     if (remaining < sizeof(hdr)) return out;
     std::memcpy(&hdr, p, sizeof(hdr));
-    p += sizeof(hdr);
+    const char* body = p + sizeof(hdr);
     remaining -= sizeof(hdr);
-    rec.batch_id = hdr.batch_id;
-    rec.batch_shards = hdr.batch_shards;
-    const uint32_t count = hdr.string_count;
     const uint64_t len = hdr.payload_len;
     // The length field is untrusted until the checksum matches; bounding it
     // by the bytes actually left keeps a torn header from ballooning
     // anything (the whole file is already in memory).
     if (len > remaining) return out;
-    if (wt::Fnv1a(p, len) != hdr.checksum) return out;
-    const char* body = p;
-    p += len;
+    if (wt::Fnv1a(body, len, wt::Fnv1a(p, kWalChecksummedHeaderBytes)) !=
+        hdr.checksum) {
+      return out;
+    }
+    p = body + len;
     remaining -= len;
 
     // The payload's inner fields are untrusted even after the checksum
-    // matches (FNV-1a is not collision-resistant): bound each per-string
-    // bit length by the bytes actually left in the payload *before*
-    // computing the word count, so a huge `bits` can neither wrap
-    // (bits+63)/64 into an undersized buffer read out of bounds nor
-    // balloon the allocation.
+    // matches (FNV-1a is not collision-resistant): every string takes at
+    // least its 8-byte length, which bounds the count before anything is
+    // reserved, and each per-string bit length is bounded by the bytes
+    // actually left *before* computing the word count, so a huge `bits`
+    // can neither wrap (bits+63)/64 into an undersized buffer read out of
+    // bounds nor balloon the allocation. The strings must use up the
+    // payload exactly.
+    if (hdr.string_count > len / sizeof(uint64_t)) return out;
+    WalRecord rec;
+    rec.first = hdr.first;
+    rec.strings.reserve(hdr.string_count);
     const char* q = body;
     uint64_t body_left = len;
-    rec.strings.reserve(count);
     std::vector<uint64_t> words;
-    bool bad = false;
-    for (uint32_t i = 0; i < count; ++i) {
+    for (uint64_t i = 0; i < hdr.string_count; ++i) {
       uint64_t bits = 0;
-      if (body_left < sizeof(bits)) {
-        bad = true;
-        break;
-      }
+      if (body_left < sizeof(bits)) return out;
       std::memcpy(&bits, q, sizeof(bits));
       q += sizeof(bits);
       body_left -= sizeof(bits);
-      if (bits > body_left * 8) {  // also rules out bits+63 wrap
-        bad = true;
-        break;
+      if (bits > body_left * 8) return out;  // also rules out bits+63 wrap
+      const uint64_t nbytes = (bits + 63) / 64 * sizeof(uint64_t);
+      if (nbytes > body_left) return out;  // bits fit, but not whole words
+      wt::BitString s;
+      if (bits > 0) {
+        words.assign(nbytes / sizeof(uint64_t), 0);
+        std::memcpy(words.data(), q, nbytes);
+        s.Append(wt::BitSpan(words.data(), 0, bits));
       }
-      const uint64_t nwords = (bits + 63) / 64;
-      const uint64_t nbytes = nwords * sizeof(uint64_t);
-      if (nbytes > body_left) {  // bits fit, but not whole words
-        bad = true;
-        break;
-      }
-      words.assign(nwords, 0);
-      std::memcpy(words.data(), q, nbytes);
       q += nbytes;
       body_left -= nbytes;
-      wt::BitString s;
-      if (bits > 0) s.Append(wt::BitSpan(words.data(), 0, bits));
       rec.strings.push_back(std::move(s));
     }
-    if (bad) return out;
+    if (body_left != 0) return out;
     out.push_back(std::move(rec));
   }
 }
 
-/// Reads every intact record of one WAL file. A missing or unreadable file
-/// is an empty log (recovery treats both the same).
-inline std::vector<WalRecord> ReadWalFile(wt::io::Vfs& vfs,
-                                          const std::string& path) {
+/// Reads every intact record of one WAL file. An unreadable file is an
+/// error, not an empty log: recovery must not mistake an I/O failure for
+/// lost records.
+inline Result<std::vector<WalRecord>> ReadWalFile(wt::io::Vfs& vfs,
+                                                  const std::string& path) {
   wtrie::Result<std::string> file = vfs.ReadFile(path);
-  if (!file.ok()) return {};
+  if (!file.ok()) return file.status();
   return ParseWalBytes(file->data(), file->size());
 }
 

@@ -7,9 +7,11 @@
 //     concurrent freezes/compactions, ephemeral vs flushed reads;
 //   * a multi-threaded stress test (one writer + N readers) asserting every
 //     snapshot observes exactly a prefix of the append history;
-//   * WAL crash recovery: reopen after an unflushed close replays the tail;
-//     a torn final record and a missing batch slice (the two mid-batch
-//     crash shapes) are discarded whole, complete batches survive;
+//   * WAL crash recovery, one case per replay rule on hand-written
+//     generations: a torn tail drops only the last batch, a hole salvages
+//     the prefix before it, a later generation's start retires a failed
+//     batch's record, a staggered freeze replays only what the other
+//     shards lack, and a flipped position bit fails the checksum;
 //   * the capacity satellite: the RRR 2^32-1-bit cap surfaces as a clean
 //     abort at the core boundary and as kCapacityExceeded Status on the
 //     facade, with the boundary arithmetic unit-tested exactly.
@@ -17,7 +19,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -409,22 +413,21 @@ TEST(EngineRecovery, TornTailRecordIsDiscardedWhole) {
   const auto values = UrlWorkload(900, 51);
   {
     auto eng = StrEngine::Open(opt).value();
-    // Three batches of 300; the last will be torn below.
+    // Three batches of 300 in the first generation; the last will be torn.
     for (size_t b = 0; b < 3; ++b) {
       ASSERT_TRUE(eng->AppendBatch({values.begin() + 300 * b,
                                     values.begin() + 300 * (b + 1)}).ok());
     }
   }
-  // Simulate a crash mid-record: truncate the tail of shard 0's WAL by a
-  // few bytes, invalidating its final record (the checksum cannot match).
-  const fs::path wal0 = dir.path / "wal-0-0.log";
-  ASSERT_TRUE(fs::exists(wal0));
-  const auto sz = fs::file_size(wal0);
-  fs::resize_file(wal0, sz - 5);
+  // Simulate a crash mid-record: truncate the log by a few bytes,
+  // invalidating its final record (the checksum cannot match).
+  const fs::path wal = dir.path / engine::WalFileName(0, 0);
+  ASSERT_TRUE(fs::exists(wal));
+  fs::resize_file(wal, fs::file_size(wal) - 5);
 
   auto eng = StrEngine::Open(opt).value();
-  // The torn slice kills batch 3 on BOTH shards (batch atomicity), leaving
-  // exactly the first two batches.
+  // One record is one batch, on every shard: the torn record drops exactly
+  // the last batch, and the first two survive whole.
   EXPECT_EQ(eng->size(), 600u);
   ASSERT_TRUE(eng->Flush().ok());
   ExpectMatchesOracle(eng->GetSnapshot(), values, 77);
@@ -435,45 +438,6 @@ TEST(EngineRecovery, TornTailRecordIsDiscardedWhole) {
   ASSERT_TRUE(eng->Flush().ok());
   EXPECT_EQ(eng->GetSnapshot().size(), 900u);
   ExpectMatchesOracle(eng->GetSnapshot(), values, 78);
-}
-
-TEST(EngineRecovery, MissingShardSliceDiscardsWholeBatch) {
-  TempDir dir("slice");
-  StrEngine::Options opt;
-  opt.num_shards = 2;
-  opt.memtable_limit = 1 << 20;
-  opt.dir = dir.path.string();
-  const auto values = UrlWorkload(400, 61);
-  {
-    auto eng = StrEngine::Open(opt).value();
-    ASSERT_TRUE(
-        eng->AppendBatch({values.begin(), values.begin() + 200}).ok());
-    ASSERT_TRUE(eng->AppendBatch({values.begin() + 200, values.end()}).ok());
-  }
-  // Crash shape 2: batch 2's slice reached shard 0's WAL but never shard
-  // 1's. Deleting shard 1's entire second slice means truncating its WAL
-  // back to the end of batch 1 — emulate by removing every record after
-  // the first from wal-1-0.log.
-  const fs::path wal1 = dir.path / "wal-1-0.log";
-  ASSERT_TRUE(fs::exists(wal1));
-  // Parse minimally: records are self-delimiting (header + payload_len).
-  std::ifstream in(wal1, std::ios::binary);
-  uint64_t id;
-  uint32_t shards32, count;
-  uint64_t len, sum;
-  ASSERT_TRUE(wt::TryReadPod(in, &id));
-  ASSERT_TRUE(wt::TryReadPod(in, &shards32));
-  ASSERT_TRUE(wt::TryReadPod(in, &count));
-  ASSERT_TRUE(wt::TryReadPod(in, &len));
-  ASSERT_TRUE(wt::TryReadPod(in, &sum));
-  const uint64_t first_record_end = 8 + 4 + 4 + 8 + 8 + len;
-  in.close();
-  fs::resize_file(wal1, first_record_end);
-
-  auto eng = StrEngine::Open(opt).value();
-  EXPECT_EQ(eng->size(), 200u);  // batch 2 discarded on shard 0 as well
-  ASSERT_TRUE(eng->Flush().ok());
-  ExpectMatchesOracle(eng->GetSnapshot(), values, 88);
 }
 
 TEST(EngineRecovery, RepeatedCrashAndRecoverCycles) {
@@ -532,9 +496,13 @@ TEST(EngineRecovery, UnsavedSegmentStaysOutOfManifestAndWalFloor) {
         ms.FindCounter("wt_engine_background_errors_total");
     ASSERT_NE(errors, nullptr);
     EXPECT_GE(*errors, 1u);
-    // The WAL generations feeding the unsaved segment must have survived
-    // the second (successful) freeze's floor advance and cleaning pass.
-    EXPECT_TRUE(fs::exists(dir.path / "wal-0-0.log"));
+    // The manifest lists no segment, so its durable prefix stays 0 and the
+    // generation holding the unsaved segment's data must have survived the
+    // second (successful) freeze's manifest write and cleaning pass.
+    EXPECT_TRUE(fs::exists(dir.path / engine::WalFileName(0, 0)));
+    const Result<engine::Manifest> m = engine::ReadManifest(opt.dir);
+    ASSERT_TRUE(m.ok());
+    EXPECT_TRUE(m->shards[0].segments.empty());
   }
   // The manifest must reference neither the unsaved segment nor anything
   // stacked after it, so reopening recovers every string from the log
@@ -559,8 +527,8 @@ TEST(EngineRecovery, FailedSegmentSaveIsRetriedByLaterFreezes) {
   ASSERT_TRUE(eng->AppendBatch({values.begin(), values.begin() + 900}).ok());
   EXPECT_FALSE(eng->Flush().ok());
   // Clear the blocker: the next freeze retries the failed save, after
-  // which the manifest covers both segments and the floor advance lets
-  // the subsumed WAL generations be cleaned.
+  // which the manifest covers both segments, its durable prefix reaches
+  // 1000, and every generation before the one starting there is cleaned.
   fs::remove(dir.path / "seg-0-0.wt");
   ASSERT_TRUE(
       eng->AppendBatch({values.begin() + 900, values.begin() + 1000}).ok());
@@ -568,20 +536,58 @@ TEST(EngineRecovery, FailedSegmentSaveIsRetriedByLaterFreezes) {
   // success through the filesystem instead of the Flush status.
   EXPECT_FALSE(eng->Flush().ok());
   EXPECT_TRUE(fs::exists(dir.path / "seg-0-0.wt"));
-  EXPECT_FALSE(fs::exists(dir.path / "wal-0-0.log"));
-  EXPECT_FALSE(fs::exists(dir.path / "wal-0-1.log"));
+  EXPECT_FALSE(fs::exists(dir.path / engine::WalFileName(0, 0)));
+  EXPECT_FALSE(fs::exists(dir.path / engine::WalFileName(1, 900)));
+  EXPECT_TRUE(fs::exists(dir.path / engine::WalFileName(2, 1000)));
   eng.reset();
-  // With the WAL gone the segments are the only copy: reopening from them
-  // proves the retried save (and the manifest entry) is real.
+  // With the log's data gone the segments are the only copy: reopening
+  // from them proves the retried save (and the manifest entry) is real.
   eng = StrEngine::Open(opt).value();
   EXPECT_EQ(eng->size(), 1000u);
   ASSERT_TRUE(eng->Flush().ok());
   ExpectMatchesOracle(eng->GetSnapshot(), values, 103);
 }
 
+/// One hand-written record: a batch whose strings start at global
+/// position `first`.
+struct HandRecord {
+  uint64_t first;
+  std::vector<std::string> values;
+};
+
+/// Writes WAL generation `gen`, starting at global position `first`, with
+/// the engine's own record writer.
+void WriteGeneration(const fs::path& dir, uint64_t gen, uint64_t first,
+                     const std::vector<HandRecord>& records) {
+  engine::WalWriter w;
+  ASSERT_TRUE(w.Open(wt::io::RealVfs::Instance(),
+                     (dir / engine::WalFileName(gen, first)).string(),
+                     /*sync=*/false)
+                  .ok());
+  for (const HandRecord& r : records) {
+    std::vector<wt::BitString> enc;
+    for (const std::string& v : r.values) enc.push_back(wt::ByteCodec::Encode(v));
+    ASSERT_TRUE(w.Append(r.first, enc).ok());
+  }
+  ASSERT_TRUE(w.Close().ok());
+}
+
+/// The values a snapshot holds, position by position.
+std::vector<std::string> Contents(const StrEngine::SnapshotT& snap) {
+  std::vector<uint64_t> pos(snap.size());
+  for (uint64_t i = 0; i < pos.size(); ++i) pos[i] = i;
+  return snap.AccessBatch(pos).value();
+}
+
+uint64_t SalvageCount(const StrEngine& eng) {
+  const wt::obs::MetricsSnapshot ms = eng.metrics()->Snapshot();
+  const uint64_t* salvages = ms.FindCounter("wt_engine_wal_salvages_total");
+  return salvages == nullptr ? 0 : *salvages;
+}
+
 TEST(WalRobustness, OversizedBitLengthFieldIsRejected) {
   TempDir dir("walbits");
-  const fs::path path = dir.path / "wal-0-0.log";
+  const fs::path path = dir.path / engine::WalFileName(0, 0);
   // A record whose checksum matches but whose per-string bit length lies:
   // near UINT64_MAX the word count (bits+63)/64 would wrap to a tiny
   // buffer read far out of bounds; merely-huge values would balloon the
@@ -591,159 +597,214 @@ TEST(WalRobustness, OversizedBitLengthFieldIsRejected) {
     std::ostringstream p;
     wt::WritePod<uint64_t>(p, bits);
     const std::string payload = std::move(p).str();
+    engine::WalRecordHeader hdr;
+    hdr.first = 0;
+    hdr.string_count = 1;
+    hdr.payload_len = payload.size();
+    hdr.checksum =
+        wt::Fnv1a(payload.data(), payload.size(),
+                  wt::Fnv1a(&hdr, engine::kWalChecksummedHeaderBytes));
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    wt::WritePod<uint64_t>(out, /*batch_id=*/0);
-    wt::WritePod<uint32_t>(out, /*batch_shards=*/1);
-    wt::WritePod<uint32_t>(out, /*string_count=*/1);
-    wt::WritePod<uint64_t>(out, payload.size());
-    wt::WritePod<uint64_t>(out, wt::Fnv1a(payload.data(), payload.size()));
+    wt::WritePod(out, hdr);
     out.write(payload.data(),
               static_cast<std::streamsize>(payload.size()));
     out.close();
-    EXPECT_TRUE(
-        engine::ReadWalFile(wt::io::RealVfs::Instance(), path.string())
-            .empty())
-        << bits;
+    const auto records =
+        engine::ReadWalFile(wt::io::RealVfs::Instance(), path.string());
+    ASSERT_TRUE(records.ok());
+    EXPECT_TRUE(records->empty()) << bits;
   }
+}
+
+TEST(WalRobustness, FlippedPositionBitFailsTheChecksum) {
+  TempDir dir("walflip");
+  WriteGeneration(dir.path, 0, 0, {{0, {"a", "b"}}, {2, {"c"}}});
+  const fs::path path = dir.path / engine::WalFileName(0, 0);
+  wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
+  ASSERT_EQ(engine::ReadWalFile(vfs, path.string())->size(), 2u);
+  // Move the second record from position 2 to position 3: its payload is
+  // intact, but the checksum covers the header's fields too.
+  std::string bytes = vfs.ReadFile(path.string()).value();
+  engine::WalRecordHeader hdr;
+  std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+  const size_t second = sizeof(hdr) + hdr.payload_len;
+  std::memcpy(&hdr, bytes.data() + second, sizeof(hdr));
+  ASSERT_EQ(hdr.first, 2u);
+  bytes[second + offsetof(engine::WalRecordHeader, first)] ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto records = engine::ReadWalFile(vfs, path.string());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);  // the first record only
+  EXPECT_EQ((*records)[0].first, 0u);
 }
 
 TEST(EngineRecovery, IncompleteMiddleBatchSalvagesLongestPrefix) {
   TempDir dir("salvage");
-  // Hand-craft the sync_wal=false crash shape the replay rule alone cannot
-  // absorb: the OS persisted WAL pages out of order, so batch 1 lost its
-  // shard-1 slice while the *later* batch 2 is complete. Dropping batch 1
-  // whole leaves batch 2's placement inconsistent with the round-robin
-  // cursor; recovery must degrade to the longest consistent prefix
-  // (batch 0) instead of refusing to open.
-  const wt::ByteCodec codec;
+  // Generation 1 (positions [2, 5)) went missing whole — possible with
+  // sync_wal=false when its name never reached the disk — while the later
+  // generation 2 survived. Its start, position 5, lies past the end of
+  // what replay has (2): a hole. Recovery must salvage the prefix before
+  // it instead of refusing to open, and stop reading there.
   const auto values = UrlWorkload(6, 91);
-  std::vector<wt::BitString> encs;
-  for (const std::string& v : values) encs.push_back(codec.Encode(v));
-  {
-    wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
-    engine::WalWriter w0, w1;
-    ASSERT_TRUE(w0.Open(vfs, (dir.path / "wal-0-0.log").string(), false).ok());
-    ASSERT_TRUE(w1.Open(vfs, (dir.path / "wal-1-0.log").string(), false).ok());
-    // batch 0: strings 0,1 from cursor 0 -> shard0 {0}, shard1 {1}.
-    ASSERT_TRUE(w0.Append(0, 2, {encs[0].Span()}).ok());
-    ASSERT_TRUE(w1.Append(0, 2, {encs[1].Span()}).ok());
-    // batch 1: strings 2,3,4 from cursor 0 -> shard0 {2,4}, shard1 {3};
-    // shard 1's slice is the one the crash lost (never written here).
-    ASSERT_TRUE(w0.Append(1, 2, {encs[2].Span(), encs[4].Span()}).ok());
-    // batch 2: string 5 from cursor 1 -> shard1 only, and complete.
-    ASSERT_TRUE(w1.Append(2, 1, {encs[5].Span()}).ok());
-  }
+  WriteGeneration(dir.path, 0, 0, {{0, {values[0], values[1]}}});
+  WriteGeneration(dir.path, 2, 5, {{5, {values[5]}}});
   StrEngine::Options opt;
   opt.num_shards = 2;
   opt.dir = dir.path.string();
   auto opened = StrEngine::Open(opt);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   auto eng = std::move(opened).value();
-  EXPECT_EQ(eng->size(), 2u);  // batch 0 survives; batches 1 and 2 do not
-  {
-    // The degraded open is counted where operators read it.
-    const wt::obs::MetricsSnapshot ms = eng->metrics()->Snapshot();
-    const uint64_t* salvages = ms.FindCounter("wt_engine_wal_salvages_total");
-    ASSERT_NE(salvages, nullptr);
-    EXPECT_EQ(*salvages, 1u);
-  }
+  EXPECT_EQ(eng->size(), 2u);  // positions 0 and 1; the hole cuts the rest
+  EXPECT_EQ(SalvageCount(*eng), 1u);  // counted where operators read it
   ASSERT_TRUE(eng->Flush().ok());
-  const auto snap = eng->GetSnapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap.Access(0).value(), values[0]);
-  EXPECT_EQ(snap.Access(1).value(), values[1]);
-  // The salvage freezes the recovered memtables right away, so the
-  // damaged generation is retired and cannot shadow later writes on the
-  // next recovery.
-  EXPECT_FALSE(fs::exists(dir.path / "wal-0-0.log"));
-  EXPECT_FALSE(fs::exists(dir.path / "wal-1-0.log"));
+  EXPECT_EQ(Contents(eng->GetSnapshot()),
+            std::vector<std::string>(values.begin(), values.begin() + 2));
   ASSERT_TRUE(eng->AppendBatch({values.begin() + 2, values.end()}).ok());
   ASSERT_TRUE(eng->Flush().ok());
   ExpectMatchesOracle(eng->GetSnapshot(), values, 105);
 }
 
-TEST(EngineRecovery, WhollyLostMiddleBatchSalvagesViaIdGap) {
-  TempDir dir("gap");
-  // A middle batch can lose ALL of its slices to out-of-order page
-  // persistence; it then never appears in the decoded records and is
-  // visible only as a gap in the batch-id sequence. The cut search must
-  // consider that gap, not just incomplete ids.
-  const wt::ByteCodec codec;
-  const auto values = UrlWorkload(4, 93);
-  std::vector<wt::BitString> encs;
-  for (const std::string& v : values) encs.push_back(codec.Encode(v));
-  {
-    wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
-    engine::WalWriter w0, w1;
-    ASSERT_TRUE(w0.Open(vfs, (dir.path / "wal-0-0.log").string(), false).ok());
-    ASSERT_TRUE(w1.Open(vfs, (dir.path / "wal-1-0.log").string(), false).ok());
-    // batch 0: strings 0,1 from cursor 0 -> shard0 {0}, shard1 {1}.
-    ASSERT_TRUE(w0.Append(0, 2, {encs[0].Span()}).ok());
-    ASSERT_TRUE(w1.Append(0, 2, {encs[1].Span()}).ok());
-    // batch 1 (string 2 -> shard0 only) was wholly lost — nothing logged.
-    // batch 2: string 3 from cursor 1 -> shard1 only, complete.
-    ASSERT_TRUE(w1.Append(2, 1, {encs[3].Span()}).ok());
-  }
-  StrEngine::Options opt;
-  opt.num_shards = 2;
-  opt.dir = dir.path.string();
-  auto opened = StrEngine::Open(opt);
-  ASSERT_TRUE(opened.ok()) << opened.status().message();
-  auto eng = std::move(opened).value();
-  EXPECT_EQ(eng->size(), 2u);  // batch 0 survives, the gap cuts the rest
-  ASSERT_TRUE(eng->Flush().ok());
-  const auto snap = eng->GetSnapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap.Access(0).value(), values[0]);
-  EXPECT_EQ(snap.Access(1).value(), values[1]);
-}
-
 TEST(EngineRecovery, SalvageRetiresDamagedGenerationsOnEveryShard) {
   TempDir dir("retire");
-  // After a salvage, a shard whose memtable came back empty still held a
-  // WAL file with a dropped-but-complete batch; left behind, that batch
-  // would resurface on the next recovery and shadow — or render
-  // unsalvageable — batches acknowledged after this open.
-  const wt::ByteCodec codec;
+  // After a salvage every generation read is deleted before Open returns —
+  // the ones past the hole too. Left behind, generation 3's start (5)
+  // would stop the next recovery at the same hole and drop the writes
+  // acknowledged after this open.
   const auto values = UrlWorkload(9, 95);
-  std::vector<wt::BitString> encs;
-  for (const std::string& v : values) encs.push_back(codec.Encode(v));
-  {
-    wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
-    engine::WalWriter w0, w1, w2;
-    ASSERT_TRUE(w0.Open(vfs, (dir.path / "wal-0-0.log").string(), false).ok());
-    ASSERT_TRUE(w1.Open(vfs, (dir.path / "wal-1-0.log").string(), false).ok());
-    ASSERT_TRUE(w2.Open(vfs, (dir.path / "wal-2-0.log").string(), false).ok());
-    // batch 0: strings 0,1 from cursor 0 -> shard0 {0}, shard1 {1}.
-    ASSERT_TRUE(w0.Append(0, 2, {encs[0].Span()}).ok());
-    ASSERT_TRUE(w1.Append(0, 2, {encs[1].Span()}).ok());
-    // batch 1: strings 2,3 from cursor 2 -> shard2 {2} (slice lost),
-    // shard0 {3} — incomplete.
-    ASSERT_TRUE(w0.Append(1, 2, {encs[3].Span()}).ok());
-    // batches 2 and 3: singletons beyond the damage, both complete.
-    ASSERT_TRUE(w1.Append(2, 1, {encs[4].Span()}).ok());
-    ASSERT_TRUE(w2.Append(3, 1, {encs[5].Span()}).ok());
-  }
+  WriteGeneration(dir.path, 0, 0, {{0, {values[0], values[1]}}});
+  WriteGeneration(dir.path, 2, 4, {{4, {values[4]}}});
+  WriteGeneration(dir.path, 3, 5, {{5, {values[5]}}});
   StrEngine::Options opt;
   opt.num_shards = 3;
   opt.dir = dir.path.string();
   auto opened = StrEngine::Open(opt);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   auto eng = std::move(opened).value();
-  EXPECT_EQ(eng->size(), 2u);  // batch 0 only
-  // The salvage settles before Open returns: shard 2 salvaged nothing,
-  // yet its generation (holding only the dropped batch 3) must be gone
-  // along with everyone else's.
-  EXPECT_FALSE(fs::exists(dir.path / "wal-0-0.log"));
-  EXPECT_FALSE(fs::exists(dir.path / "wal-1-0.log"));
-  EXPECT_FALSE(fs::exists(dir.path / "wal-2-0.log"));
-  // Writes acknowledged after the salvage survive the next crash+reopen.
+  EXPECT_EQ(eng->size(), 2u);
+  EXPECT_EQ(SalvageCount(*eng), 1u);
+  EXPECT_FALSE(fs::exists(dir.path / engine::WalFileName(0, 0)));
+  EXPECT_FALSE(fs::exists(dir.path / engine::WalFileName(2, 4)));
+  EXPECT_FALSE(fs::exists(dir.path / engine::WalFileName(3, 5)));
+  // Writes acknowledged after the salvage survive the next crash+reopen,
+  // which is a clean one.
   ASSERT_TRUE(eng->AppendBatch({values.begin() + 2, values.end()}).ok());
   eng.reset();
   eng = StrEngine::Open(opt).value();
   EXPECT_EQ(eng->size(), values.size());
+  EXPECT_EQ(SalvageCount(*eng), 0u);
   ASSERT_TRUE(eng->Flush().ok());
   ExpectMatchesOracle(eng->GetSnapshot(), values, 107);
+}
+
+TEST(EngineRecovery, LaterGenerationStartRetiresAFailedBatch) {
+  TempDir dir("retired");
+  // Generation 0 holds two complete records: [0, 2), then a batch at
+  // [2, 5) whose append failed after its bytes reached the disk (the
+  // fsync failed). The engine rolled to generation 1 at the failed
+  // batch's position, so its start cuts that record off, and a later
+  // batch took positions 2 and 3.
+  const auto values = UrlWorkload(4, 97);
+  WriteGeneration(dir.path, 0, 0,
+                  {{0, {values[0], values[1]}},
+                   {2, {"failed-2", "failed-3", "failed-4"}}});
+  WriteGeneration(dir.path, 1, 2, {{2, {values[2], values[3]}}});
+  StrEngine::Options opt;
+  opt.num_shards = 2;
+  opt.dir = dir.path.string();
+  auto eng = StrEngine::Open(opt).value();
+  EXPECT_EQ(eng->size(), 4u);
+  EXPECT_EQ(SalvageCount(*eng), 0u);
+  ASSERT_TRUE(eng->Flush().ok());
+  EXPECT_EQ(Contents(eng->GetSnapshot()), values);
+}
+
+TEST(EngineRecovery, FailedAppendStaysRetiredWhenReopenedBeforeCleaning) {
+  // The engine-driven form of the case above: fail each operation of a
+  // short sync_wal script once (alternating clean and torn errors) and
+  // reopen before any Flush, so every generation the script wrote is
+  // still on disk. A batch refused to a live caller — also one whose
+  // record reached the disk whole because only its fsync failed — must
+  // not come back, and every acknowledged batch must.
+  const std::vector<std::vector<std::string>> batches = {
+      {"a0", "a1", "a2"}, {"b0"}, {"c0", "c1"}, {"d0", "d1", "d2", "d3"}};
+  const auto options = [](std::shared_ptr<wt::io::Vfs> vfs) {
+    StrEngine::Options opt;
+    opt.num_shards = 2;
+    opt.memtable_limit = 1 << 20;  // no rotation: the log keeps everything
+    opt.dir = "store";
+    opt.sync_wal = true;
+    opt.vfs = std::move(vfs);
+    return opt;
+  };
+  const auto run = [&](const std::shared_ptr<wt::io::FaultVfs>& vfs) {
+    std::vector<std::string> acked;
+    auto opened = StrEngine::Open(options(vfs));
+    if (!opened.ok()) return acked;
+    for (const auto& b : batches) {
+      if ((*opened)->AppendBatch(b).ok()) {
+        acked.insert(acked.end(), b.begin(), b.end());
+      }
+    }
+    return acked;
+  };
+  auto rec = std::make_shared<wt::io::FaultVfs>();
+  ASSERT_EQ(run(rec).size(), 10u);
+  const uint64_t trace_len = rec->OpCount();
+  for (uint64_t op = 0; op < trace_len; ++op) {
+    auto vfs = std::make_shared<wt::io::FaultVfs>();
+    vfs->FailOpAt(op, /*torn=*/op % 2 == 1);
+    const std::vector<std::string> acked = run(vfs);
+    auto eng = StrEngine::Open(options(vfs));
+    ASSERT_TRUE(eng.ok()) << "fault at op " << op;
+    ASSERT_TRUE((*eng)->Flush().ok()) << "fault at op " << op;
+    EXPECT_EQ(Contents((*eng)->GetSnapshot()), acked) << "fault at op " << op;
+  }
+}
+
+TEST(EngineRecovery, StaggeredFreezeReplaysOnlyWhatOtherShardsLack) {
+  TempDir dir("staggered");
+  StrEngine::Options opt;
+  opt.num_shards = 2;
+  opt.memtable_limit = 3;
+  opt.dir = dir.path.string();
+  const auto values = UrlWorkload(5, 99);
+  {
+    auto eng = StrEngine::Open(opt).value();
+    // Positions 0..4: shard 0 takes 0, 2, 4 and reaches the limit, shard 1
+    // takes 1 and 3 and does not. Only shard 0 freezes; its saved segment
+    // reaches past the durable prefix G = min(3*2 + 0, 0*2 + 1) = 1.
+    ASSERT_TRUE(eng->AppendBatch(values).ok());
+  }  // the destructor lets the freeze and its manifest write land
+  const Result<engine::Manifest> m = engine::ReadManifest(opt.dir);
+  ASSERT_TRUE(m.ok());
+  ASSERT_EQ(m->shards[0].segments.size(), 1u);
+  EXPECT_EQ(m->shards[0].segments[0].count, 3u);
+  EXPECT_TRUE(m->shards[1].segments.empty());
+  // The one record still holds all five strings, so replay meets positions
+  // 2 and 4 again: they must go nowhere, while 1 and 3 refill shard 1.
+  const auto gen0 = engine::ReadWalFile(
+      wt::io::RealVfs::Instance(),
+      (dir.path / engine::WalFileName(0, 0)).string());
+  ASSERT_TRUE(gen0.ok());
+  ASSERT_EQ(gen0->size(), 1u);
+  auto eng = StrEngine::Open(opt).value();
+  EXPECT_EQ(eng->size(), 5u);
+  // A second copy of 2 and 4 would sit past the visible prefix, so append
+  // more and read every position: the copies would shift shard 0's share.
+  const auto more = UrlWorkload(12, 100);
+  ASSERT_TRUE(eng->AppendBatch(more).ok());
+  ASSERT_TRUE(eng->Flush().ok());
+  std::vector<std::string> want = values;
+  want.insert(want.end(), more.begin(), more.end());
+  EXPECT_EQ(Contents(eng->GetSnapshot()), want);
+  eng->RefreshMetrics();
+  const wt::obs::MetricsSnapshot ms = eng->metrics()->Snapshot();
+  const int64_t* frozen = ms.FindGauge("wt_engine_frozen_strings");
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(*frozen, static_cast<int64_t>(want.size()));
 }
 
 // ------------------------------------------------------------- thread pool

@@ -546,19 +546,22 @@ TEST(StorageEngine, ManifestRoundTripsAndRejectsOtherVersions) {
   TempDir dir("manifest");
   engine::Manifest m;
   m.num_shards = 2;
-  m.next_batch_id = 9;
   m.shards.resize(2);
-  m.shards[1].frozen_through = 4;
+  m.shards[0].next_seg_seq = 5;
   m.shards[1].segments.push_back({/*seq=*/3, /*count=*/77});
   ASSERT_TRUE(engine::WriteManifest(dir.path.string(), m).ok());
   Result<engine::Manifest> back = engine::ReadManifest(dir.path.string());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->next_batch_id, 9u);
-  EXPECT_EQ(back->shards[1].frozen_through, 4u);
+  EXPECT_EQ(back->num_shards, 2u);
+  EXPECT_EQ(back->shards[0].next_seg_seq, 5u);
+  EXPECT_TRUE(back->shards[0].segments.empty());
   ASSERT_EQ(back->shards[1].segments.size(), 1u);
+  EXPECT_EQ(back->shards[1].segments[0].seq, 3u);
   EXPECT_EQ(back->shards[1].segments[0].count, 77u);
-  // Stamp the file as version 1 (the pre-watermark layout): the reader
-  // parses one layout only, so it must refuse rather than misparse.
+  // Stamp the file as version 1 (the pre-watermark layout) and as version
+  // 2 (per-shard WAL floors and watermarks, batch ids): the reader parses
+  // one layout only, so it must refuse both rather than misparse, and
+  // opening such a store fails with the same clean Status.
   const fs::path file = dir.path / "MANIFEST";
   std::string bytes;
   {
@@ -567,13 +570,19 @@ TEST(StorageEngine, ManifestRoundTripsAndRejectsOtherVersions) {
     ss << in.rdbuf();
     bytes = ss.str();
   }
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + offsetof(wt::EnvelopeHeader, version), &v1,
-              sizeof(v1));
-  WriteFile(file, bytes);
-  Result<engine::Manifest> stale = engine::ReadManifest(dir.path.string());
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), ErrorCode::kVersionMismatch);
+  for (const uint32_t old_version : {1u, 2u}) {
+    std::memcpy(bytes.data() + offsetof(wt::EnvelopeHeader, version),
+                &old_version, sizeof(old_version));
+    WriteFile(file, bytes);
+    Result<engine::Manifest> stale = engine::ReadManifest(dir.path.string());
+    ASSERT_FALSE(stale.ok()) << old_version;
+    EXPECT_EQ(stale.status().code(), ErrorCode::kVersionMismatch);
+    StrEngine::Options opt;
+    opt.dir = dir.path.string();
+    auto opened = StrEngine::Open(opt);
+    ASSERT_FALSE(opened.ok()) << old_version;
+    EXPECT_EQ(opened.status().code(), ErrorCode::kVersionMismatch);
+  }
 }
 
 TEST(StorageEngine, CorruptSegmentFailsOpenCleanly) {

@@ -1,8 +1,11 @@
 // wt_inspect — storage introspection CLI (DESIGN.md #8).
 //
-//   wt_inspect <engine-dir>         dump the MANIFEST (shards, WAL floors,
-//                                   segment stacks) and every referenced
-//                                   segment file's format + section table
+//   wt_inspect <engine-dir>         dump the MANIFEST (shards, segment
+//                                   stacks), every referenced segment
+//                                   file's format + section table, and the
+//                                   write-ahead log (each generation's
+//                                   number, start and intact records, and
+//                                   the durable prefix G)
 //   wt_inspect <file.wt|.img>       dump one segment/image file
 //   wt_inspect --fsck <engine-dir>  offline consistency audit (see below)
 //   wt_inspect --metrics <port>     fetch a live daemon's kMetrics snapshot
@@ -18,22 +21,24 @@
 // image.
 //
 // --fsck cross-checks manifest <-> segments <-> WAL without opening an
-// engine, running the same decision logic recovery runs
-// (engine/recovery_invariants.hpp, DESIGN.md #9): every referenced segment
+// engine, running the same replay rule recovery runs
+// (engine/recovery_invariants.hpp, DESIGN.md #7): every referenced segment
 // must exist, parse, hash-verify, and hold the string count the manifest
-// claims; the surviving WAL records plus the manifest's frozen_through
-// watermarks must admit a replay prefix satisfying the round-robin
-// placement invariant. Exit codes:
+// claims; replaying the log past the segments' durable prefix must leave
+// every shard with exactly its round-robin share. Exit codes:
 //
 //   0  clean — a reopen recovers the full surviving history (orphan
-//      files, stale WAL generations, and torn log tails are benign crash
+//      files, retired WAL generations, and torn log tails are benign crash
 //      artifacts and are reported, not fatal);
-//   2  degraded — the store opens but only a salvaged prefix replays
-//      (the documented sync_wal=false crash tradeoff);
+//   2  degraded — the store opens but replay stops at a hole (a
+//      generation file lost whole) and only the prefix before it is
+//      salvaged;
 //   1  broken — a reopen would refuse: missing/corrupt segment, count
-//      mismatch, unreadable manifest, or no consistent replay prefix.
+//      mismatch, unreadable manifest or log, or shard counts that break
+//      round-robin placement.
 #include <cinttypes>
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -113,42 +118,72 @@ int InspectFile(const fs::path& path, const char* indent) {
   return std::strcmp(checksum, "ok") == 0 ? 0 : 1;
 }
 
+/// The WAL generations in `dir`, in generation order.
+std::vector<wtrie::engine::WalGeneration> ListWalGenerations(
+    const fs::path& dir) {
+  std::vector<wtrie::engine::WalGeneration> gens;
+  // error_code overloads throughout: a racing engine may roll or delete
+  // files mid-scan, and a vanished entry must not abort the diagnostic.
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec), end;
+  for (; !ec && it != end; it.increment(ec)) {
+    wtrie::engine::WalGeneration g;
+    if (wtrie::engine::ParseWalFileName(it->path().filename().string(), &g)) {
+      gens.push_back(g);
+    }
+  }
+  std::sort(gens.begin(), gens.end(),
+            [](const auto& a, const auto& b) { return a.gen < b.gen; });
+  return gens;
+}
+
+std::vector<uint64_t> SegmentCounts(const wtrie::engine::Manifest& m) {
+  std::vector<uint64_t> counts(m.shards.size(), 0);
+  for (size_t s = 0; s < m.shards.size(); ++s) {
+    for (const wtrie::engine::SegmentMeta& seg : m.shards[s].segments) {
+      counts[s] += seg.count;
+    }
+  }
+  return counts;
+}
+
 int InspectDir(const fs::path& dir) {
-  wtrie::Result<wtrie::engine::Manifest> m =
-      wtrie::engine::ReadManifest(dir.string());
+  namespace eng = wtrie::engine;
+  wtrie::Result<eng::Manifest> m = eng::ReadManifest(dir.string());
   if (!m.ok()) {
     std::printf("%s: no readable MANIFEST (%s)\n", dir.c_str(),
                 m.status().message());
     return 1;
   }
-  std::printf("MANIFEST: %u shards, next batch id %" PRIu64 "\n",
-              m->num_shards, m->next_batch_id);
+  std::printf("MANIFEST: v%u, %u shards\n", eng::Manifest::kVersion,
+              m->num_shards);
   int rc = 0;
   for (size_t s = 0; s < m->shards.size(); ++s) {
-    const wtrie::engine::ShardMeta& sm = m->shards[s];
-    std::printf("shard %zu: wal floor %" PRIu64 ", next seg seq %" PRIu64
-                ", frozen through batch %" PRIu64 ", %zu segment(s)\n",
-                s, sm.wal_floor, sm.next_seg_seq, sm.frozen_through,
-                sm.segments.size());
-    for (const wtrie::engine::SegmentMeta& seg : sm.segments) {
-      const fs::path p = dir / wtrie::engine::SegmentFileName(s, seg.seq);
+    const eng::ShardMeta& sm = m->shards[s];
+    std::printf("shard %zu: next seg seq %" PRIu64 ", %zu segment(s)\n", s,
+                sm.next_seg_seq, sm.segments.size());
+    for (const eng::SegmentMeta& seg : sm.segments) {
+      const fs::path p = dir / eng::SegmentFileName(s, seg.seq);
       std::printf("  seq %" PRIu64 " (%" PRIu64 " strings)\n", seg.seq,
                   seg.count);
       rc |= InspectFile(p, "    ");
     }
   }
-  // Unreferenced leftovers are worth surfacing too. error_code overloads
-  // throughout: a racing engine may rotate/delete files mid-scan, and a
-  // vanished entry must not abort the diagnostic.
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  for (; !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("wal-", 0) == 0) {
-      const uintmax_t size = fs::file_size(it->path(), ec);
-      std::printf("wal file: %s, %ju bytes\n", name.c_str(),
-                  ec ? static_cast<uintmax_t>(0) : size);
-      ec.clear();
+  std::printf("wal: durable prefix G = %" PRIu64 "\n",
+              eng::DurablePrefix(SegmentCounts(*m)));
+  wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
+  for (const eng::WalGeneration& g : ListWalGenerations(dir)) {
+    const std::string name = eng::WalFileName(g.gen, g.first);
+    wtrie::Result<std::vector<eng::WalRecord>> recs =
+        eng::ReadWalFile(vfs, (dir / name).string());
+    if (recs.ok()) {
+      std::printf("  generation %" PRIu64 ": starts at %" PRIu64
+                  ", %zu intact record(s)\n",
+                  g.gen, g.first, recs->size());
+    } else {
+      std::printf("  generation %" PRIu64 ": starts at %" PRIu64
+                  ", unreadable (%s)\n",
+                  g.gen, g.first, recs.status().message());
     }
   }
   return rc;
@@ -209,22 +244,17 @@ int FsckDir(const fs::path& dir) {
     }
   }
 
-  // Directory census: live WAL files per shard (generation order), plus
-  // the benign leftovers recovery would delete.
+  // Directory census: the benign leftovers recovery would delete.
   std::map<std::string, bool> referenced;  // segment name -> seen on disk
-  size_t n = have_manifest ? m.num_shards : 0;
-  std::vector<std::map<uint64_t, std::string>> wal_files;
-  std::vector<std::pair<size_t, uint64_t>> all_wals;
   std::error_code ec;
   fs::directory_iterator it(dir, ec), end;
   for (; !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
     size_t shard = 0;
     uint64_t num = 0;
-    if (eng::ParseEngineFileName(name, "wal-", ".log", &shard, &num)) {
-      all_wals.push_back({shard, num});
-      if (shard + 1 > n) n = shard + 1;  // without a manifest, infer width
-    } else if (eng::ParseEngineFileName(name, "seg-", ".wt", &shard, &num)) {
+    eng::WalGeneration gen;
+    if (eng::ParseWalFileName(name, &gen)) continue;
+    if (eng::ParseEngineFileName(name, "seg-", ".wt", &shard, &num)) {
       referenced[name] = false;  // orphan until the manifest claims it
     } else if (name != "MANIFEST") {
       std::printf("benign: stale leftover %s (recovery deletes it)\n",
@@ -252,60 +282,48 @@ int FsckDir(const fs::path& dir) {
                   name.c_str());
     }
   }
-  wal_files.resize(n);
-  for (const auto& [shard, gen] : all_wals) {
-    const uint64_t floor =
-        have_manifest && shard < m.shards.size() ? m.shards[shard].wal_floor : 0;
-    if (gen < floor) {
-      std::printf("benign: stale wal-%zu-%" PRIu64
-                  ".log below floor (recovery deletes it)\n",
-                  shard, gen);
-    } else if (shard < n) {
-      wal_files[shard][gen] = (dir / eng::WalFileName(shard, gen)).string();
-    }
-  }
   if (broken) return 1;
-  if (n == 0) {
-    std::printf("clean: empty store\n");
-    return 0;
-  }
 
-  // The recovery decision, re-run read-only: tabulate surviving batch
-  // slices and ask for a replay prefix satisfying round-robin placement.
-  std::vector<std::vector<eng::WalRecord>> records(n);
-  for (size_t s = 0; s < n; ++s) {
-    for (const auto& [gen, path] : wal_files[s]) {
-      std::vector<eng::WalRecord> recs = eng::ReadWalFile(vfs, path);
-      std::printf("  wal-%zu-%" PRIu64 ".log: %zu intact record(s)\n", s, gen,
-                  recs.size());
-      for (auto& r : recs) records[s].push_back(std::move(r));
-    }
-  }
-  std::vector<uint64_t> base_counts(n, 0), frozen_through(n, 0);
-  if (have_manifest) {
-    for (size_t s = 0; s < m.shards.size(); ++s) {
-      for (const eng::SegmentMeta& seg : m.shards[s].segments) {
-        base_counts[s] += seg.count;
-      }
-      frozen_through[s] = m.shards[s].frozen_through;
-    }
-  }
-  const eng::BatchTable batches = eng::BuildBatchTable(records);
-  const std::optional<eng::ReplayPlan> plan =
-      eng::PlanReplay(base_counts, frozen_through, records, batches);
-  if (!plan.has_value()) {
-    std::printf("BROKEN: no replay prefix satisfies the round-robin "
-                "placement invariant — a reopen would refuse this store\n");
+  // The recovery decision, re-run read-only. Without a manifest the shard
+  // count is unknown, but nothing is frozen either: every shard's share of
+  // the replayed tail lines up for any count, so one shard stands in.
+  const std::vector<uint64_t> counts =
+      have_manifest ? SegmentCounts(m) : std::vector<uint64_t>(1, 0);
+  const std::vector<eng::WalGeneration> gens = ListWalGenerations(dir);
+  wtrie::Result<eng::WalReplay> replay = eng::ReplayWal(
+      counts, gens, [&](const eng::WalGeneration& g) {
+        const std::string name = eng::WalFileName(g.gen, g.first);
+        auto recs = eng::ReadWalFile(vfs, (dir / name).string());
+        if (recs.ok()) {
+          std::printf("  %s: %zu intact record(s)\n", name.c_str(),
+                      recs->size());
+        }
+        return recs;
+      });
+  if (!replay.ok()) {
+    std::printf("BROKEN: %s — a reopen would refuse this store\n",
+                replay.status().message());
     return 1;
   }
-  if (plan->salvaged()) {
-    std::printf("DEGRADED: only batches below id %" PRIu64
-                " replay consistently; a reopen salvages %" PRIu64
+  std::printf("  durable prefix G = %" PRIu64 ", log tail ends at %" PRIu64
+              "\n",
+              replay->tail.durable(), replay->tail.end());
+  for (size_t i = 0; i + 1 < gens.size(); ++i) {
+    if (gens[i + 1].first <= replay->tail.durable()) {
+      std::printf("benign: %s is retired, its successor starts inside G "
+                  "(recovery deletes it)\n",
+                  eng::WalFileName(gens[i].gen, gens[i].first).c_str());
+    }
+  }
+  if (replay->hole) {
+    std::printf("DEGRADED: the log has a hole at position %" PRIu64
+                "; a reopen salvages %" PRIu64
                 " string(s) and drops the rest\n",
-                plan->cut, plan->total);
+                replay->tail.end(), replay->total);
     return 2;
   }
-  std::printf("clean: a reopen recovers %" PRIu64 " string(s)\n", plan->total);
+  std::printf("clean: a reopen recovers %" PRIu64 " string(s)\n",
+              replay->total);
   return 0;
 }
 
