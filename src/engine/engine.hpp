@@ -313,20 +313,22 @@ class Engine {
     return BackgroundError();
   }
 
-  /// Fsyncs the current WAL generation — the serving layer's shutdown
-  /// barrier: after a graceful drain, every acknowledged append is durable
-  /// against OS crashes too, even when the engine runs with
-  /// sync_wal=false. (Against process crashes the records are already
-  /// safe: Append flushes them to the OS before the memtable is touched,
-  /// and every earlier generation was fsynced when the engine rolled past
-  /// it.)
+  /// Fsyncs the write-ahead log and the directory naming its generations
+  /// — the serving layer's shutdown barrier: after a graceful drain, every
+  /// acknowledged append is durable against OS crashes too, even when the
+  /// engine runs with sync_wal=false. (Against process crashes the records
+  /// are already safe: Append flushes them to the OS before the memtable is
+  /// touched.) Fails while any generation's fsync fails.
   Status SyncWal() {
     wt::MutexLock lk(ingest_mu_);
     wt::obs::ScopedSpan span(wt::obs::Tracer::Get(),
                              wt::obs::TraceName::kWalFsync,
                              total_.load(std::memory_order_relaxed));
     const uint64_t t0 = wt::obs::TimerStart();
-    Status st = wal_.SyncFile();
+    Status st = SyncLogLocked();
+    // A generation opened since the last directory fsync (sync_wal=false
+    // skips it) needs its name made durable too.
+    if (st.ok() && durable()) st = vfs().SyncDir(opt_.dir);
     h_wal_fsync_us_->Record(wt::obs::ElapsedUs(t0));
     c_wal_fsyncs_->Increment();
     return st;
@@ -504,9 +506,11 @@ class Engine {
   // ------------------------------------------------------------- rotation
 
   /// Closes the current WAL generation, fsynced first, and opens the next,
-  /// starting at global position `first`. Caller holds ingest_mu_. The
-  /// generation joins the live list even when its open fails — the file
-  /// may exist, and cleaning deletes it like any other — and the next
+  /// starting at global position `first`. Caller holds ingest_mu_. A failed
+  /// fsync does not stop the roll: the generation goes on the unsynced
+  /// list, which the next manifest write or SyncWal must fsync first. The
+  /// new generation joins the live list even when its open fails — the
+  /// file may exist, and cleaning deletes it like any other — and the next
   /// append retries the open. Returns the open's status.
   Status RollWalLocked(uint64_t first) WT_REQUIRES(ingest_mu_) {
     wt::obs::ScopedSpan rotate_span(wt::obs::Tracer::Get(),
@@ -514,7 +518,10 @@ class Engine {
     {
       wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
                                      wt::obs::TraceName::kWalFsync, first);
-      if (Status st = wal_.SyncFile(); !st.ok()) RecordBackgroundError(st);
+      if (Status st = wal_.SyncFile(); !st.ok()) {
+        RecordBackgroundError(st);
+        unsynced_gens_.push_back(wal_gens_.back());
+      }
     }
     wal_gens_.push_back(
         {wal_gens_.empty() ? 0 : wal_gens_.back().gen + 1, first});
@@ -533,6 +540,22 @@ class Engine {
 
   std::string WalPath(const engine::WalGeneration& g) const {
     return PathOf(engine::WalFileName(g.gen, g.first)).string();
+  }
+
+  /// Fsyncs every record appended so far: each generation on the unsynced
+  /// list, reopened for the purpose, then the current one. A generation
+  /// leaves the list only once its fsync succeeds. Caller holds ingest_mu_.
+  Status SyncLogLocked() WT_REQUIRES(ingest_mu_) {
+    while (!unsynced_gens_.empty()) {
+      Result<std::unique_ptr<wt::io::VfsFile>> f = vfs().OpenWrite(
+          WalPath(unsynced_gens_.back()), /*truncate=*/false);
+      if (!f.ok()) return f.status();
+      Status st = (*f)->Sync();
+      if (Status closed = (*f)->Close(); st.ok()) st = closed;
+      if (!st.ok()) return st;
+      unsynced_gens_.pop_back();
+    }
+    return wal_.SyncFile();
   }
 
   /// Moves the memtable out to a background freeze job and installs a
@@ -810,7 +833,6 @@ class Engine {
     engine::Manifest m;
     m.num_shards = static_cast<uint32_t>(n);
     m.shards.resize(n);
-    std::vector<uint64_t> counts(n, 0);
     for (size_t s = 0; s < n; ++s) {
       engine::ShardMeta& sm = m.shards[s];
       wt::MutexLock lk(shards_[s].publish_mu);
@@ -824,7 +846,6 @@ class Engine {
         // which cleaning keeps.
         if (!e.saved) break;
         sm.segments.push_back({e.seq, e.segment->size()});
-        counts[s] += e.segment->size();
       }
     }
     // A listed segment may reach past the durable prefix (shards freeze
@@ -832,14 +853,15 @@ class Engine {
     // that stretch from the log — so those records must be durable before
     // this manifest may list the segment. Each was appended before the
     // segment's rotation, hence before the snapshot above: generations the
-    // engine rolled past were fsynced then, and the current one is fsynced
-    // here. A failed sync vetoes the manifest — the previous one stays
-    // authoritative and promises nothing new.
+    // engine rolled past were fsynced then or sit on the unsynced list, and
+    // both the list and the current generation are fsynced here. A failed
+    // sync vetoes the manifest — the previous one stays authoritative and
+    // promises nothing new.
     {
       wt::MutexLock ilk(ingest_mu_);
       wt::obs::ScopedSpan fsync_span(wt::obs::Tracer::Get(),
                                      wt::obs::TraceName::kWalFsync, n);
-      if (Status st = wal_.SyncFile(); !st.ok()) {
+      if (Status st = SyncLogLocked(); !st.ok()) {
         RecordBackgroundError(st);
         return st;
       }
@@ -848,7 +870,7 @@ class Engine {
       RecordBackgroundError(st);
       return st;
     }
-    CleanWal(engine::DurablePrefix(counts));
+    CleanWal(engine::DurablePrefix(engine::SegmentCounts(m)));
     return Status::Ok();
   }
 
@@ -873,7 +895,9 @@ class Engine {
   }
 
   /// Unlinks from the live list the generations whose successor starts at
-  /// or below `durable`. The current generation (the last) always stays.
+  /// or below `durable`, and from the unsynced list too: no record of
+  /// theirs is needed any more. The current generation (the last) always
+  /// stays.
   std::vector<engine::WalGeneration> TakeRetiredGenerationsLocked(
       uint64_t durable) WT_REQUIRES(ingest_mu_) {
     size_t k = 0;
@@ -881,6 +905,9 @@ class Engine {
     std::vector<engine::WalGeneration> retired(wal_gens_.begin(),
                                                wal_gens_.begin() + k);
     wal_gens_.erase(wal_gens_.begin(), wal_gens_.begin() + k);
+    std::erase_if(unsynced_gens_, [&](const engine::WalGeneration& g) {
+      return g.gen < wal_gens_.front().gen;
+    });
     return retired;
   }
 
@@ -891,7 +918,9 @@ class Engine {
     const size_t n = shards_.size();
 
     // 1. Load the manifest's segments, in stack order.
-    std::vector<uint64_t> counts(n, 0);
+    const std::vector<uint64_t> counts =
+        manifest != nullptr ? engine::SegmentCounts(*manifest)
+                            : std::vector<uint64_t>(n, 0);
     if (manifest != nullptr) {
       for (size_t s = 0; s < n; ++s) {
         const engine::ShardMeta& sm = manifest->shards[s];
@@ -915,16 +944,14 @@ class Engine {
               {seg.seq,
                std::make_shared<const Segment>(std::move(loaded).value()),
                /*saved=*/true});
-          counts[s] += seg.count;
         }
       }
     }
 
     // 2. Scan the directory: delete orphans (segments the manifest does not
-    // reference, stale tmp files) and catalog the WAL generations in
-    // generation order. All through the VFS, so the torture harness sees
-    // (and can fault) every step.
-    std::vector<engine::WalGeneration> gens;
+    // reference, stale tmp files), then catalog the WAL generations. All
+    // through the VFS, so the torture harness sees (and can fault) every
+    // step.
     Result<std::vector<std::string>> listing = vfs().ListDir(opt_.dir);
     if (!listing.ok()) return listing.status();
     for (const std::string& name : *listing) {
@@ -943,15 +970,13 @@ class Engine {
           for (const auto& e : shards_[shard].entries) live |= (e.seq == num);
         }
         if (!live) (void)vfs().Remove(path);
-      } else if (engine::ParseWalFileName(name, &gen)) {
-        gens.push_back(gen);
-      } else if (name != "MANIFEST") {
+      } else if (!engine::ParseWalFileName(name, &gen) && name != "MANIFEST") {
         (void)vfs().Remove(path);  // MANIFEST.tmp and other leftovers
       }
     }
-    std::sort(gens.begin(), gens.end(),
-              [](const engine::WalGeneration& a,
-                 const engine::WalGeneration& b) { return a.gen < b.gen; });
+    Result<std::vector<engine::WalGeneration>> gens =
+        engine::ListWalGenerations(vfs(), opt_.dir);
+    if (!gens.ok()) return gens.status();
 
     // 3. Replay the log past the durable prefix (engine/
     // recovery_invariants.hpp): later starts cut the tail back, a start
@@ -959,35 +984,32 @@ class Engine {
     // shard unless that shard's segments already hold it. Foreign or
     // tampered files fail here because the shards' counts cannot line up.
     Result<engine::WalReplay> replay = engine::ReplayWal(
-        counts, gens, [&](const engine::WalGeneration& g) {
+        counts, *gens, [&](const engine::WalGeneration& g) {
           return engine::ReadWalFile(vfs(), WalPath(g));
         });
     if (!replay.ok()) return replay.status();
-    const uint64_t durable = replay->tail.durable();
+    const uint64_t durable = replay->durable;
     const bool salvaged = replay->hole;
-    std::vector<std::vector<wt::BitString>> routed(n);
-    uint64_t g = durable;
-    for (wt::BitString& str : replay->tail.strings()) {
-      if (!engine::SegmentsHold(counts, g)) {
-        routed[g % n].push_back(std::move(str));
-      }
-      ++g;
-    }
     for (size_t s = 0; s < n; ++s) {
-      if (routed[s].empty()) continue;
-      if (Status st = shards_[s].memtable.AppendEncodedBatch(routed[s]);
+      std::vector<wt::BitString>& routed = replay->routed[s];
+      if (routed.empty()) continue;
+      if (Status st = shards_[s].memtable.AppendEncodedBatch(routed);
           !st.ok()) {
         return st;
       }
+      routed = {};  // release each shard's copy once its memtable holds it
     }
-    routed.clear();
     total_.store(replay->total, std::memory_order_relaxed);
 
     // 4. Open a fresh generation at the recovered end (never append to a
-    // possibly torn file) and publish the recovered views.
+    // possibly torn file) and publish the recovered views. The generations
+    // read go on the unsynced list: after a process crash their last
+    // records may sit in the page cache only, and a staggered freeze may
+    // come to need them.
     {
       wt::MutexLock lk(ingest_mu_);
-      wal_gens_ = gens;
+      wal_gens_ = *gens;
+      unsynced_gens_ = *gens;
       if (Status st = RollWalLocked(replay->total); !st.ok()) return st;
     }
     for (size_t s = 0; s < n; ++s) {
@@ -1084,11 +1106,14 @@ class Engine {
   // discipline is enforced one level up: the *Locked helpers that touch it
   // are WT_REQUIRES(ingest_mu_).
   mutable wt::Mutex ingest_mu_;
-  // The write-ahead log: the current generation's writer, and every live
-  // generation in order (the current one last). Pool workers reach the
-  // list only to clean it, under the lock.
+  // The write-ahead log: the current generation's writer, every live
+  // generation in order (the current one last), and the live generations
+  // before it that may hold unsynced records (a failed fsync at the roll,
+  // or read by recovery). Pool workers reach the lists only to clean them
+  // and, before a manifest write, to fsync them, under the lock.
   engine::WalWriter wal_ WT_GUARDED_BY(ingest_mu_);
   std::vector<engine::WalGeneration> wal_gens_ WT_GUARDED_BY(ingest_mu_);
+  std::vector<engine::WalGeneration> unsynced_gens_ WT_GUARDED_BY(ingest_mu_);
   // Sequencing state, not telemetry: these atomics order ingest and
   // snapshot publication, so they stay bespoke rather than registry
   // counters (RefreshMetrics mirrors what exposition needs).

@@ -18,6 +18,7 @@
 // compaction and deleting its inputs) are garbage; recovery removes them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -50,6 +51,17 @@ struct Manifest {
   uint32_t num_shards = 0;
   std::vector<ShardMeta> shards;
 };
+
+/// The strings each shard's listed segments hold.
+inline std::vector<uint64_t> SegmentCounts(const Manifest& m) {
+  std::vector<uint64_t> counts(m.shards.size(), 0);
+  for (size_t s = 0; s < m.shards.size(); ++s) {
+    for (const SegmentMeta& seg : m.shards[s].segments) {
+      counts[s] += seg.count;
+    }
+  }
+  return counts;
+}
 
 inline std::string SegmentFileName(size_t shard, uint64_t seq) {
   return "seg-" + std::to_string(shard) + "-" + std::to_string(seq) + ".wt";
@@ -106,6 +118,24 @@ inline bool ParseWalFileName(const std::string& name, WalGeneration* g) {
   }
   g->gen = gen;
   return true;
+}
+
+/// Every WAL generation in `dir`, in generation order: the files recovery
+/// replays, in the order it reads them. Shared by recovery and wt_inspect.
+inline Result<std::vector<WalGeneration>> ListWalGenerations(
+    wt::io::Vfs& vfs, const std::string& dir) {
+  Result<std::vector<std::string>> names = vfs.ListDir(dir);
+  if (!names.ok()) return names.status();
+  std::vector<WalGeneration> gens;
+  for (const std::string& name : *names) {
+    WalGeneration g;
+    if (ParseWalFileName(name, &g)) gens.push_back(g);
+  }
+  std::sort(gens.begin(), gens.end(),
+            [](const WalGeneration& a, const WalGeneration& b) {
+              return a.gen < b.gen;
+            });
+  return gens;
 }
 
 /// Atomically replaces MANIFEST, durably: payload fsynced before the

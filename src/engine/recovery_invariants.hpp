@@ -27,10 +27,11 @@
 //     more than its round-robin share of it means foreign or tampered
 //     files, and the store is refused.
 //
-// Engine<>::Recover consumes this to rebuild state; `wt_inspect --fsck`
-// runs it read-only to audit a store without opening it. Keeping the logic
-// here, free of the Engine template, guarantees the auditor and the
-// recoverer cannot drift apart.
+// Engine<>::Recover appends what ReplayWal routes to each shard;
+// `wt_inspect --fsck` runs the same call read-only to audit a store without
+// opening it. Keeping the whole rule here (the generations it reads come
+// from manifest.hpp ListWalGenerations), free of the Engine template,
+// guarantees the auditor and the recoverer cannot drift apart.
 #pragma once
 
 #include <algorithm>
@@ -63,13 +64,6 @@ uint64_t DurablePrefix(size_t n, CountFn&& count) {
 
 inline uint64_t DurablePrefix(const std::vector<uint64_t>& counts) {
   return DurablePrefix(counts.size(), [&](size_t s) { return counts[s]; });
-}
-
-/// Whether the segments of shard g mod N, holding counts[g mod N] strings,
-/// already hold global position g.
-inline bool SegmentsHold(const std::vector<uint64_t>& counts, uint64_t g) {
-  const size_t n = counts.size();
-  return g / n < counts[g % n];
 }
 
 /// The replay tail: the strings the log holds at positions [durable, end),
@@ -112,46 +106,56 @@ class ReplayTail {
 
 /// What recovery replays, and what it recovers.
 struct WalReplay {
-  ReplayTail tail;
-  bool hole = false;   // replay stopped at a hole: the store is salvaged
-  uint64_t total = 0;  // the recovered engine size
+  uint64_t durable = 0;  // G: every shard's segments hold [0, G)
+  uint64_t end = 0;      // where the replayed log ends
+  bool hole = false;     // replay stopped at a hole: the store is salvaged
+  uint64_t total = 0;    // the recovered engine size
+  // Per shard, the strings its segments lack, in local order: they
+  // continue the shard's listed segments.
+  std::vector<std::vector<wt::BitString>> routed;
 };
 
 /// Runs the replay rule over `gens` (ascending generation numbers) on top
-/// of shards whose segments hold `counts` strings. `read(gen)` returns the
-/// generation's intact records, or an error that stops recovery (an
-/// unreadable file must not pass for lost records). kCorruptStream when the
-/// recovered size leaves some shard holding more than its round-robin
-/// share.
+/// of shards whose segments hold `counts` strings, and routes the tail to
+/// the shards. `read(gen)` returns the generation's intact records, or an
+/// error that stops recovery (an unreadable file must not pass for lost
+/// records). kCorruptStream when the recovered size leaves some shard
+/// holding more than its round-robin share.
 template <typename ReadFn>
 Result<WalReplay> ReplayWal(const std::vector<uint64_t>& counts,
                             const std::vector<WalGeneration>& gens,
                             ReadFn&& read) {
   const size_t n = counts.size();
-  WalReplay r{ReplayTail(DurablePrefix(counts))};
+  WalReplay r;
+  ReplayTail tail(DurablePrefix(counts));
   for (const WalGeneration& g : gens) {
-    if (!r.tail.CutTo(g.first)) {
+    if (!tail.CutTo(g.first)) {
       r.hole = true;
       break;
     }
     Result<std::vector<WalRecord>> records = read(g);
     if (!records.ok()) return records.status();
     for (WalRecord& rec : *records) {
-      if (!r.tail.Add(std::move(rec))) {
+      if (!tail.Add(std::move(rec))) {
         r.hole = true;
         break;
       }
     }
     if (r.hole) break;
   }
-  // Each shard ends with its segments plus the tail positions it lacks:
-  // max(c_s, its share of end).
-  const auto holds = [&](size_t s) {
-    return std::max(counts[s], RoundRobinCount(r.tail.end(), s, n));
-  };
-  for (size_t s = 0; s < n; ++s) r.total += holds(s);
+  r.durable = tail.durable();
+  r.end = tail.end();
+  // Position g goes to shard g mod N unless that shard's segments already
+  // hold its local position g div N (a staggered freeze).
+  r.routed.resize(n);
+  uint64_t g = r.durable;
+  for (wt::BitString& str : tail.strings()) {
+    if (g / n >= counts[g % n]) r.routed[g % n].push_back(std::move(str));
+    ++g;
+  }
+  for (size_t s = 0; s < n; ++s) r.total += counts[s] + r.routed[s].size();
   for (size_t s = 0; s < n; ++s) {
-    if (holds(s) != RoundRobinCount(r.total, s, n)) {
+    if (counts[s] + r.routed[s].size() != RoundRobinCount(r.total, s, n)) {
       return Status::Error(ErrorCode::kCorruptStream,
                            "Engine: shard counts break the round-robin "
                            "placement invariant");

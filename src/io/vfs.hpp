@@ -346,6 +346,14 @@ class FaultVfs final : public Vfs {
     fail_armed_ = true;
   }
 
+  /// Fails the next `op` on `path`, once, with a clean I/O error, whatever
+  /// its global index: the deterministic fault for an operation that races
+  /// background work (a freeze job's I/O interleaves with ingest's).
+  void FailNext(Op op, const std::string& path) {
+    wt::MutexLock lk(mu_);
+    fail_next_.push_back({op, path});
+  }
+
   /// Simulates power loss: operations with index >= `index` fail and change
   /// nothing; CrashFiles() then reconstructs what a disk could hold.
   void CrashAt(uint64_t index) {
@@ -557,6 +565,12 @@ class FaultVfs final : public Vfs {
         return Status::Error(ErrorCode::kIoError, "faultvfs: injected fault");
       }
     }
+    for (auto it = fail_next_.begin(); it != fail_next_.end(); ++it) {
+      if (it->op == op && it->path == path) {
+        fail_next_.erase(it);
+        return Status::Error(ErrorCode::kIoError, "faultvfs: injected fault");
+      }
+    }
     return Status::Ok();
   }
 
@@ -624,6 +638,7 @@ class FaultVfs final : public Vfs {
   bool fail_torn_ WT_GUARDED_BY(mu_) = false;
   bool pending_torn_ WT_GUARDED_BY(mu_) = false;
   bool fsync_noop_ WT_GUARDED_BY(mu_) = false;
+  std::vector<TraceEntry> fail_next_ WT_GUARDED_BY(mu_);  // see FailNext
 };
 
 // ----------------------------------------------------------------- helpers

@@ -11,7 +11,10 @@
 //     generations: a torn tail drops only the last batch, a hole salvages
 //     the prefix before it, a later generation's start retires a failed
 //     batch's record, a staggered freeze replays only what the other
-//     shards lack, and a flipped position bit fails the checksum;
+//     shards lack, and a flipped position bit fails the checksum; and,
+//     across a power cut, a generation whose roll fsync failed (or that
+//     recovery read after a process crash) is fsynced before a manifest
+//     write or SyncWal relies on it;
 //   * the capacity satellite: the RRR 2^32-1-bit cap surfaces as a clean
 //     abort at the core boundary and as kCapacityExceeded Status on the
 //     facade, with the boundary arithmetic unit-tested exactly.
@@ -805,6 +808,101 @@ TEST(EngineRecovery, StaggeredFreezeReplaysOnlyWhatOtherShardsLack) {
   const int64_t* frozen = ms.FindGauge("wt_engine_frozen_strings");
   ASSERT_NE(frozen, nullptr);
   EXPECT_EQ(*frozen, static_cast<int64_t>(want.size()));
+}
+
+/// Options for a FaultVfs-backed store in directory "store" that logs
+/// without per-record fsyncs.
+StrEngine::Options UnsyncedStore(std::shared_ptr<wt::io::Vfs> vfs,
+                                 size_t memtable_limit) {
+  StrEngine::Options opt;
+  opt.num_shards = 2;
+  opt.memtable_limit = memtable_limit;
+  opt.dir = "store";
+  opt.vfs = std::move(vfs);
+  return opt;
+}
+
+/// Cuts the power on `vfs` (dropping every unsynced byte), reopens the
+/// surviving disk under each metadata mode and expects exactly `want`.
+void ExpectPowerCutKeeps(const wt::io::FaultVfs& vfs, size_t memtable_limit,
+                         const std::vector<std::string>& want) {
+  using wt::io::FaultVfs;
+  for (const auto meta : {FaultVfs::MetadataMode::kConservative,
+                          FaultVfs::MetadataMode::kEager}) {
+    const bool eager = meta == FaultVfs::MetadataMode::kEager;
+    auto disk = std::make_shared<FaultVfs>(
+        vfs.CrashFiles(meta, FaultVfs::DataMode::kDropUnsynced));
+    auto opened = StrEngine::Open(UnsyncedStore(disk, memtable_limit));
+    ASSERT_TRUE(opened.ok()) << "eager " << eager << ": "
+                             << opened.status().message();
+    EXPECT_EQ(SalvageCount(**opened), 0u) << "eager " << eager;
+    ASSERT_TRUE((*opened)->Flush().ok()) << "eager " << eager;
+    EXPECT_EQ(Contents((*opened)->GetSnapshot()), want) << "eager " << eager;
+  }
+}
+
+TEST(EngineRecovery, FailedRollFsyncIsRetriedBeforeTheManifestWrite) {
+  // The staggered freeze again, with the fsync of the generation the
+  // batch's rotation rolls past failing. That generation holds shard 1's
+  // part (positions 1 and 3) of the stretch shard 0's segment reaches
+  // past G = 1, so the freeze's manifest write must fsync it first: listed
+  // over a log that a power cut can shorten, the segment would leave
+  // shard 0 above its round-robin share and the store refused.
+  auto vfs = std::make_shared<wt::io::FaultVfs>();
+  const auto values = UrlWorkload(5, 109);
+  {
+    auto eng = StrEngine::Open(UnsyncedStore(vfs, 3)).value();
+    vfs->FailNext(wt::io::FaultVfs::Op::kSync,
+                  "store/" + engine::WalFileName(0, 0));
+    ASSERT_TRUE(eng->AppendBatch(values).ok());
+    EXPECT_FALSE(eng->BackgroundError().ok());  // the roll's fsync failed
+  }  // the destructor lets the freeze and its manifest write land
+  const Result<engine::Manifest> m = engine::ReadManifest("store", *vfs);
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  ASSERT_EQ(m->shards[0].segments.size(), 1u);
+  EXPECT_TRUE(m->shards[1].segments.empty());
+  ExpectPowerCutKeeps(*vfs, 3, values);
+}
+
+TEST(EngineRecovery, GenerationsReadAfterAProcessCrashAreFsyncedForAManifest) {
+  // The same stretch, with the records left unsynced by a process crash
+  // instead: the first engine dies with positions 0 and 1 in the page
+  // cache only, the second reads them back from there, and its staggered
+  // freeze (shard 0 reaches 3 strings at positions 0, 2, 4) lists a
+  // segment that needs position 1 from the generation it recovered.
+  auto vfs = std::make_shared<wt::io::FaultVfs>();
+  const auto values = UrlWorkload(5, 111);
+  {
+    auto eng = StrEngine::Open(UnsyncedStore(vfs, 3)).value();
+    ASSERT_TRUE(eng->AppendBatch({values[0], values[1]}).ok());
+  }
+  {
+    auto eng = StrEngine::Open(UnsyncedStore(vfs, 3)).value();
+    ASSERT_EQ(eng->size(), 2u);
+    ASSERT_TRUE(eng->AppendBatch({values.begin() + 2, values.end()}).ok());
+  }  // the destructor lets the freeze and its manifest write land
+  const Result<engine::Manifest> m = engine::ReadManifest("store", *vfs);
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  ASSERT_EQ(m->shards[0].segments.size(), 1u);
+  EXPECT_TRUE(m->shards[1].segments.empty());
+  ExpectPowerCutKeeps(*vfs, 3, values);
+}
+
+TEST(EngineRecovery, SyncWalFsyncsAGenerationWhoseRollFsyncFailed) {
+  // A failed append rolls to a fresh generation, and that roll's fsync
+  // fails too. SyncWal, the serving layer's shutdown barrier, must still
+  // make every acknowledged batch survive a power cut: the one before the
+  // failed batch lives only in the generation rolled past.
+  auto vfs = std::make_shared<wt::io::FaultVfs>();
+  const std::string gen0 = "store/" + engine::WalFileName(0, 0);
+  auto eng = StrEngine::Open(UnsyncedStore(vfs, 1 << 20)).value();
+  ASSERT_TRUE(eng->AppendBatch({"a0", "a1", "a2"}).ok());
+  vfs->FailNext(wt::io::FaultVfs::Op::kWrite, gen0);
+  vfs->FailNext(wt::io::FaultVfs::Op::kSync, gen0);
+  EXPECT_FALSE(eng->AppendBatch({"b0"}).ok());
+  ASSERT_TRUE(eng->AppendBatch({"c0", "c1"}).ok());
+  ASSERT_TRUE(eng->SyncWal().ok());
+  ExpectPowerCutKeeps(*vfs, 1 << 20, {"a0", "a1", "a2", "c0", "c1"});
 }
 
 // ------------------------------------------------------------- thread pool

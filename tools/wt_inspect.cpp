@@ -38,7 +38,6 @@
 //      round-robin placement.
 #include <cinttypes>
 #include <cstdio>
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -118,35 +117,6 @@ int InspectFile(const fs::path& path, const char* indent) {
   return std::strcmp(checksum, "ok") == 0 ? 0 : 1;
 }
 
-/// The WAL generations in `dir`, in generation order.
-std::vector<wtrie::engine::WalGeneration> ListWalGenerations(
-    const fs::path& dir) {
-  std::vector<wtrie::engine::WalGeneration> gens;
-  // error_code overloads throughout: a racing engine may roll or delete
-  // files mid-scan, and a vanished entry must not abort the diagnostic.
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  for (; !ec && it != end; it.increment(ec)) {
-    wtrie::engine::WalGeneration g;
-    if (wtrie::engine::ParseWalFileName(it->path().filename().string(), &g)) {
-      gens.push_back(g);
-    }
-  }
-  std::sort(gens.begin(), gens.end(),
-            [](const auto& a, const auto& b) { return a.gen < b.gen; });
-  return gens;
-}
-
-std::vector<uint64_t> SegmentCounts(const wtrie::engine::Manifest& m) {
-  std::vector<uint64_t> counts(m.shards.size(), 0);
-  for (size_t s = 0; s < m.shards.size(); ++s) {
-    for (const wtrie::engine::SegmentMeta& seg : m.shards[s].segments) {
-      counts[s] += seg.count;
-    }
-  }
-  return counts;
-}
-
 int InspectDir(const fs::path& dir) {
   namespace eng = wtrie::engine;
   wtrie::Result<eng::Manifest> m = eng::ReadManifest(dir.string());
@@ -170,9 +140,15 @@ int InspectDir(const fs::path& dir) {
     }
   }
   std::printf("wal: durable prefix G = %" PRIu64 "\n",
-              eng::DurablePrefix(SegmentCounts(*m)));
+              eng::DurablePrefix(eng::SegmentCounts(*m)));
   wt::io::Vfs& vfs = wt::io::RealVfs::Instance();
-  for (const eng::WalGeneration& g : ListWalGenerations(dir)) {
+  wtrie::Result<std::vector<eng::WalGeneration>> gens =
+      eng::ListWalGenerations(vfs, dir.string());
+  if (!gens.ok()) {
+    std::printf("  cannot list generations (%s)\n", gens.status().message());
+    return 1;
+  }
+  for (const eng::WalGeneration& g : *gens) {
     const std::string name = eng::WalFileName(g.gen, g.first);
     wtrie::Result<std::vector<eng::WalRecord>> recs =
         eng::ReadWalFile(vfs, (dir / name).string());
@@ -288,8 +264,15 @@ int FsckDir(const fs::path& dir) {
   // count is unknown, but nothing is frozen either: every shard's share of
   // the replayed tail lines up for any count, so one shard stands in.
   const std::vector<uint64_t> counts =
-      have_manifest ? SegmentCounts(m) : std::vector<uint64_t>(1, 0);
-  const std::vector<eng::WalGeneration> gens = ListWalGenerations(dir);
+      have_manifest ? eng::SegmentCounts(m) : std::vector<uint64_t>(1, 0);
+  wtrie::Result<std::vector<eng::WalGeneration>> listed =
+      eng::ListWalGenerations(vfs, dir.string());
+  if (!listed.ok()) {
+    std::printf("BROKEN: cannot list WAL generations (%s)\n",
+                listed.status().message());
+    return 1;
+  }
+  const std::vector<eng::WalGeneration>& gens = *listed;
   wtrie::Result<eng::WalReplay> replay = eng::ReplayWal(
       counts, gens, [&](const eng::WalGeneration& g) {
         const std::string name = eng::WalFileName(g.gen, g.first);
@@ -307,9 +290,13 @@ int FsckDir(const fs::path& dir) {
   }
   std::printf("  durable prefix G = %" PRIu64 ", log tail ends at %" PRIu64
               "\n",
-              replay->tail.durable(), replay->tail.end());
+              replay->durable, replay->end);
+  for (size_t s = 0; have_manifest && s < replay->routed.size(); ++s) {
+    std::printf("  shard %zu: %" PRIu64 " in segments, %zu replayed\n", s,
+                counts[s], replay->routed[s].size());
+  }
   for (size_t i = 0; i + 1 < gens.size(); ++i) {
-    if (gens[i + 1].first <= replay->tail.durable()) {
+    if (gens[i + 1].first <= replay->durable) {
       std::printf("benign: %s is retired, its successor starts inside G "
                   "(recovery deletes it)\n",
                   eng::WalFileName(gens[i].gen, gens[i].first).c_str());
@@ -319,7 +306,7 @@ int FsckDir(const fs::path& dir) {
     std::printf("DEGRADED: the log has a hole at position %" PRIu64
                 "; a reopen salvages %" PRIu64
                 " string(s) and drops the rest\n",
-                replay->tail.end(), replay->total);
+                replay->end, replay->total);
     return 2;
   }
   std::printf("clean: a reopen recovers %" PRIu64 " string(s)\n",
