@@ -12,7 +12,8 @@
 //     nodes-touched, not queries x height.
 //
 // Besides the google-benchmark tables, the binary always writes
-// BENCH_query.json (ns/query single vs batched, batch-vs-loop speedups,
+// BENCH_query.json (ns/query single vs batched, each the fastest of 5
+// passes with the slowest/fastest ratio beside it, batch-vs-loop speedups,
 // size accounting against the seed baseline, the machine's hardware
 // threads) so the perf trajectory is tracked across PRs. The binary exits
 // nonzero if batched and per-query results ever disagree, or if the query
@@ -21,6 +22,7 @@
 // timing jitters).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -189,22 +191,38 @@ BENCHMARK(BM_SelectBatch)->DenseRange(14, 20, 3)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------------- the gate
 //
-// Single-shot comparison written to BENCH_query.json — the acceptance
-// numbers the PR trajectory tracks.
+// The comparison written to BENCH_query.json — the acceptance numbers the
+// PR trajectory tracks. Each of the six loops runs kPasses times and
+// reports its fastest pass: on a shared 4-vCPU machine one pass moves by
+// ±10–25% between runs, while the minimum is what the code can do.
 
 using clock_type = std::chrono::steady_clock;
+
+constexpr int kPasses = 5;
 
 double NsPer(clock_type::time_point a, clock_type::time_point b, size_t q) {
   return std::chrono::duration<double, std::nano>(b - a).count() /
          static_cast<double>(q);
 }
 
+/// One timed row over kPasses passes: the fastest pass in ns per query,
+/// and the slowest/fastest ratio as its spread.
+struct Timing {
+  double ns = 1e300;
+  double slowest_ns = 0;
+  void Add(double pass_ns) {
+    ns = std::min(ns, pass_ns);
+    slowest_ns = std::max(slowest_ns, pass_ns);
+  }
+  double spread() const { return slowest_ns / ns; }
+};
+
 struct RunResult {
   const char* workload;
   size_t n;
   size_t size_bits;
-  double single_access_ns, single_rank_ns, single_select_ns;
-  double batch_access_ns, batch_rank_ns, batch_select_ns;
+  Timing single_access, single_rank, single_select;
+  Timing batch_access, batch_rank, batch_select;
   bool identical;
 };
 
@@ -219,36 +237,48 @@ RunResult RunOne(const char* workload, bool zipf, size_t n, size_t q,
   r.n = n;
   r.size_bits = trie.SizeInBits();
 
-  auto t0 = clock_type::now();
   std::vector<BitString> access_loop;
   access_loop.reserve(q);
-  for (size_t i = 0; i < q; ++i) access_loop.push_back(trie.Access(qs.access_pos[i]));
-  auto t1 = clock_type::now();
   std::vector<size_t> rank_loop(q);
-  for (size_t i = 0; i < q; ++i) {
-    rank_loop[i] = trie.Rank(qs.value_spans[i], qs.rank_pos[i]);
-  }
-  auto t2 = clock_type::now();
   std::vector<std::optional<size_t>> select_loop(q);
-  for (size_t i = 0; i < q; ++i) {
-    select_loop[i] = trie.Select(qs.value_spans[i], qs.select_idx[i]);
-  }
-  auto t3 = clock_type::now();
-  const auto access_batch = trie.AccessBatch(qs.access_pos);
-  auto t4 = clock_type::now();
-  const auto rank_batch = trie.RankBatch(qs.value_spans, qs.rank_pos);
-  auto t5 = clock_type::now();
-  const auto select_batch = trie.SelectBatch(qs.value_spans, qs.select_idx);
-  auto t6 = clock_type::now();
+  for (int pass = 0; pass < kPasses; ++pass) {
+    access_loop.clear();
+    auto t0 = clock_type::now();
+    for (size_t i = 0; i < q; ++i) access_loop.push_back(trie.Access(qs.access_pos[i]));
+    auto t1 = clock_type::now();
+    for (size_t i = 0; i < q; ++i) {
+      rank_loop[i] = trie.Rank(qs.value_spans[i], qs.rank_pos[i]);
+    }
+    auto t2 = clock_type::now();
+    for (size_t i = 0; i < q; ++i) {
+      select_loop[i] = trie.Select(qs.value_spans[i], qs.select_idx[i]);
+    }
+    auto t3 = clock_type::now();
+    auto access_batch = trie.AccessBatch(qs.access_pos);
+    auto t4 = clock_type::now();
+    auto rank_batch = trie.RankBatch(qs.value_spans, qs.rank_pos);
+    auto t5 = clock_type::now();
+    auto select_batch = trie.SelectBatch(qs.value_spans, qs.select_idx);
+    auto t6 = clock_type::now();
+    // Passes after the first compare nothing: keep their results live.
+    benchmark::DoNotOptimize(access_loop);
+    benchmark::DoNotOptimize(rank_loop);
+    benchmark::DoNotOptimize(select_loop);
+    benchmark::DoNotOptimize(access_batch);
+    benchmark::DoNotOptimize(rank_batch);
+    benchmark::DoNotOptimize(select_batch);
 
-  r.single_access_ns = NsPer(t0, t1, q);
-  r.single_rank_ns = NsPer(t1, t2, q);
-  r.single_select_ns = NsPer(t2, t3, q);
-  r.batch_access_ns = NsPer(t3, t4, q);
-  r.batch_rank_ns = NsPer(t4, t5, q);
-  r.batch_select_ns = NsPer(t5, t6, q);
-  r.identical = access_batch == access_loop && rank_batch == rank_loop &&
-                select_batch == select_loop;
+    r.single_access.Add(NsPer(t0, t1, q));
+    r.single_rank.Add(NsPer(t1, t2, q));
+    r.single_select.Add(NsPer(t2, t3, q));
+    r.batch_access.Add(NsPer(t3, t4, q));
+    r.batch_rank.Add(NsPer(t4, t5, q));
+    r.batch_select.Add(NsPer(t5, t6, q));
+    if (pass == 0) {
+      r.identical = access_batch == access_loop && rank_batch == rank_loop &&
+                    select_batch == select_loop;
+    }
+  }
   return r;
 }
 
@@ -293,6 +323,7 @@ bool WriteAcceptanceJson() {
                kSeedAccessNs, kSeedRankNs, kSeedSelectNs);
   std::fprintf(f, "    \"size_in_bits\": %.0f\n", kSeedSizeBits);
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"passes\": %d,\n", kPasses);
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
@@ -303,17 +334,27 @@ bool WriteAcceptanceJson() {
     std::fprintf(f,
                  "      \"single_ns\": {\"access\": %.0f, \"rank\": %.0f, "
                  "\"select\": %.0f},\n",
-                 r.single_access_ns, r.single_rank_ns, r.single_select_ns);
+                 r.single_access.ns, r.single_rank.ns, r.single_select.ns);
+    std::fprintf(f,
+                 "      \"single_spread\": {\"access\": %.2f, \"rank\": %.2f, "
+                 "\"select\": %.2f},\n",
+                 r.single_access.spread(), r.single_rank.spread(),
+                 r.single_select.spread());
     std::fprintf(f,
                  "      \"batch_ns\": {\"access\": %.0f, \"rank\": %.0f, "
                  "\"select\": %.0f},\n",
-                 r.batch_access_ns, r.batch_rank_ns, r.batch_select_ns);
+                 r.batch_access.ns, r.batch_rank.ns, r.batch_select.ns);
+    std::fprintf(f,
+                 "      \"batch_spread\": {\"access\": %.2f, \"rank\": %.2f, "
+                 "\"select\": %.2f},\n",
+                 r.batch_access.spread(), r.batch_rank.spread(),
+                 r.batch_select.spread());
     std::fprintf(f,
                  "      \"batch_vs_loop_speedup\": {\"access\": %.2f, "
                  "\"rank\": %.2f, \"select\": %.2f},\n",
-                 r.single_access_ns / r.batch_access_ns,
-                 r.single_rank_ns / r.batch_rank_ns,
-                 r.single_select_ns / r.batch_select_ns);
+                 r.single_access.ns / r.batch_access.ns,
+                 r.single_rank.ns / r.batch_rank.ns,
+                 r.single_select.ns / r.batch_select.ns);
     std::fprintf(f, "      \"batch_identical_to_loop\": %s\n",
                  r.identical ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
@@ -327,26 +368,26 @@ bool WriteAcceptanceJson() {
                  size_regression_pct);
     std::fprintf(f, "    \"single_speedup_vs_seed\": {\"access\": %.2f, "
                  "\"rank\": %.2f, \"select\": %.2f},\n",
-                 kSeedAccessNs / gate.single_access_ns,
-                 kSeedRankNs / gate.single_rank_ns,
-                 kSeedSelectNs / gate.single_select_ns);
+                 kSeedAccessNs / gate.single_access.ns,
+                 kSeedRankNs / gate.single_rank.ns,
+                 kSeedSelectNs / gate.single_select.ns);
   }
   std::fprintf(f, "    \"batch_vs_loop_speedup_at_gate\": {\"access\": %.2f, "
                "\"rank\": %.2f, \"select\": %.2f}\n",
-               gate.single_access_ns / gate.batch_access_ns,
-               gate.single_rank_ns / gate.batch_rank_ns,
-               gate.single_select_ns / gate.batch_select_ns);
+               gate.single_access.ns / gate.batch_access.ns,
+               gate.single_rank.ns / gate.batch_rank.ns,
+               gate.single_select.ns / gate.batch_select.ns);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf(
       "BENCH_query.json: single A/R/S %.0f/%.0f/%.0f ns (seed %.0f/%.0f/%.0f), "
       "batch speedup %.1fx/%.1fx/%.1fx, size %+.2f%%, identical=%s\n",
-      gate.single_access_ns, gate.single_rank_ns, gate.single_select_ns,
+      gate.single_access.ns, gate.single_rank.ns, gate.single_select.ns,
       kSeedAccessNs, kSeedRankNs, kSeedSelectNs,
-      gate.single_access_ns / gate.batch_access_ns,
-      gate.single_rank_ns / gate.batch_rank_ns,
-      gate.single_select_ns / gate.batch_select_ns, size_regression_pct,
+      gate.single_access.ns / gate.batch_access.ns,
+      gate.single_rank.ns / gate.batch_rank.ns,
+      gate.single_select.ns / gate.batch_select.ns, size_regression_pct,
       ok ? "yes" : "no");
   return ok;
 }

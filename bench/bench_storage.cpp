@@ -3,14 +3,14 @@
 // written to BENCH_storage.json.
 //
 //   * cold open — wall time from file to first-query-ready Sequence: the
-//     image mapped (mmap + pointer fix-up, the engine default; the
-//     hash-verified variant alongside), read into a heap blob, and read
-//     through Sequence::Load from a file stream (copy + hash verify). All
-//     trials run warm-cache — the realistic restart.
+//     image mapped (mmap + pointer fix-up, how the engine opens every
+//     segment; the hash-verified variant alongside), read into a heap blob
+//     (the mmap ablation), and read through Sequence::Load from a file
+//     stream (copy + hash verify). All trials run warm-cache — the
+//     realistic restart.
 //   * first query after open — the page-fault cost the mapped path defers;
 //   * steady state — AccessBatch throughput mapped vs heap-resident;
-//   * engine cold open — Engine::Open on a flushed durable store, mapped
-//     vs heap image loads;
+//   * engine cold open — Engine::Open on a flushed durable store;
 //   * correctness — Access/Rank/Select batch answers asserted
 //     byte-identical across built / stream-loaded / mapped on every run;
 //     the binary exits nonzero on any mismatch.
@@ -112,7 +112,6 @@ struct GateResult {
   double steady_heap_qps = 0;
   double steady_mapped_qps = 0;
   double engine_open_mapped_ms = 1e300;
-  double engine_open_heap_ms = 1e300;
   size_t engine_segments = 0;
   bool identical = true;
 };
@@ -176,11 +175,12 @@ bool RunGate(GateResult* out, size_t n, size_t q) {
     }
     {
       // The engine-default open: mmap + structural checks, no hash pass.
-      stor::Pager pager;  // fresh pager: a real (re)map each trial
       std::string err;
       const auto t0 = clock_type::now();
       Result<StrSequence> r = StrSequence::LoadImage(
-          pager.Map(file.string(), &err), {}, stor::VerifyMode::kNone);
+          stor::MapFileBlob(file.string(), /*prefer_mmap=*/true,
+                            stor::Advise::kNormal, &err),
+          {}, stor::VerifyMode::kNone);
       const auto t1 = clock_type::now();
       if (!r.ok()) return false;
       out->mmap_default_ms = std::min(out->mmap_default_ms, Seconds(t0, t1) * 1e3);
@@ -193,11 +193,12 @@ bool RunGate(GateResult* out, size_t n, size_t q) {
     }
     {
       // The paranoid open: full-image hash first.
-      stor::Pager pager;
       std::string err;
       const auto t0 = clock_type::now();
       Result<StrSequence> r = StrSequence::LoadImage(
-          pager.Map(file.string(), &err), {}, stor::VerifyMode::kFull);
+          stor::MapFileBlob(file.string(), /*prefer_mmap=*/true,
+                            stor::Advise::kNormal, &err),
+          {}, stor::VerifyMode::kFull);
       if (!r.ok()) return false;
       benchmark::DoNotOptimize(r->size());
       out->mmap_verified_ms =
@@ -252,27 +253,16 @@ bool RunGate(GateResult* out, size_t n, size_t q) {
     if (!eng->Flush().ok()) return false;
   }
   for (int t = 0; t < kTrials; ++t) {
-    {
-      const auto t0 = clock_type::now();
-      auto eng = StrEngine::Open(eopt);
-      if (!eng.ok()) return false;
-      out->engine_open_mapped_ms =
-          std::min(out->engine_open_mapped_ms, Seconds(t0, clock_type::now()) * 1e3);
-      if ((*eng)->size() != n) return false;
-      (*eng)->RefreshMetrics();
-      const int64_t* segs =
-          (*eng)->metrics()->Snapshot().FindGauge("wt_engine_segments");
-      out->engine_segments = segs != nullptr ? static_cast<size_t>(*segs) : 0;
-    }
-    {
-      auto heap_opt = eopt;
-      heap_opt.map_segments = false;
-      const auto t0 = clock_type::now();
-      auto eng = StrEngine::Open(heap_opt);
-      if (!eng.ok()) return false;
-      out->engine_open_heap_ms =
-          std::min(out->engine_open_heap_ms, Seconds(t0, clock_type::now()) * 1e3);
-    }
+    const auto t0 = clock_type::now();
+    auto eng = StrEngine::Open(eopt);
+    if (!eng.ok()) return false;
+    out->engine_open_mapped_ms =
+        std::min(out->engine_open_mapped_ms, Seconds(t0, clock_type::now()) * 1e3);
+    if ((*eng)->size() != n) return false;
+    (*eng)->RefreshMetrics();
+    const int64_t* segs =
+        (*eng)->metrics()->Snapshot().FindGauge("wt_engine_segments");
+    out->engine_segments = segs != nullptr ? static_cast<size_t>(*segs) : 0;
   }
   fs::remove_all(dir);
   return true;
@@ -312,9 +302,8 @@ bool WriteAcceptanceJson() {
                g.steady_heap_qps > 0 ? g.steady_mapped_qps / g.steady_heap_qps : 0);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"engine_cold_open_ms\": {\"mapped\": %.2f, "
-               "\"heap\": %.2f, \"num_segments\": %zu},\n",
-               g.engine_open_mapped_ms, g.engine_open_heap_ms,
-               g.engine_segments);
+               "\"num_segments\": %zu},\n",
+               g.engine_open_mapped_ms, g.engine_segments);
   std::fprintf(f, "  \"gate\": {\n");
   std::fprintf(f, "    \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "    \"answers_identical\": %s,\n", g.identical ? "true" : "false");

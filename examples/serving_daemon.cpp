@@ -6,8 +6,8 @@
 // load shedding, per-request deadlines, slow-client backpressure.
 //
 //   ./example_serving_daemon --dir=/tmp/store --port=7411
-//   ./example_serving_daemon --dir=/tmp/store --port=0 --port-file=/tmp/p \
-//       --preload=1000000
+//   ./example_serving_daemon --dir=/tmp/store --port=0 --port-file=/tmp/p
+//   ./example_serving_daemon --dir=/tmp/store --port=7411 --preload=1000000
 //
 // --port=0 picks an ephemeral port; --port-file writes the chosen port so
 // harnesses (tests, CI smoke, the bench) can find it. --preload seeds the

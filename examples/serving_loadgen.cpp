@@ -6,8 +6,8 @@
 // throughput, latency percentiles, and the shed/deadline counts that show
 // the admission policy working.
 //
-//   ./example_serving_loadgen --port=7411 --connections=4 --pipeline=8 \
-//       --duration-s=5 --mix=read --key-space=100000
+//   ./example_serving_loadgen --port=7411 --connections=4 --pipeline=8
+//   ./example_serving_loadgen --port=7411 --mix=read --key-space=100000
 //
 // --mix=read     kAccess/kRank/kSelect/kCountPrefix round-robin
 // --mix=mixed    reads plus ~10% kAppend frames

@@ -53,6 +53,7 @@ class BitTree {
   /// For RleLeaf this is O(1) leaves; for GapLeaf with bit=1 it is Theta(n).
   void Init(bool bit, size_t n) {
     FreeNode(root_);
+    root_ = nullptr;  // never dangling, even if an allocation below throws
     std::vector<NodeBase*> level;
     size_t remaining = n;
     while (remaining > 0) {

@@ -75,7 +75,6 @@ class ByteCodec {
     // the groups below it carry data. The 56 data bits are extracted in one
     // pext (or a short shift loop without BMI2) and un-mirrored lane-wise.
     constexpr uint64_t kFlagMask = 0x0040201008040201ull;  // bits 9j, j<7
-    constexpr uint64_t kDataMask = 0x7FFFFFFFFFFFFFFFull & ~kFlagMask;
     while (i + 63 <= bits.size()) {
       const uint64_t w = bits.GetBits(i, 63);
       const uint64_t flags = w & kFlagMask;
@@ -83,6 +82,7 @@ class ByteCodec {
           flags == 0 ? 7 : static_cast<size_t>(std::countr_zero(flags)) / 9;
       if (groups > 0) {
 #if defined(__BMI2__)
+        constexpr uint64_t kDataMask = 0x7FFFFFFFFFFFFFFFull & ~kFlagMask;
         uint64_t data = _pext_u64(w, kDataMask);
 #else
         uint64_t data = 0;

@@ -102,13 +102,6 @@ class Engine {
     /// fsync each WAL record (durability against OS crashes, not just
     /// process crashes). Off by default: a research-bench default.
     bool sync_wal = false;
-    /// Serve frozen segments from memory-mapped v5 images (DESIGN.md #8):
-    /// Open() borrows straight into the mapped manifest segments instead
-    /// of deserializing them, and a freshly saved freeze/compaction output
-    /// is remapped so steady-state serving reads the page cache, not a
-    /// heap copy. Off heap-loads the same images; answers are identical
-    /// either way (differential-tested).
-    bool map_segments = true;
     /// Hash-verify each segment image at open (one streaming pass that
     /// faults the whole file in). Off by default: instant open is the
     /// point of the mapped format — the engine is reading files it wrote
@@ -417,23 +410,13 @@ class Engine {
   const Codec& codec() const { return codec_; }
 
  private:
-  static wt::storage::Pager::Options PagerOptionsFor(
-      const Options& opt, std::shared_ptr<wt::obs::MetricsRegistry> metrics) {
-    wt::storage::Pager::Options po;
-    // An injected VFS intercepts segment opens too (it implements
-    // BlobSource); the default pager maps straight from the filesystem.
-    po.source = opt.vfs.get();
-    po.metrics = std::move(metrics);
-    return po;
-  }
-
   Engine(Options opt, Codec codec)
       : opt_(std::move(opt)),
         codec_(std::move(codec)),
         metrics_(opt_.metrics != nullptr
                      ? opt_.metrics
                      : std::make_shared<wt::obs::MetricsRegistry>()),
-        pager_(PagerOptionsFor(opt_, metrics_)),
+        pager_(vfs(), metrics_),
         shards_(opt_.num_shards) {
     for (auto& sh : shards_) {
       sh.memtable = Memtable(codec_);
@@ -744,11 +727,10 @@ class Engine {
       // previous manifest, which still has every file it needs.
       for (const auto& v : victims) {
         const std::string p = PathOf(engine::SegmentFileName(s, v.seq)).string();
-        (void)vfs().Remove(p);  // best-effort: an orphan is re-deleted later
-        // Snapshots still holding the victim keep its mapping alive (an
-        // unlinked mapped file stays readable); the pager just forgets
-        // the dead path.
-        pager_.Drop(p);
+        // Best-effort: an orphan is re-deleted later. Snapshots still
+        // holding the victim keep its mapping alive (an unlinked mapped
+        // file stays readable).
+        (void)vfs().Remove(p);
       }
     }
     return true;
@@ -773,17 +755,14 @@ class Engine {
                                           final_path, seg.SerializeImage());
   }
 
-  /// Loads a segment file: the v5 image is borrowed in place from a mapped
-  /// (or heap) blob. Anything that is not an image fails cleanly with
+  /// Loads a segment file: the v5 image is borrowed in place from the
+  /// pager's mapping (DESIGN.md #8), so Open() never deserializes a
+  /// segment. Anything that is not an image fails cleanly with
   /// kCorruptStream.
   Result<Segment> LoadSegmentFile(const std::string& path) {
     namespace stor = wt::storage;
     std::string err;
-    std::shared_ptr<const stor::Blob> blob =
-        opt_.map_segments
-            ? pager_.Map(path, &err)
-            : vfs().MapOrRead(path, /*prefer_mmap=*/false,
-                              stor::Advise::kNormal, &err);
+    std::shared_ptr<const stor::Blob> blob = pager_.Map(path, &err);
     if (blob == nullptr) {
       if (!vfs().Exists(path)) {
         return Status::Error(ErrorCode::kCorruptStream,
@@ -807,7 +786,6 @@ class Engine {
   /// tampering with the file) is discarded.
   std::shared_ptr<const Segment> RemapSavedSegment(size_t s, uint64_t seq,
                                                    const Segment& built) {
-    if (!opt_.map_segments) return nullptr;
     Result<Segment> mapped =
         LoadSegmentFile(PathOf(engine::SegmentFileName(s, seq)).string());
     if (!mapped.ok() || mapped->size() != built.size() ||
@@ -1098,8 +1076,8 @@ class Engine {
   std::vector<wt::obs::Gauge*> g_mem_strings_;
   std::vector<wt::obs::Gauge*> g_mem_bytes_;
   std::vector<wt::obs::Gauge*> g_shard_segments_;
-  // Segment blob cache: one live mapping per file however many snapshots
-  // pin it; weak entries, so the pager never delays an unmap.
+  // Maps segment images through vfs(); each file is mapped once, and
+  // snapshots share the Segment that pins it.
   wt::storage::Pager pager_;
   // Serializes writers. Also guards every shard's memtable — a field of
   // Shard, where this mutex cannot be named by a WT_GUARDED_BY, so the

@@ -7,10 +7,15 @@
 // if the stack were one sequence:
 //
 //   * Access locates the segment by binary search on `cum`;
-//   * Rank(p) sums full-segment counts below the containing segment plus a
-//     partial rank inside it (global rank = sum of per-segment ranks);
-//   * Select walks the stack accumulating per-segment counts until the
-//     target occurrence's segment is found, then selects inside it.
+//   * Rank(p) and RankPrefix(p) sum full-segment counts below the
+//     containing segment plus a partial rank inside it (global rank = sum
+//     of per-segment ranks);
+//   * ForEachPart splits a range into segment-local parts for the Section 5
+//     analytics.
+//
+// There is no Select here: the snapshot answers Select by binary search on
+// the global position whose cross-shard rank reaches k+1 (engine/
+// snapshot.hpp), so it is stitched across shards, not segments.
 //
 // Batched forms group queries per segment so each segment's trie runs its
 // one-traversal-per-batch fast path (DESIGN.md #6) once per batch.

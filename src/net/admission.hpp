@@ -177,108 +177,20 @@ class AdmissionQueue {
   /// lists can be non-empty in one call.
   bool PopBatch(size_t max_batch, std::vector<PendingRequest>* batch,
                 std::vector<PendingRequest>* expired) WT_EXCLUDES(mu_) {
-    batch->clear();
-    expired->clear();
-    bool drained = false;
-    bool slack = true;
-    uint64_t n_expired = 0;
-    {
-      wt::MutexLock lock(mu_);
-      while (queue_.empty() && !closed_) cv_.Wait(mu_);
-      if (queue_.empty()) {
-        drained = true;  // closed and drained
-      } else {
-        const uint64_t now = clock_->NowNanos();
-        size_t popped = 0;
-        while (!queue_.empty() && popped < max_batch) {
-          PendingRequest req = std::move(queue_.front());
-          queue_.pop_front();
-          queued_bytes_ -= req.cost_bytes;
-          pending_waits_.Add((now - req.enqueued_ns) / 1000);
-          popped++;
-          if (req.deadline_ns != 0 && now >= req.deadline_ns) {
-            n_expired++;
-            expired->push_back(std::move(req));
-          } else {
-            batch->push_back(std::move(req));
-          }
-        }
-        slack = popped < max_batch;
-        UpdateQueueGaugesLocked();
-      }
-    }
-    // Slack-aware publication (DESIGN.md #12): wait samples accumulate in
-    // the consumer-owned batch (plain stores) and reach the shared
-    // histogram only when the pop ran below max_batch — i.e. the queue has
-    // slack to spare — every kPublishEveryPops pops as a staleness bound,
-    // or when the queue drains for good. The saturated path publishes
-    // nothing per pop.
-    if (drained || slack || ++pending_pops_ >= kPublishEveryPops) {
-      FlushWaitSamples();
-    }
-    if (n_expired > 0) c_expired_dequeue_->Add(n_expired);
-    return !drained;
+    return Pop(max_batch, batch, expired, /*block=*/true);
   }
 
   /// Non-blocking PopBatch — the deterministic-test / manual-dispatch seam.
+  /// Returns false when the queue is empty.
   bool TryPopBatch(size_t max_batch, std::vector<PendingRequest>* batch,
                    std::vector<PendingRequest>* expired) WT_EXCLUDES(mu_) {
-    batch->clear();
-    expired->clear();
-    bool empty = false;
-    bool slack = true;
-    uint64_t n_expired = 0;
-    {
-      wt::MutexLock lock(mu_);
-      if (queue_.empty()) {
-        empty = true;
-      } else {
-        const uint64_t now = clock_->NowNanos();
-        size_t popped = 0;
-        while (!queue_.empty() && popped < max_batch) {
-          PendingRequest req = std::move(queue_.front());
-          queue_.pop_front();
-          queued_bytes_ -= req.cost_bytes;
-          pending_waits_.Add((now - req.enqueued_ns) / 1000);
-          popped++;
-          if (req.deadline_ns != 0 && now >= req.deadline_ns) {
-            n_expired++;
-            expired->push_back(std::move(req));
-          } else {
-            batch->push_back(std::move(req));
-          }
-        }
-        slack = popped < max_batch;
-        UpdateQueueGaugesLocked();
-      }
-    }
-    // Same slack-aware publication as PopBatch; an empty poll is the
-    // manual-dispatch loop going idle, which is also a publish point.
-    if (empty || slack || ++pending_pops_ >= kPublishEveryPops) {
-      FlushWaitSamples();
-    }
-    if (n_expired > 0) c_expired_dequeue_->Add(n_expired);
-    return !empty;
+    return Pop(max_batch, batch, expired, /*block=*/false);
   }
 
-  /// Records one served request's wall time, updating the EWMA behind the
-  /// retry-after hint, and the completion counter.
-  void NoteServiced(uint64_t service_ns) WT_EXCLUDES(mu_) {
-    c_completed_->Increment();
-    wt::MutexLock lock(mu_);
-    if (ewma_service_ns_ == 0) {
-      ewma_service_ns_ = service_ns;
-    } else {
-      // alpha = 1/8: smooth enough to ride out one slow analytics query,
-      // fresh enough to track a load shift within a few dozen requests.
-      ewma_service_ns_ = ewma_service_ns_ - ewma_service_ns_ / 8 +
-                         service_ns / 8;
-    }
-  }
-
-  /// Batched NoteServiced: one lock and one EWMA step per dispatch batch.
-  /// per_req_ns is already the batch's evenly-split per-request cost, so a
-  /// single blend step carries the same signal as count identical ones.
+  /// Records `count` served requests' wall time, one EWMA step behind the
+  /// retry-after hint, and the completion counter. per_req_ns is already
+  /// the batch's evenly-split per-request cost, so a single blend step
+  /// carries the same signal as count identical ones.
   void NoteServicedBatch(uint64_t count, uint64_t per_req_ns)
       WT_EXCLUDES(mu_) {
     if (count == 0) return;
@@ -287,6 +199,8 @@ class AdmissionQueue {
     if (ewma_service_ns_ == 0) {
       ewma_service_ns_ = per_req_ns;
     } else {
+      // alpha = 1/8: smooth enough to ride out one slow analytics query,
+      // fresh enough to track a load shift within a few dozen requests.
       ewma_service_ns_ = ewma_service_ns_ - ewma_service_ns_ / 8 +
                          per_req_ns / 8;
     }
@@ -357,6 +271,55 @@ class AdmissionQueue {
   wt::obs::Gauge* g_depth_ = nullptr;
   wt::obs::Gauge* g_bytes_ = nullptr;
   wt::obs::Histogram* h_admit_wait_us_ = nullptr;
+
+  /// The one pop body behind PopBatch and TryPopBatch; `block` chooses
+  /// whether an empty, open queue is waited on. Returns false when nothing
+  /// was popped (empty, or closed and drained).
+  bool Pop(size_t max_batch, std::vector<PendingRequest>* batch,
+           std::vector<PendingRequest>* expired, bool block)
+      WT_EXCLUDES(mu_) {
+    batch->clear();
+    expired->clear();
+    bool empty = false;
+    bool slack = true;
+    uint64_t n_expired = 0;
+    {
+      wt::MutexLock lock(mu_);
+      while (block && queue_.empty() && !closed_) cv_.Wait(mu_);
+      if (queue_.empty()) {
+        empty = true;
+      } else {
+        const uint64_t now = clock_->NowNanos();
+        size_t popped = 0;
+        while (!queue_.empty() && popped < max_batch) {
+          PendingRequest req = std::move(queue_.front());
+          queue_.pop_front();
+          queued_bytes_ -= req.cost_bytes;
+          pending_waits_.Add((now - req.enqueued_ns) / 1000);
+          popped++;
+          if (req.deadline_ns != 0 && now >= req.deadline_ns) {
+            n_expired++;
+            expired->push_back(std::move(req));
+          } else {
+            batch->push_back(std::move(req));
+          }
+        }
+        slack = popped < max_batch;
+        UpdateQueueGaugesLocked();
+      }
+    }
+    // Slack-aware publication (DESIGN.md #12): wait samples accumulate in
+    // the consumer-owned batch (plain stores) and reach the shared
+    // histogram only when the pop ran below max_batch — i.e. the queue has
+    // slack to spare — every kPublishEveryPops pops as a staleness bound,
+    // or when the queue is empty (drained for good, or a manual-dispatch
+    // loop going idle). The saturated path publishes nothing per pop.
+    if (empty || slack || ++pending_pops_ >= kPublishEveryPops) {
+      FlushWaitSamples();
+    }
+    if (n_expired > 0) c_expired_dequeue_->Add(n_expired);
+    return !empty;
+  }
 
   /// Publishes the deferred wait samples and resets the accumulator.
   /// Consumer-thread only (see pending_waits_).

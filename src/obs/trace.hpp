@@ -88,7 +88,7 @@ enum class TraceName : uint8_t {
   kSalvage = 7,         // WAL salvage during Recover
   kPagerMap = 8,        // segment image map (mmap or buffered read)
   kPagerUnmap = 9,      // tracked blob release
-  kPagerAdvise = 10,    // madvise hint applied
+  kPagerAdvise = 10,    // no longer emitted; kept as a wire value
   kEngineBatch = 11,    // one coalesced dispatch batch (server)
 };
 inline constexpr uint8_t kTraceNameCount = 12;

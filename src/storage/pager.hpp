@@ -1,5 +1,4 @@
-// Pager: memory-mapped (or heap-buffered) blobs with a per-engine cache
-// (DESIGN.md #8).
+// Pager: the engine's one way to open a segment image (DESIGN.md #8).
 //
 // A Blob is an immutable byte range with shared ownership. Two concrete
 // kinds:
@@ -16,20 +15,16 @@
 // alive; so a mapping is pinned for the lifetime of every snapshot that
 // can reach it, and unmapped exactly when the last reference drops. On
 // POSIX an unlinked-but-mapped file stays readable, so compaction may
-// delete a victim segment's file while old snapshots still serve from it —
-// the Pager's cache holds weak_ptrs precisely so it never extends that
-// lifetime itself.
+// delete a victim segment's file while old snapshots still serve from it.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -166,10 +161,10 @@ inline std::shared_ptr<const Blob> MapFileBlob(const std::string& path,
   return ReadFileBlob(path, err);
 }
 
-/// Where the pager gets its bytes. The default is the real filesystem
-/// (MapFileBlob); a VFS (io/vfs.hpp) implements this so fault-injection
-/// reaches segment opens too. Lives here rather than in io/ so the pager
-/// stays dependency-free; err-string style matches the Blob loaders.
+/// Where the pager gets its bytes: a VFS (io/vfs.hpp) implements this, so
+/// fault injection reaches segment opens too. Lives here rather than in
+/// io/ so the pager stays dependency-free; err-string style matches the
+/// Blob loaders.
 class BlobSource {
  public:
   virtual ~BlobSource() = default;
@@ -178,93 +173,37 @@ class BlobSource {
                                                 std::string* err) = 0;
 };
 
-/// Per-engine blob cache: path -> live mapping. Map() returns the existing
-/// mapping when one is still pinned somewhere (so N snapshots of one
-/// segment share one mapping), otherwise maps afresh. Weak entries mean
-/// the cache itself never delays an unmap; Drop() is bookkeeping hygiene
-/// after a file is deleted (seg seqs are never reused, so a stale entry
-/// could never be *wrong*, just dead weight).
+/// Maps segment files through a BlobSource and instruments each mapping
+/// (DESIGN.md #12): wt_pager_maps_total, wt_pager_unmaps_total and the
+/// wt_pager_mapped_bytes gauge. There is no cache: the engine maps a
+/// segment file once, at Open or right after its save, and snapshots share
+/// the Segment (hence its mapping), never the path.
 class Pager {
  public:
-  struct Options {
-    bool prefer_mmap = true;
-    Advise advise = Advise::kNormal;
-    /// Byte provider; null means the real filesystem. Not owned — must
-    /// outlive the pager (the engine owns both).
-    BlobSource* source = nullptr;
-    /// Optional instrumentation (DESIGN.md #12): wt_pager_maps_total,
-    /// wt_pager_map_cache_hits_total, wt_pager_unmaps_total, plus the
-    /// wt_pager_mapped_bytes gauge (DESIGN.md #13). Shared ownership on
-    /// purpose — unmaps are counted (and mapped bytes released) when the
-    /// last snapshot pinning a blob drops it, which can be after the
-    /// engine (and its registry handle) is gone.
-    std::shared_ptr<wt::obs::MetricsRegistry> metrics;
-  };
-
-  Pager() = default;
-  explicit Pager(Options opt) : opt_(std::move(opt)) {
-    if (opt_.metrics != nullptr) {
-      maps_ = opt_.metrics->GetCounter("wt_pager_maps_total");
-      cache_hits_ = opt_.metrics->GetCounter("wt_pager_map_cache_hits_total");
-      unmaps_ = opt_.metrics->GetCounter("wt_pager_unmaps_total");
-      mapped_bytes_ = opt_.metrics->GetGauge("wt_pager_mapped_bytes");
-    }
-  }
+  /// `source` is not owned and must outlive the pager (the engine owns
+  /// both). The registry is shared on purpose: unmaps are counted (and
+  /// mapped bytes released) when the last snapshot pinning a blob drops
+  /// it, which can be after the engine is gone.
+  Pager(BlobSource& source, std::shared_ptr<wt::obs::MetricsRegistry> metrics)
+      : source_(source),
+        metrics_(std::move(metrics)),
+        maps_(metrics_->GetCounter("wt_pager_maps_total")),
+        unmaps_(metrics_->GetCounter("wt_pager_unmaps_total")),
+        mapped_bytes_(metrics_->GetGauge("wt_pager_mapped_bytes")) {}
 
   std::shared_ptr<const Blob> Map(const std::string& path, std::string* err) {
-    {
-      wt::MutexLock lk(mu_);
-      auto it = cache_.find(path);
-      if (it != cache_.end()) {
-        if (std::shared_ptr<const Blob> live = it->second.lock()) {
-          if (cache_hits_ != nullptr) cache_hits_->Increment();
-          return live;
-        }
-        cache_.erase(it);
-      }
-    }
-    // A span per fresh mapping (cache hits stay silent — they touch no
-    // kernel state). End arg = mapped size; the advise instant records
-    // which residency hint the mapping was opened with.
+    // End arg = mapped size.
     wt::obs::ScopedSpan map_span(wt::obs::Tracer::Get(),
                                  wt::obs::TraceName::kPagerMap);
-    std::shared_ptr<const Blob> blob =
-        opt_.source != nullptr
-            ? opt_.source->MapOrRead(path, opt_.prefer_mmap, opt_.advise, err)
-            : MapFileBlob(path, opt_.prefer_mmap, opt_.advise, err);
-    if (blob != nullptr) {
-      map_span.SetEndArg(blob->size());
-      wt::obs::Tracer::Get().Instant(wt::obs::TraceName::kPagerAdvise,
-                                     static_cast<uint64_t>(opt_.advise));
-      if (maps_ != nullptr) {
-        maps_->Increment();
-        if (mapped_bytes_ != nullptr) {
-          mapped_bytes_->Add(static_cast<int64_t>(blob->size()));
-        }
-        // The wrapper counts the unmap when the last pin drops; caching
-        // the wrapper (not the inner blob) keeps one count per mapping.
-        blob = std::make_shared<TrackedBlob>(std::move(blob), opt_.metrics,
-                                             unmaps_, mapped_bytes_);
-      }
-      wt::MutexLock lk(mu_);
-      cache_[path] = blob;
-    }
-    return blob;
-  }
-
-  void Drop(const std::string& path) {
-    wt::MutexLock lk(mu_);
-    cache_.erase(path);
-  }
-
-  /// Cache entries whose mapping is still alive (observability/tests).
-  size_t LiveMappings() const {
-    wt::MutexLock lk(mu_);
-    size_t live = 0;
-    for (const auto& [path, weak] : cache_) {
-      live += weak.expired() ? 0 : 1;
-    }
-    return live;
+    std::shared_ptr<const Blob> blob = source_.MapOrRead(
+        path, /*prefer_mmap=*/true, Advise::kNormal, err);
+    if (blob == nullptr) return nullptr;
+    map_span.SetEndArg(blob->size());
+    maps_->Increment();
+    mapped_bytes_->Add(static_cast<int64_t>(blob->size()));
+    // The wrapper counts the unmap when the last pin drops.
+    return std::make_shared<TrackedBlob>(std::move(blob), metrics_, unmaps_,
+                                         mapped_bytes_);
   }
 
  private:
@@ -287,10 +226,8 @@ class Pager {
       mapped_ = inner_->mapped();
     }
     ~TrackedBlob() override {
-      if (unmaps_ != nullptr) unmaps_->Increment();
-      if (mapped_bytes_ != nullptr) {
-        mapped_bytes_->Add(-static_cast<int64_t>(size_));
-      }
+      unmaps_->Increment();
+      mapped_bytes_->Add(-static_cast<int64_t>(size_));
       wt::obs::Tracer::Get().Instant(wt::obs::TraceName::kPagerUnmap, size_);
     }
 
@@ -301,14 +238,11 @@ class Pager {
     wt::obs::Gauge* mapped_bytes_;
   };
 
-  Options opt_;
-  wt::obs::Counter* maps_ = nullptr;
-  wt::obs::Counter* cache_hits_ = nullptr;
-  wt::obs::Counter* unmaps_ = nullptr;
-  wt::obs::Gauge* mapped_bytes_ = nullptr;
-  mutable wt::Mutex mu_;
-  std::unordered_map<std::string, std::weak_ptr<const Blob>> cache_
-      WT_GUARDED_BY(mu_);
+  BlobSource& source_;
+  std::shared_ptr<wt::obs::MetricsRegistry> metrics_;
+  wt::obs::Counter* maps_;
+  wt::obs::Counter* unmaps_;
+  wt::obs::Gauge* mapped_bytes_;
 };
 
 }  // namespace wt::storage

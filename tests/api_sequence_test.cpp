@@ -82,7 +82,9 @@ void CheckAgainstNaive(const Seq& seq, const NaiveIndexedSequence& naive,
     const auto sel = seq.Select(probe, idx);
     const auto nsel = naive.Select(enc, idx);
     ASSERT_EQ(sel.ok(), nsel.has_value());
-    if (sel.ok()) ASSERT_EQ(sel.value(), *nsel);
+    if (sel.ok()) {
+      ASSERT_EQ(sel.value(), *nsel);
+    }
 
     // Prefix variants: byte prefixes of the probe.
     const std::string prefix = probe.substr(0, rng() % (probe.size() + 1));
@@ -91,7 +93,9 @@ void CheckAgainstNaive(const Seq& seq, const NaiveIndexedSequence& naive,
     const auto psel = seq.SelectPrefix(prefix, idx);
     const auto npsel = naive.SelectPrefix(penc, idx);
     ASSERT_EQ(psel.ok(), npsel.has_value());
-    if (psel.ok()) ASSERT_EQ(psel.value(), *npsel);
+    if (psel.ok()) {
+      ASSERT_EQ(psel.value(), *npsel);
+    }
   }
 
   for (int q = 0; q < 40; ++q) {

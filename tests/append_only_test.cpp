@@ -109,8 +109,12 @@ INSTANTIATE_TEST_SUITE_P(
                       Cfg{0.8, false, 4096}),
     [](const auto& info) {
       const Cfg& c = info.param;
-      return "d" + std::to_string(int(c.density * 100)) + "_p" +
-             std::to_string(c.prefix_len) + (c.prefix_bit ? "1" : "0");
+      std::string name = "d";
+      name += std::to_string(int(c.density * 100));
+      name += "_p";
+      name += std::to_string(c.prefix_len);
+      name += c.prefix_bit ? "1" : "0";
+      return name;
     });
 
 TEST(AppendOnly, EmptyVector) {

@@ -118,8 +118,9 @@ INSTANTIATE_TEST_SUITE_P(Densities, BitVectorDensityTest,
                                            Density{0.1}, Density{0.5},
                                            Density{0.9}, Density{0.999}),
                          [](const auto& info) {
-                           return "p" + std::to_string(
-                                            int(info.param.p * 1000));
+                           std::string name = "p";
+                           name += std::to_string(int(info.param.p * 1000));
+                           return name;
                          });
 
 // ------------------------------------------------------------- edge cases

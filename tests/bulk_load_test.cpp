@@ -499,7 +499,11 @@ std::vector<std::vector<std::string>> DictCases() {
   cases.push_back({"solo"});
   cases.push_back(std::vector<std::string>(300, "same"));
   std::vector<std::string> distinct;
-  for (int i = 0; i < 300; ++i) distinct.push_back("v" + std::to_string(i * 7919));
+  for (int i = 0; i < 300; ++i) {
+    std::string v = "v";
+    v += std::to_string(i * 7919);
+    distinct.push_back(std::move(v));
+  }
   std::shuffle(distinct.begin(), distinct.end(), std::mt19937_64(3));
   cases.push_back(distinct);
   cases.push_back({"", "a", "", "ab", "b", ""});

@@ -20,9 +20,15 @@
 // A second sweep injects a single clean-or-torn I/O failure at every
 // operation of the trace (the deterministic ENOSPC/EIO stand-in) with the
 // engine left alive: every batch must either ack or fail with a clean
-// Status, a reopen must recover exactly the acknowledged batches (dropped
-// batches must not resurface — the WAL revocation records under test), no
-// tmp files may leak, and a later retry must succeed.
+// Status, and a reopen — once before the final Flush, while the log still
+// holds every generation no manifest write has retired, and once after
+// it — must recover exactly the acknowledged batches. A dropped batch must
+// not resurface: the engine starts a new WAL generation at the refused
+// batch's position, and recovery cuts the log back at each generation
+// start. No tmp files may leak, and a later retry must succeed. A third
+// sweep follows each such fault with a power cut (unsynced data dropped,
+// under both metadata modes): the store must reopen with every batch
+// acknowledged under sync_wal=true and nothing a live caller was refused.
 //
 // Finally, FsyncOrderingHole replays the pre-seam code (fsync calls inert)
 // through the same workload and shows a cut where the manifest names a
@@ -95,6 +101,13 @@ enum class BatchOutcome {
                  // caller never learned the outcome, both are legal
 };
 
+/// How a scripted run ends once its batches are in.
+enum class ScriptEnd {
+  kFlush,            // a final Flush()
+  kReopenThenFlush,  // close, reopen (recovery replays the live log), Flush
+  kStop,             // close without a final Flush
+};
+
 /// Runs the scripted workload. Flush()/Compact() are scripted between
 /// specific batches so freezes, tail compactions, manifest rewrites, and
 /// WAL cleaning all appear in the trace; their Statuses are ignored (their
@@ -103,7 +116,8 @@ enum class BatchOutcome {
 /// the run stops — a dead process issues no further operations.
 std::vector<BatchOutcome> RunScripted(
     const std::shared_ptr<FaultVfs>& vfs, bool sync,
-    const std::vector<std::vector<std::string>>& batches) {
+    const std::vector<std::vector<std::string>>& batches,
+    ScriptEnd end = ScriptEnd::kFlush) {
   std::vector<BatchOutcome> out(batches.size(), BatchOutcome::kUnattempted);
   auto opened = StrEngine::Open(BaseOptions(vfs, sync));
   if (!opened.ok()) return out;
@@ -121,7 +135,14 @@ std::vector<BatchOutcome> RunScripted(
     if (i == 5 || i == 11) (void)eng->Flush();
     if (i == 13) (void)eng->Compact();
   }
-  if (!vfs->CrashTriggered()) (void)eng->Flush();
+  if (vfs->CrashTriggered() || end == ScriptEnd::kStop) return out;
+  if (end == ScriptEnd::kReopenThenFlush) {
+    eng.reset();
+    auto reopened = StrEngine::Open(BaseOptions(vfs, sync));
+    if (!reopened.ok()) return out;
+    eng = std::move(reopened).value();
+  }
+  (void)eng->Flush();
   return out;
 }
 
@@ -376,10 +397,14 @@ TEST(CrashTorture, FsyncBeforeRenameIsLoadBearing) {
 
 // --------------------------------------------------------- ENOSPC/EIO sweep
 
+// The scripted run reopens the store once before its final Flush (the
+// fault may also land in that reopen's recovery), so recovery reads every
+// generation the last manifest write left — among them a refused batch's
+// record, whenever no later manifest write retired it.
 void SweepEveryOpFailure(bool sync) {
   const auto batches = ScriptBatches();
   auto rec = std::make_shared<FaultVfs>();
-  (void)RunScripted(rec, sync, batches);
+  (void)RunScripted(rec, sync, batches, ScriptEnd::kReopenThenFlush);
   const uint64_t trace_len = rec->OpCount();
   ASSERT_GT(trace_len, 100u);
 
@@ -387,7 +412,8 @@ void SweepEveryOpFailure(bool sync) {
   for (uint64_t op = 0; op < trace_len; ++op) {
     auto vfs = std::make_shared<FaultVfs>();
     vfs->FailOpAt(op, /*torn=*/(op % 2) == 1);  // alternate clean/torn errors
-    const auto outcomes = RunScripted(vfs, sync, batches);
+    const auto outcomes =
+        RunScripted(vfs, sync, batches, ScriptEnd::kReopenThenFlush);
     const std::string ctx = std::string(sync ? "sync" : "nosync") +
                             " fault at op " + std::to_string(op);
     ASSERT_FALSE(vfs->CrashTriggered()) << ctx;
@@ -404,8 +430,9 @@ void SweepEveryOpFailure(bool sync) {
     // Reopening the surviving filesystem recovers exactly the acknowledged
     // batches: nothing lost (the process exited cleanly, so even unsynced
     // bytes are intact) and nothing resurrected (a batch dropped with an
-    // error Status stays dropped even if its WAL slice reached the disk —
-    // the revocation record's job).
+    // error Status stays dropped even if its WAL record reached the disk —
+    // the next generation starts at its position, and recovery cuts the
+    // log back there).
     Expectation e = ExpectationFrom(batches, outcomes);
     e.boundaries = {e.acked_total};
     auto eng = CheckRecoveredStore(vfs, sync, e, e.acked_total, ctx);
@@ -425,6 +452,52 @@ void SweepEveryOpFailure(bool sync) {
 TEST(FaultSweep, EveryOpFailsOnceWithSyncWal) { SweepEveryOpFailure(true); }
 
 TEST(FaultSweep, EveryOpFailsOnceWithoutSyncWal) { SweepEveryOpFailure(false); }
+
+// Each single fault of the sweep above, then the power fails where the
+// script stops (before any final Flush, so a refused last batch leaves its
+// record and the generation after it in the log) and unsynced bytes are
+// dropped. A failed fsync leaves its bytes in the page cache, where a
+// later fsync of the same file or a manifest write's sync of the unsynced
+// generations can make them durable, so a refused batch's record may
+// survive the cut; recovery must still leave it out.
+void SweepFaultThenPowerCut(bool sync) {
+  const auto batches = ScriptBatches();
+  auto rec = std::make_shared<FaultVfs>();
+  (void)RunScripted(rec, sync, batches, ScriptEnd::kStop);
+  const uint64_t trace_len = rec->OpCount();
+  ASSERT_GT(trace_len, 100u);
+
+  for (uint64_t op = 0; op < trace_len; ++op) {
+    auto vfs = std::make_shared<FaultVfs>();
+    vfs->FailOpAt(op, /*torn=*/(op % 2) == 1);
+    const auto outcomes = RunScripted(vfs, sync, batches, ScriptEnd::kStop);
+    const std::string fault = std::string(sync ? "sync" : "nosync") +
+                              " fault at op " + std::to_string(op);
+    ASSERT_FALSE(vfs->CrashTriggered()) << fault;
+    const Expectation e = ExpectationFrom(batches, outcomes);
+    for (const MetadataMode meta :
+         {MetadataMode::kConservative, MetadataMode::kEager}) {
+      const std::string ctx =
+          fault + " then power cut, meta " +
+          (meta == MetadataMode::kEager ? "eager" : "conservative");
+      // Only a sync_wal ack promises survival of a power cut.
+      CheckRecoveredStore(std::make_shared<FaultVfs>(
+                              vfs->CrashFiles(meta, DataMode::kDropUnsynced)),
+                          sync, e, sync ? e.acked_total : 0, ctx);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "first failing fault: " << ctx;
+      }
+    }
+  }
+}
+
+TEST(FaultSweep, EveryOpFailsOnceThenPowerCutWithSyncWal) {
+  SweepFaultThenPowerCut(true);
+}
+
+TEST(FaultSweep, EveryOpFailsOnceThenPowerCutWithoutSyncWal) {
+  SweepFaultThenPowerCut(false);
+}
 
 // ------------------------------------------------------- fsck smoke store
 

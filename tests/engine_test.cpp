@@ -102,7 +102,9 @@ void ExpectMatchesOracle(const StrEngine::SnapshotT& snap,
     const auto es = snap.Select(probe_vals[i], select_idx[i]);
     const auto os = oracle.Select(probe_vals[i], select_idx[i]);
     EXPECT_EQ(es.ok(), os.ok());
-    if (es.ok()) EXPECT_EQ(es.value(), os.value());
+    if (es.ok()) {
+      EXPECT_EQ(es.value(), os.value());
+    }
     EXPECT_EQ(snap.Count(probe_vals[i]), oracle.Count(probe_vals[i]));
   }
   if (n > 0) {
@@ -114,7 +116,9 @@ void ExpectMatchesOracle(const StrEngine::SnapshotT& snap,
       EXPECT_EQ(rb[i], oracle.Rank(probe_vals[i], rank_pos[i]).value());
       const auto os = oracle.Select(probe_vals[i], select_idx[i]);
       EXPECT_EQ(sb[i].has_value(), os.ok());
-      if (os.ok()) EXPECT_EQ(*sb[i], os.value());
+      if (os.ok()) {
+        EXPECT_EQ(*sb[i], os.value());
+      }
     }
   }
 
@@ -127,7 +131,9 @@ void ExpectMatchesOracle(const StrEngine::SnapshotT& snap,
     const auto es = snap.SelectPrefix(p, 3);
     const auto os = oracle.SelectPrefix(p, 3);
     EXPECT_EQ(es.ok(), os.ok());
-    if (es.ok()) EXPECT_EQ(es.value(), os.value());
+    if (es.ok()) {
+      EXPECT_EQ(es.value(), os.value());
+    }
   }
 
   // Section 5 analytics over a few ranges (entry order differs by design:
@@ -460,7 +466,9 @@ TEST(EngineRecovery, RepeatedCrashAndRecoverCycles) {
                        {values.begin() + appended, values.begin() + end})
                     .ok());
     appended = end;
-    if (rng() % 2 == 0) ASSERT_TRUE(eng->Flush().ok());
+    if (rng() % 2 == 0) {
+      ASSERT_TRUE(eng->Flush().ok());
+    }
     // ~half the cycles end without a flush: recovery must restore the
     // memtable tail from the WAL every time.
   }
@@ -722,49 +730,6 @@ TEST(EngineRecovery, LaterGenerationStartRetiresAFailedBatch) {
   EXPECT_EQ(SalvageCount(*eng), 0u);
   ASSERT_TRUE(eng->Flush().ok());
   EXPECT_EQ(Contents(eng->GetSnapshot()), values);
-}
-
-TEST(EngineRecovery, FailedAppendStaysRetiredWhenReopenedBeforeCleaning) {
-  // The engine-driven form of the case above: fail each operation of a
-  // short sync_wal script once (alternating clean and torn errors) and
-  // reopen before any Flush, so every generation the script wrote is
-  // still on disk. A batch refused to a live caller — also one whose
-  // record reached the disk whole because only its fsync failed — must
-  // not come back, and every acknowledged batch must.
-  const std::vector<std::vector<std::string>> batches = {
-      {"a0", "a1", "a2"}, {"b0"}, {"c0", "c1"}, {"d0", "d1", "d2", "d3"}};
-  const auto options = [](std::shared_ptr<wt::io::Vfs> vfs) {
-    StrEngine::Options opt;
-    opt.num_shards = 2;
-    opt.memtable_limit = 1 << 20;  // no rotation: the log keeps everything
-    opt.dir = "store";
-    opt.sync_wal = true;
-    opt.vfs = std::move(vfs);
-    return opt;
-  };
-  const auto run = [&](const std::shared_ptr<wt::io::FaultVfs>& vfs) {
-    std::vector<std::string> acked;
-    auto opened = StrEngine::Open(options(vfs));
-    if (!opened.ok()) return acked;
-    for (const auto& b : batches) {
-      if ((*opened)->AppendBatch(b).ok()) {
-        acked.insert(acked.end(), b.begin(), b.end());
-      }
-    }
-    return acked;
-  };
-  auto rec = std::make_shared<wt::io::FaultVfs>();
-  ASSERT_EQ(run(rec).size(), 10u);
-  const uint64_t trace_len = rec->OpCount();
-  for (uint64_t op = 0; op < trace_len; ++op) {
-    auto vfs = std::make_shared<wt::io::FaultVfs>();
-    vfs->FailOpAt(op, /*torn=*/op % 2 == 1);
-    const std::vector<std::string> acked = run(vfs);
-    auto eng = StrEngine::Open(options(vfs));
-    ASSERT_TRUE(eng.ok()) << "fault at op " << op;
-    ASSERT_TRUE((*eng)->Flush().ok()) << "fault at op " << op;
-    EXPECT_EQ(Contents((*eng)->GetSnapshot()), acked) << "fault at op " << op;
-  }
 }
 
 TEST(EngineRecovery, StaggeredFreezeReplaysOnlyWhatOtherShardsLack) {

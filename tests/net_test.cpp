@@ -284,7 +284,7 @@ TEST(AdmissionQueue, ShedsAtCountBoundWithRetryHint) {
 
   // The hint tracks observed service time: after slow requests the backoff
   // for the same backlog grows.
-  q.NoteServiced(50 * 1000000ull);  // 50ms each
+  q.NoteServicedBatch(1, 50 * 1000000ull);  // 50ms each
   uint32_t slow_retry = 0;
   EXPECT_EQ(q.TryOffer(Req(4, 0), &slow_retry), AdmissionQueue::Offer::kShed);
   EXPECT_GT(slow_retry, retry);
@@ -346,7 +346,7 @@ TEST(AdmissionQueue, CloseRefusesNewAndDrainsAdmitted) {
   std::vector<PendingRequest> batch, expired;
   ASSERT_TRUE(q.PopBatch(16, &batch, &expired));
   ASSERT_EQ(batch.size(), 1u);
-  q.NoteServiced(1000);
+  q.NoteServicedBatch(1, 1000);
   EXPECT_FALSE(q.PopBatch(16, &batch, &expired));
 
   EXPECT_EQ(Count(*reg, "wt_admission_refused_closed_total"), 1u);
@@ -376,7 +376,9 @@ std::vector<std::string> UrlWorkload(size_t n, uint64_t seed) {
 /// of it, plus a pinned snapshot to use as the oracle.
 struct ServedStore {
   explicit ServedStore(const std::vector<std::string>& values) {
-    auto opened = StrEngine::Open({.num_shards = 2});
+    StrEngine::Options opt;
+    opt.num_shards = 2;
+    auto opened = StrEngine::Open(opt);
     EXPECT_TRUE(opened.ok());
     engine = std::move(*opened);
     EXPECT_TRUE(engine->AppendBatch(values).ok());
@@ -518,7 +520,9 @@ TEST(ServerTest, DifferentialRoundTrip) {
       ASSERT_TRUE(sr.Pod(&has));
       ASSERT_TRUE(sr.Pod(&v));
       EXPECT_EQ(has != 0, (*swant)[i].has_value());
-      if (has != 0) EXPECT_EQ(v, (*swant)[i].value());
+      if (has != 0) {
+        EXPECT_EQ(v, (*swant)[i].value());
+      }
     }
   }
 

@@ -94,7 +94,9 @@ TEST(Histogram, QuantilesMatchSortedOracle) {
       EXPECT_GE(oracle, HistogramBucketLowerBound(b)) << "q=" << q;
       EXPECT_LE(oracle, HistogramBucketUpperBound(b)) << "q=" << q;
       const uint64_t got = s.Quantile(q);
-      if (b < 16) EXPECT_EQ(got, oracle);  // unit buckets are exact
+      if (b < 16) {
+        EXPECT_EQ(got, oracle);  // unit buckets are exact
+      }
       EXPECT_GE(got, oracle) << "trial=" << trial << " q=" << q;
       EXPECT_LE(got, s.max) << "trial=" << trial << " q=" << q;
       EXPECT_GE(got, prev) << "trial=" << trial << " q=" << q;  // monotone

@@ -84,7 +84,9 @@ void CheckAgainstOracle(const V& v, const BitArray& bits) {
     if (p > n) continue;
     ASSERT_EQ(v.Rank1(p), o.Rank1(p)) << "Rank1(" << p << ")";
     ASSERT_EQ(v.Rank0(p), p - o.Rank1(p)) << "Rank0(" << p << ")";
-    if (p < n) ASSERT_EQ(v.Get(p), bits.Get(p)) << "Get(" << p << ")";
+    if (p < n) {
+      ASSERT_EQ(v.Get(p), bits.Get(p)) << "Get(" << p << ")";
+    }
   }
   // Select at the sampled-window boundaries and random ks, both polarities.
   for (bool b : {false, true}) {

@@ -131,7 +131,9 @@ TEST(ServingCrashTest, AckedAppendsSurviveSigkill) {
 
   // Reopen the directory: WAL replay must restore every acknowledged
   // value (the ack was sent only after the crash-atomic WAL append).
-  auto reopened = wtrie::Engine<wt::ByteCodec>::Open({.dir = store.string()});
+  wtrie::Engine<wt::ByteCodec>::Options opt;
+  opt.dir = store.string();
+  auto reopened = wtrie::Engine<wt::ByteCodec>::Open(opt);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   // Snapshots cover the frozen prefix; freeze the replayed WAL tail first.
   ASSERT_TRUE((*reopened)->Flush().ok());

@@ -282,9 +282,9 @@ LoadedAllWays LoadAllWays(const std::vector<std::string>& values,
   EXPECT_TRUE(heap.ok());
   const fs::path file = dir.path / "seq.img";
   WriteFile(file, img);
-  stor::Pager pager;
   std::string err;
-  auto blob = pager.Map(file.string(), &err);
+  auto blob = stor::MapFileBlob(file.string(), /*prefer_mmap=*/true,
+                                stor::Advise::kNormal, &err);
   EXPECT_NE(blob, nullptr) << err;
   Result<StrSequence> mapped = StrSequence::LoadImage(blob);
   EXPECT_TRUE(mapped.ok());
@@ -319,13 +319,17 @@ void ExpectAllAnswersIdentical(const StrSequence& a, const StrSequence& b,
     const auto sa = a.Select(queries[i], indices[i]);
     const auto sb = b.Select(queries[i], indices[i]);
     ASSERT_EQ(sa.ok(), sb.ok());
-    if (sa.ok()) EXPECT_EQ(sa.value(), sb.value());
+    if (sa.ok()) {
+      EXPECT_EQ(sa.value(), sb.value());
+    }
     EXPECT_EQ(a.RankPrefix(queries[i].substr(0, 4), ranks[i]).value(),
               b.RankPrefix(queries[i].substr(0, 4), ranks[i]).value());
     const auto pa = a.SelectPrefix(queries[i].substr(0, 4), indices[i]);
     const auto pb = b.SelectPrefix(queries[i].substr(0, 4), indices[i]);
     ASSERT_EQ(pa.ok(), pb.ok());
-    if (pa.ok()) EXPECT_EQ(pa.value(), pb.value());
+    if (pa.ok()) {
+      EXPECT_EQ(pa.value(), pb.value());
+    }
   }
   // Batch forms.
   EXPECT_EQ(a.AccessBatch(positions).value(), b.AccessBatch(positions).value());
@@ -350,7 +354,9 @@ void ExpectAllAnswersIdentical(const StrSequence& a, const StrSequence& b,
     const auto ma = a.Majority(l, r);
     const auto mb = b.Majority(l, r);
     ASSERT_EQ(ma.ok(), mb.ok());
-    if (ma.ok()) EXPECT_EQ(ma.value(), mb.value());
+    if (ma.ok()) {
+      EXPECT_EQ(ma.value(), mb.value());
+    }
     auto ca = a.Scan(l, std::min(n, l + 50)).value();
     auto cb = b.Scan(l, std::min(n, l + 50)).value();
     for (;;) {
@@ -416,37 +422,17 @@ TEST(StorageEquivalence, StatefulCodecRoundTripsThroughImage) {
 
 // ----------------------------------------------------------------- pager
 
-TEST(StoragePager, SharesOneMappingPerFile) {
-  TempDir dir("pager");
-  const StrSequence seq(UrlWorkload(200, 31));
-  const fs::path file = dir.path / "seq.img";
-  WriteFile(file, seq.SerializeImage());
-  stor::Pager pager;
-  std::string err;
-  auto a = pager.Map(file.string(), &err);
-  auto b = pager.Map(file.string(), &err);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a.get(), b.get());  // one live mapping, shared
-  EXPECT_EQ(pager.LiveMappings(), 1u);
-  a.reset();
-  b.reset();
-  EXPECT_EQ(pager.LiveMappings(), 0u);  // weak cache never pins
-  auto c = pager.Map(file.string(), &err);
-  EXPECT_NE(c, nullptr);  // remaps after the old mapping died
-}
-
 TEST(StoragePager, MappingSurvivesFileDeletion) {
   TempDir dir("unlink");
   const auto values = UrlWorkload(300, 37);
   const StrSequence seq(values);
   const fs::path file = dir.path / "seq.img";
   WriteFile(file, seq.SerializeImage());
-  stor::Pager pager;
   std::string err;
-  Result<StrSequence> mapped = StrSequence::LoadImage(pager.Map(file.string(), &err));
+  Result<StrSequence> mapped = StrSequence::LoadImage(stor::MapFileBlob(
+      file.string(), /*prefer_mmap=*/true, stor::Advise::kNormal, &err));
   ASSERT_TRUE(mapped.ok());
   fs::remove(file);
-  pager.Drop(file.string());
   // POSIX keeps unlinked-but-mapped bytes readable: the borrowed sequence
   // still answers (this is exactly how snapshots outlive compaction).
   for (size_t i = 0; i < values.size(); i += 17) {
@@ -495,20 +481,19 @@ TEST(StorageEngine, RestartServesMappedSegmentsIdentically) {
   // Reopen: segments are mapped (no deserialization) and answer the same.
   auto eng = StrEngine::Open(opt).value();
   EXPECT_EQ(eng->size(), values.size());
+  // Each segment file the manifest lists is mapped exactly once.
+  Result<engine::Manifest> manifest = engine::ReadManifest(dir.path.string());
+  ASSERT_TRUE(manifest.ok());
+  size_t listed = 0;
+  for (const auto& sh : manifest->shards) listed += sh.segments.size();
+  const wt::obs::MetricsSnapshot ms = eng->metrics()->Snapshot();
+  const uint64_t* maps = ms.FindCounter("wt_pager_maps_total");
+  ASSERT_NE(maps, nullptr);
+  EXPECT_EQ(*maps, listed);
   auto snap = eng->GetSnapshot();
   size_t k = 0;
   for (size_t i = 0; i < values.size(); i += 997) {
     EXPECT_EQ(snap.Access(i).value(), expect_answers[k++]);
-  }
-  // And with mapping disabled (heap loads), answers are still identical.
-  auto opt_heap = opt;
-  opt_heap.map_segments = false;
-  // Second engine on the same dir: fine, both are read-only until append.
-  auto eng_heap = StrEngine::Open(opt_heap).value();
-  auto snap_heap = eng_heap->GetSnapshot();
-  k = 0;
-  for (size_t i = 0; i < values.size(); i += 997) {
-    EXPECT_EQ(snap_heap.Access(i).value(), expect_answers[k++]);
   }
 }
 
@@ -525,7 +510,7 @@ TEST(StorageEngine, NonImageSegmentFileFailsOpenCleanly) {
   }
   // Replace every segment file with the retired stream format (what a
   // store written before the image format would hold). The engine reads
-  // images only: Open must refuse cleanly, under both load paths.
+  // images only: Open must refuse cleanly.
   size_t replaced = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
     if (e.path().filename().string().rfind("seg-", 0) != 0) continue;
@@ -533,13 +518,9 @@ TEST(StorageEngine, NonImageSegmentFileFailsOpenCleanly) {
     ++replaced;
   }
   ASSERT_GT(replaced, 0u);
-  for (const bool mapped : {true, false}) {
-    auto o = opt;
-    o.map_segments = mapped;
-    auto opened = StrEngine::Open(o);
-    ASSERT_FALSE(opened.ok()) << "mapped=" << mapped;
-    EXPECT_EQ(opened.status().code(), ErrorCode::kCorruptStream);
-  }
+  auto opened = StrEngine::Open(opt);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), ErrorCode::kCorruptStream);
 }
 
 TEST(StorageEngine, ManifestRoundTripsAndRejectsOtherVersions) {

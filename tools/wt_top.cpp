@@ -155,12 +155,10 @@ void RenderServing(const MetricsSnapshot& s, const Totals& cur) {
               GaugeOr0(s, "wt_engine_snapshot_epoch_age_ms"),
               GaugeOr0(s, "wt_engine_freeze_queue_depth"));
   std::printf("  wal               %" PRIu64 " appends, %" PRIu64
-              " fsyncs; pager %" PRIu64 " maps (%" PRIu64 " cache hits), %"
-              PRIu64 " unmaps\n\n",
+              " fsyncs; pager %" PRIu64 " maps, %" PRIu64 " unmaps\n\n",
               CounterOr0(s, "wt_wal_appends_total"),
               CounterOr0(s, "wt_wal_fsyncs_total"),
               CounterOr0(s, "wt_pager_maps_total"),
-              CounterOr0(s, "wt_pager_map_cache_hits_total"),
               CounterOr0(s, "wt_pager_unmaps_total"));
   std::printf("  %-14s %10s %10s %10s %12s\n", "stage", "p50", "p99", "max",
               "samples");
